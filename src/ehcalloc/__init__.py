@@ -34,7 +34,7 @@ from .model import (
     validate_workflow,
 )
 from .oracle import OracleResult, brute_force, monte_carlo_reliability, oracle_bounds, raw_objectives
-from .params import ExecMode, comm_energy, comm_latency, comp_energy, exec_mode, reliability
+from .params import ExecMode, comm_latency, comp_energy, exec_mode, reliability
 from .pipeline import (
     AllocationPlan,
     PipelineContext,
@@ -49,7 +49,6 @@ from .pipeline import (
 )
 from .solver import (
     Solution,
-    SolverMode,
     SolverOptions,
     SolverStatus,
     export_mps,
@@ -94,7 +93,6 @@ __all__ = [
     "PipelineContext",
     "Scenario",
     "Solution",
-    "SolverMode",
     "SolverOptions",
     "SolverStatus",
     "SweepResult",
@@ -110,7 +108,6 @@ __all__ = [
     "build_model",
     "build_reg",
     "chosen_candidates",
-    "comm_energy",
     "comm_latency",
     "comp_energy",
     "default_policy",

@@ -10,6 +10,9 @@ Variables, in a fixed global order so exports and solves are repeatable:
 The weighted objective trades normalized log-reliability against
 normalized end-to-end latency; normalization bounds come from four
 auxiliary single-objective solves over the same constraint set.
+
+:class:`TaskChoices` reads a model back as its one real decision, a
+candidate per task; the solver and the pick/vector conversions use it.
 """
 
 from __future__ import annotations
@@ -160,12 +163,6 @@ class LinearConstraint:
     def lhs(self, x) -> float:
         return sum(c * x[v] for v, c in self.coeffs.items())
 
-    def satisfied(self, x, tol: float = 1e-9) -> bool:
-        lhs = self.lhs(x)
-        if self.sense == "<=":
-            return lhs <= self.rhs + tol
-        return abs(lhs - self.rhs) <= tol
-
 
 @dataclass
 class BilpModel:
@@ -174,18 +171,133 @@ class BilpModel:
     objective: dict[int, float]
     objective_offset: float = 0.0
     metadata: dict = field(default_factory=dict)
+    _choices: TaskChoices | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
         return self.catalog.n_vars
+
+    @property
+    def choices(self) -> TaskChoices:
+        """The task-choice table of these rows, built on first use."""
+        if self._choices is None:
+            self._choices = TaskChoices(self)
+        return self._choices
 
     def objective_value(self, x) -> float:
         return sum(c * x[v] for v, c in self.objective.items()) + self.objective_offset
 
     def with_objective(self, objective: dict[int, float], offset: float = 0.0,
                        **metadata) -> "BilpModel":
+        # the copy keeps these rows, so it shares their task-choice table
         return BilpModel(self.catalog, self.constraints, dict(objective), offset,
-                         {**self.metadata, **metadata})
+                         {**self.metadata, **metadata}, self.choices)
+
+
+@dataclass(frozen=True, slots=True)
+class Choice:
+    """One candidate of a task, with every variable that picking it sets.
+
+    ``budget`` folds the coefficients of those variables into one
+    ``(row, coeff)`` pair per budget row they touch; ``row`` indexes
+    :attr:`TaskChoices.rows`.
+    """
+
+    index: int                                  # position in catalog.candidates
+    task: str
+    primary: str
+    implied: tuple[int, ...]                    # candidate, placement, replica slots
+    budget: tuple[tuple[int, float], ...]
+
+    @property
+    def var(self) -> int:
+        return self.implied[0]
+
+
+@dataclass(frozen=True, slots=True)
+class ArcChoice:
+    var: int
+    budget: tuple[tuple[int, float], ...]
+
+
+class TaskChoices:
+    """A model seen as its one real decision: a candidate per task.
+
+    A pick fixes the candidate's placement and replica-slot variables,
+    and the primaries of two adjacent tasks fix the arc between them, so
+    one pick per task determines the whole 0/1 vector.  Only the catalog
+    and the monotone ``<=`` rows (the budgets) are read, so models read
+    back from MPS, or with rows dropped, work the same.
+    """
+
+    def __init__(self, model: BilpModel) -> None:
+        cat = model.catalog
+        self.n_vars = cat.n_vars
+        self.tasks = cat.task_order
+        # monotone <= rows can be checked as picks accumulate
+        self.rows: list[LinearConstraint] = [
+            row for row in model.constraints
+            if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())
+        ]
+        var_rows: dict[int, list[tuple[int, float]]] = {}
+        for pos, row in enumerate(self.rows):
+            for v, c in row.coeffs.items():
+                if c:
+                    var_rows.setdefault(v, []).append((pos, c))
+
+        task_pos = {t: k for k, t in enumerate(self.tasks)}
+        #: per task, its candidates in catalog order
+        self.options: list[list[Choice]] = [[] for _ in self.tasks]
+        #: per candidate index
+        self.by_index: list[Choice] = []
+        for i, c in enumerate(cat.candidates):
+            implied = (c.var, cat.set_var[(c.task, c.primary)].var,
+                       *(r.var for r in cat.replicas_of[c.var]))
+            budget: dict[int, float] = {}
+            for v in implied:
+                for pos, coeff in var_rows.get(v, ()):
+                    budget[pos] = budget.get(pos, 0.0) + coeff
+            choice = Choice(i, c.task, c.primary, implied, tuple(budget.items()))
+            self.by_index.append(choice)
+            self.options[task_pos[c.task]].append(choice)
+
+        #: per workflow arc: its (src, dst) task positions, and its arc
+        #: variables keyed by (src device, dst device)
+        self.pairs: list[tuple[int, int]] = []
+        self.arcs: list[dict[tuple[str, str], ArcChoice]] = []
+        for (src, dst), arcs in cat.arcs_by_tasks.items():
+            self.pairs.append((task_pos[src], task_pos[dst]))
+            self.arcs.append({
+                (a.src_dev, a.dst_dev): ArcChoice(a.var, tuple(var_rows.get(a.var, ())))
+                for a in arcs})
+
+    def vector(self, picks) -> list[int]:
+        """The 0/1 vector of one candidate index per task, in any order."""
+        x = [0] * self.n_vars
+        primary: dict[str, str] = {}
+        for i in picks:
+            c = self.by_index[i]
+            if c.task in primary:
+                raise ValueError(f"two candidates picked for task {c.task}")
+            primary[c.task] = c.primary
+            for v in c.implied:
+                x[v] = 1
+        missing = [t for t in self.tasks if t not in primary]
+        if missing:
+            raise ValueError(f"no candidate picked for tasks {missing}")
+        for (i, j), arcs in zip(self.pairs, self.arcs):
+            x[arcs[(primary[self.tasks[i]], primary[self.tasks[j]])].var] = 1
+        return x
+
+    def picks(self, x) -> list[int]:
+        """The candidate index each task picks in a 0/1 vector, in task order."""
+        out: list[int] = []
+        for t, options in zip(self.tasks, self.options):
+            hit = [c.index for c in options if x[c.var] == 1]
+            if len(hit) != 1:
+                raise ValueError(f"assignment picks {len(hit)} candidates for task {t}")
+            out.append(hit[0])
+        return out
 
 
 def build_catalog(reg: CandidateGraph) -> VariableCatalog:
@@ -260,42 +372,34 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
         rows.append(LinearConstraint({s.var: 1.0, d.var: 1.0, a.var: -1.0}, "<=", 1.0,
                                      f"arc_on[{label}]"))
 
-    # per-device budgets
-    slot_energy: dict[int, float] = {}
+    # per-device budgets: each replica slot charges its task's memory and
+    # storage and its own energy to its device; an active arc charges every
+    # device with a finite energy budget its share of the transfer
+    mem: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
+    sto: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
+    en: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     for cvar, cand in zip(catalog.candidates, reg.candidates):
-        for (slot, dev, joules), r in zip(cand.per_replica_energy, catalog.replicas_of[cvar.var]):
-            assert r.slot == slot and r.device == dev
-            slot_energy[r.var] = joules
-
-    for device in topo.devices:
-        mem: dict[int, float] = {}
-        sto: dict[int, float] = {}
-        for r in catalog.replicas:
-            if r.device != device.id:
-                continue
-            task = reg.graph.task(catalog_task_of(catalog, r))
-            mem[r.var] = mem.get(r.var, 0.0) + task.memory
-            sto[r.var] = sto.get(r.var, 0.0) + task.storage
-        rows.append(LinearConstraint(mem, "<=", device.memory_budget, f"memory[{device.id}]"))
-        rows.append(LinearConstraint(sto, "<=", device.storage_budget, f"storage[{device.id}]"))
-
-        if device.energy_unbounded:
-            continue
-        en: dict[int, float] = {}
-        for r in catalog.replicas:
-            if r.device == device.id:
-                en[r.var] = en.get(r.var, 0.0) + slot_energy[r.var]
-        for a in catalog.arcs:
+        task = reg.graph.task(cand.task)
+        for r, (_slot, _dev, joules) in zip(catalog.replicas_of[cvar.var],
+                                            cand.per_replica_energy):
+            mem[r.device][r.var] = task.memory
+            sto[r.device][r.var] = task.storage
+            en[r.device][r.var] = joules
+    bounded = [d for d in topo.devices if not d.energy_unbounded]
+    for a in catalog.arcs:
+        for device in bounded:
             coeff = arc_energy_share(reg, a, device.id)
             if coeff:
-                en[a.var] = en.get(a.var, 0.0) + coeff
-        rows.append(LinearConstraint(en, "<=", device.energy_budget, f"energy[{device.id}]"))
-
+                en[device.id][a.var] = coeff
+    for device in topo.devices:
+        rows.append(LinearConstraint(mem[device.id], "<=", device.memory_budget,
+                                     f"memory[{device.id}]"))
+        rows.append(LinearConstraint(sto[device.id], "<=", device.storage_budget,
+                                     f"storage[{device.id}]"))
+        if not device.energy_unbounded:
+            rows.append(LinearConstraint(en[device.id], "<=", device.energy_budget,
+                                         f"energy[{device.id}]"))
     return rows
-
-
-def catalog_task_of(catalog: VariableCatalog, replica: ReplicaVar) -> str:
-    return catalog.candidates[replica.candidate_var].task
 
 
 def arc_energy_share(reg: CandidateGraph, arc: ArcVar, device_id: str) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bilp import ObjectiveWeights
 from .model import UNBOUNDED, Channel, CriticalityPolicy, Device, TaskSpec, Topology, WorkflowGraph
-from .solver import SolverMode, SolverOptions
+from .solver import SolverOptions
 
 _BYTES = {"bytes": 1.0, "kib": 2.0 ** 10, "mib": 2.0 ** 20, "gib": 2.0 ** 30,
           "kb": 1e3, "mb": 1e6, "gb": 1e9}
@@ -156,16 +156,14 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     s = data.get("solver", {})
-    mode = str(s.get("mode", "builtin"))
-    try:
-        options = SolverOptions(
-            mode=SolverMode(mode),
-            time_limit=(None if s.get("time_limit_s") is None
-                        else float(s["time_limit_s"])),
-            absolute_gap=float(s.get("absolute_gap", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: unknown solver mode {mode!r}") from exc
+    mode = s.get("mode", "builtin")
+    if mode != "builtin":
+        raise ConfigError(f"{path}: unknown solver mode {mode!r}")
+    options = SolverOptions(
+        time_limit=(None if s.get("time_limit_s") is None
+                    else float(s["time_limit_s"])),
+        absolute_gap=float(s.get("absolute_gap", 0.0)),
+    )
     return Scenario(policy, weights, options)
 
 
@@ -236,7 +234,6 @@ def dump_scenario(scenario: Scenario, path: str | Path) -> None:
         },
         "weights": {"w_rel": scenario.weights.w_rel, "w_lat": scenario.weights.w_lat},
         "solver": {
-            "mode": scenario.solver.mode.value,
             "time_limit_s": scenario.solver.time_limit,
             "absolute_gap": scenario.solver.absolute_gap,
         },

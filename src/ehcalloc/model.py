@@ -8,7 +8,7 @@ converts from the usual engineering units (Mbit/s, uJ/bit, GiB, Wh).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: Sentinel for devices whose energy budget is not constrained (mains power).
 UNBOUNDED = math.inf
@@ -38,6 +38,9 @@ class Device:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("device id must be non-empty")
+        for f in fields(self)[1:]:          # every field after id is a number
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"device {self.id}: {f.name} is NaN")
         if self.memory_budget <= 0 or not math.isfinite(self.memory_budget):
             raise ValueError(f"device {self.id}: memory budget must be finite and positive")
         if self.storage_budget <= 0 or not math.isfinite(self.storage_budget):
@@ -79,6 +82,9 @@ class Channel:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"channel {self.src}->{self.dst}: endpoints must differ")
+        for f in fields(self)[2:]:          # every field after the endpoints
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"channel {self.src}->{self.dst}: {f.name} is NaN")
         if self.bandwidth <= 0 or not math.isfinite(self.bandwidth):
             raise ValueError(f"channel {self.src}->{self.dst}: bandwidth must be finite and positive")
         if self.tx_energy < 0 or self.rx_energy < 0:
@@ -173,10 +179,6 @@ class TaskSpec:
             raise ValueError(f"task {self.id}: allowed_devices must be non-empty")
         if len(set(self.allowed_devices)) != len(self.allowed_devices):
             raise ValueError(f"task {self.id}: duplicate allowed devices")
-
-    def energy(self, device_id: str) -> float:
-        """Computation energy of one execution on a device, joules."""
-        return self.exec_time[device_id] * self.power[device_id]
 
 
 class WorkflowGraph:
@@ -282,7 +284,7 @@ def validate_workflow(graph: WorkflowGraph, topology: Topology) -> ValidationRep
 
     Catches: cycles, tasks allowed on unknown devices, execution profiles
     missing or surplus relative to allowed devices, vulnerabilities outside
-    (0, 1), and non-positive sizes/times/powers.
+    (0, 1), and sizes/times/powers that are non-positive, infinite or NaN.
     """
     violations: list[str] = []
 
@@ -304,20 +306,19 @@ def validate_workflow(graph: WorkflowGraph, topology: Topology) -> ValidationRep
                 violations.append(f"task {task.id}: {name} missing entry for device {dev}")
             for dev in sorted(keys - allowed):
                 violations.append(f"task {task.id}: {name} has entry for disallowed device {dev}")
+        # written so that NaN fails every range check
         for dev, v in sorted(task.vulnerability.items()):
             if not 0.0 < v < 1.0:
                 violations.append(f"task {task.id}: vulnerability on {dev} is {v}, must lie in (0, 1)")
-        for dev, t in sorted(task.exec_time.items()):
-            if t <= 0:
-                violations.append(f"task {task.id}: exec_time on {dev} must be positive")
-        for dev, p in sorted(task.power.items()):
-            if p <= 0:
-                violations.append(f"task {task.id}: power on {dev} must be positive")
-        if task.memory <= 0:
-            violations.append(f"task {task.id}: memory must be positive")
-        if task.storage <= 0:
-            violations.append(f"task {task.id}: storage must be positive")
-        if task.output_size < 0:
-            violations.append(f"task {task.id}: output size must be >= 0")
+        for name, mapping in (("exec_time", task.exec_time), ("power", task.power)):
+            for dev, value in sorted(mapping.items()):
+                if not 0.0 < value < math.inf:
+                    violations.append(f"task {task.id}: {name} on {dev} must be finite and positive")
+        if not 0.0 < task.memory < math.inf:
+            violations.append(f"task {task.id}: memory must be finite and positive")
+        if not 0.0 < task.storage < math.inf:
+            violations.append(f"task {task.id}: storage must be finite and positive")
+        if not 0.0 <= task.output_size < math.inf:
+            violations.append(f"task {task.id}: output size must be finite and >= 0")
 
     return ValidationReport(ok=not violations, violations=violations)

@@ -71,19 +71,6 @@ def comm_latency(topology: Topology, src: str, dst: str, bits: float) -> float:
     return bits / first.bandwidth + bits / second.bandwidth
 
 
-def comm_energy(topology: Topology, src: str, dst: str, bits: float) -> float:
-    """Total transfer energy in joules across every device involved."""
-    r = route(topology, src, dst)
-    if r.kind is RouteKind.SAME_DEVICE:
-        return 0.0
-    if r.kind is RouteKind.DIRECT:
-        ch = topology.channels[(src, dst)]
-        return bits * (ch.tx_energy + ch.rx_energy)
-    first = topology.channels[(src, r.via)]
-    second = topology.channels[(r.via, dst)]
-    return bits * (first.tx_energy + first.rx_energy + second.tx_energy + second.rx_energy)
-
-
 def tx_energy(topology: Topology, src: str, dst: str, bits: float) -> float:
     """Energy the *sender* pays to push ``bits`` toward dst (its own leg only)."""
     r = route(topology, src, dst)

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import oracle
 from .bilp import (
+    ArcVar,
     BilpModel,
     InfeasibleError,
     NormalizationBounds,
     ObjectiveWeights,
+    VariableCatalog,
     arc_energy_share,
     build_model,
     weighted_objective,
@@ -26,7 +29,7 @@ from .bilp import (
 )
 from .model import CriticalityPolicy, TaskSpec, Topology, WorkflowGraph
 from .solver import Solution, SolverOptions, SolverStatus, solve_builtin
-from .transform import CandidateGraph, build_eg, build_reg
+from .transform import CandidateGraph, CandidateNode, build_eg, build_reg
 
 
 @dataclass
@@ -95,14 +98,7 @@ def prepare(topology: Topology, graph: WorkflowGraph,
 def chosen_candidates(reg: CandidateGraph, model: BilpModel,
                       assignment: list[int]) -> list[int]:
     """Candidate indexes (one per task, in task order) picked by an assignment."""
-    picks: list[int] = []
-    for t in reg.graph.task_ids:
-        hit = [i for i in reg.candidates_for_task(t)
-               if assignment[model.catalog.candidates[i].var] == 1]
-        if len(hit) != 1:
-            raise ValueError(f"assignment picks {len(hit)} candidates for task {t}")
-        picks.append(hit[0])
-    return picks
+    return model.choices.picks(assignment)
 
 
 def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
@@ -113,64 +109,38 @@ def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
     and replica variables for each pick and activates the unique arc
     between each pair of chosen placements.
     """
-    catalog = model.catalog
-    x = [0] * catalog.n_vars
-    primary: dict[str, str] = {}
-    for i in picks:
-        cvar = catalog.candidates[i]
-        if cvar.task in primary:
-            raise ValueError(f"two candidates picked for task {cvar.task}")
-        primary[cvar.task] = cvar.primary
-        x[cvar.var] = 1
-        x[catalog.set_var[(cvar.task, cvar.primary)].var] = 1
-        for r in catalog.replicas_of[cvar.var]:
-            x[r.var] = 1
-    missing = [t for t in catalog.task_order if t not in primary]
-    if missing:
-        raise ValueError(f"no candidate picked for tasks {missing}")
-    for (src, dst), arcs in catalog.arcs_by_tasks.items():
-        for a in arcs:
-            if a.src_dev == primary[src] and a.dst_dev == primary[dst]:
-                x[a.var] = 1
-    return x
+    return model.choices.vector(picks)
 
 
-def _device_usage(reg: CandidateGraph, model: BilpModel,
-                  assignment: list[int]) -> list[dict]:
-    """Per-device budget usage, read off the budget rows."""
+def _device_usage(reg: CandidateGraph, catalog: VariableCatalog,
+                  cands: list[CandidateNode], arcs: list[ArcVar]) -> list[dict]:
+    """Per-device budget usage of the chosen candidates and arcs.
+
+    Sums in the order of the budget rows' terms: replica slots, then arcs.
+    """
+    hosts = {r.device for r in catalog.replicas}
     usage: dict[str, dict] = {}
     for d in reg.topology.devices:
+        # a device that hosts no slot has an empty budget row, summing to int 0
+        zero = 0.0 if d.id in hosts else 0
         usage[d.id] = {
             "device": d.id,
-            "memory_bytes": 0.0, "memory_budget_bytes": d.memory_budget,
-            "storage_bytes": 0.0, "storage_budget_bytes": d.storage_budget,
-            "energy_j": 0.0,
+            "memory_bytes": zero, "memory_budget_bytes": d.memory_budget,
+            "storage_bytes": zero, "storage_budget_bytes": d.storage_budget,
+            "energy_j": 0.0 if d.energy_unbounded else zero,
             "energy_budget_j": None if d.energy_unbounded else d.energy_budget,
         }
-    for row in model.constraints:
-        kind, _, rest = row.tag.partition("[")
-        if kind not in ("memory", "storage", "energy"):
-            continue
-        dev = rest.rstrip("]")
-        key = {"memory": "memory_bytes", "storage": "storage_bytes",
-               "energy": "energy_j"}[kind]
-        usage[dev][key] = row.lhs(assignment)
-    # energy spent on devices without a budget row still exists; recompute
-    for d in reg.topology.devices:
-        if not d.energy_unbounded:
-            continue
-        joules = 0.0
-        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
-            if assignment[cvar.var] != 1:
-                continue
-            for _slot, dev, j in cand.per_replica_energy:
-                if dev == d.id:
-                    joules += j
-        for avar in model.catalog.arcs:
-            if assignment[avar.var] == 1:
-                joules += arc_energy_share(reg, avar, d.id)
-        usage[d.id]["energy_j"] = joules
-    return [usage[d.id] for d in reg.topology.devices]
+    for cand in cands:
+        task = reg.graph.task(cand.task)
+        for _slot, dev, joules in cand.per_replica_energy:
+            row = usage[dev]
+            row["memory_bytes"] += task.memory
+            row["storage_bytes"] += task.storage
+            row["energy_j"] += joules
+    for a in arcs:
+        for d in reg.topology.devices:
+            usage[d.id]["energy_j"] += arc_energy_share(reg, a, d.id)
+    return list(usage.values())
 
 
 def extract_plan(
@@ -212,14 +182,16 @@ def extract_plan(
             "latency_s": cand.latency,
             "reliability": cand.reliability,
         })
+    chosen_arcs = []
     for avar, arc in zip(model.catalog.arcs, reg.arcs):
         if x[avar.var] == 1:
+            chosen_arcs.append(avar)
             plan.arcs.append({
                 "src": arc.src_task, "dst": arc.dst_task,
                 "src_device": arc.src_dev, "dst_device": arc.dst_dev,
                 "latency_s": arc.latency,
             })
-    plan.devices = _device_usage(reg, model, x)
+    plan.devices = _device_usage(reg, model.catalog, cands, chosen_arcs)
     return plan
 
 
@@ -237,11 +209,22 @@ def solve_allocation(
     normalization solves detect that before the weighted solve runs).
     """
     reg, model = prepare(topology, graph, policy)
+    return _solve_prepared(reg, model, weights, options, bounds)
+
+
+def _solve_prepared(
+    reg: CandidateGraph,
+    model: BilpModel,
+    weights: ObjectiveWeights,
+    options: SolverOptions | None,
+    bounds: NormalizationBounds | None,
+) -> tuple[AllocationPlan, PipelineContext]:
+    """:func:`solve_allocation` on the output of :func:`prepare`."""
     if bounds is None:
         bounds = normalization_bounds(reg, model, options)
     weighted = weighted_objective(reg, model, weights, bounds)
     solution = solve_builtin(weighted, options)
-    ctx = PipelineContext(topology, graph, policy, reg, model, bounds,
+    ctx = PipelineContext(reg.topology, reg.graph, reg.policy, reg, model, bounds,
                           weighted, solution)
     return extract_plan(reg, model, weights, bounds, solution), ctx
 
@@ -309,22 +292,20 @@ def sweep(
     reg, model = prepare(topology, graph, policy)
     bounds = normalization_bounds(reg, model, options)
     grid = [i / steps for i in range(steps + 1)]
+    point = partial(_sweep_point, reg, model, options, bounds)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                _sweep_point,
-                [(topology, graph, policy, w, options, bounds) for w in grid]))
+            rows = list(pool.map(point, grid))
     else:
-        rows = [_sweep_point((topology, graph, policy, w, options, bounds))
-                for w in grid]
+        rows = [point(w) for w in grid]
     return SweepResult([d.id for d in topology.devices], rows)
 
 
-def _sweep_point(args) -> dict:
-    topology, graph, policy, w, options, bounds = args
+def _sweep_point(reg: CandidateGraph, model: BilpModel, options: SolverOptions | None,
+                 bounds: NormalizationBounds, w: float) -> dict:
     weights = ObjectiveWeights(w_rel=w, w_lat=1.0 - w)
-    plan, ctx = solve_allocation(topology, graph, policy, weights, options, bounds)
+    plan, ctx = _solve_prepared(reg, model, weights, options, bounds)
     row = {
         "w_rel": w, "w_lat": 1.0 - w, "status": plan.status,
         "g": plan.g, "f_rel": plan.f_rel, "f_lat_s": plan.f_lat,
@@ -332,8 +313,8 @@ def _sweep_point(args) -> dict:
         "reliability": plan.reliability,
     }
     if ctx.solution.assignment is not None:
-        picks = chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
-        row.update(_share_stats(ctx.reg, [ctx.reg.candidates[i] for i in picks]))
+        picks = chosen_candidates(reg, model, ctx.solution.assignment)
+        row.update(_share_stats(reg, [reg.candidates[i] for i in picks]))
     return row
 
 
@@ -372,8 +353,7 @@ def baselines(
     """
     reg, model = prepare(topology, graph, policy)
     bounds = normalization_bounds(reg, model, options)
-    unrestricted, _ = solve_allocation(topology, graph, policy, weights,
-                                       options, bounds)
+    unrestricted, _ = _solve_prepared(reg, model, weights, options, bounds)
     per_device: dict[str, AllocationPlan] = {}
     for d in topology.devices:
         try:

@@ -24,7 +24,7 @@ import enum
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bilp import BilpModel, LinearConstraint, VariableCatalog
@@ -36,15 +36,8 @@ class SolverStatus(enum.Enum):
     TIME_LIMIT = "time_limit"
 
 
-class SolverMode(str, enum.Enum):
-    BUILTIN = "builtin"
-    EXPORT_ONLY = "export_only"
-    EXTERNAL = "external"
-
-
 @dataclass
 class SolverOptions:
-    mode: SolverMode = SolverMode.BUILTIN
     time_limit: float | None = None       # seconds of wall time
     absolute_gap: float = 0.0             # prune nodes within this of the incumbent
 
@@ -57,11 +50,7 @@ class Solution:
     bound: float | None                   # valid upper bound on the optimum
     nodes: int = 0
     wall_time: float = 0.0
-
-    @property
-    def choices(self) -> list[int] | None:
-        """Candidate-index vector recorded by the search, if any."""
-        return getattr(self, "_choices", None)
+    choices: list[int] | None = None      # candidate position per task
 
 
 class _TimeUp(Exception):
@@ -78,68 +67,34 @@ class _TaskChoiceSearch:
     def __init__(self, model: BilpModel, options: SolverOptions) -> None:
         self.model = model
         self.options = options
-        cat = model.catalog
+        self.table = table = model.choices
         obj = model.objective
 
-        self.tasks = cat.task_order
-        self.n_tasks = len(self.tasks)
+        self.n_tasks = len(table.tasks)
+        self.row_cap = [row.rhs + _row_tol(row.rhs) for row in table.rows]
 
-        # monotone <= rows (budgets) can be checked as choices accumulate
-        self.inc_rows: list[LinearConstraint] = [
-            row for row in model.constraints
-            if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())
-        ]
-        self.row_rhs = [row.rhs for row in self.inc_rows]
-        self.row_cap = [row.rhs + _row_tol(row.rhs) for row in self.inc_rows]
-        var_rows: dict[int, list[tuple[int, float]]] = {}
-        for pos, row in enumerate(self.inc_rows):
-            for v, c in row.coeffs.items():
-                if c:
-                    var_rows.setdefault(v, []).append((pos, c))
-
-        # per-task candidate records: static objective + budget contributions
-        # of the candidate, its placement and its replica slots
+        # per-task candidate records: static objective of the candidate, its
+        # placement and its replica slots, plus their folded budget rows
         self.cand_records: list[list[dict]] = []
         self.task_max: list[float] = []
-        for t in self.tasks:
-            records = []
-            for pos, c in enumerate(cat.by_task[t]):
-                implied = [c.var, cat.set_var[(c.task, c.primary)].var]
-                implied += [r.var for r in cat.replicas_of[c.var]]
-                static_obj = sum(obj.get(v, 0.0) for v in implied)
-                rows: dict[int, float] = {}
-                for v in implied:
-                    for rpos, coeff in var_rows.get(v, ()):
-                        rows[rpos] = rows.get(rpos, 0.0) + coeff
-                records.append({
-                    "pos": pos,
-                    "var": c.var,
-                    "primary": c.primary,
-                    "obj": static_obj,
-                    "rows": list(rows.items()),
-                    "implied": implied,
-                })
-            if not records:
+        for t, choices in zip(table.tasks, table.options):
+            if not choices:
                 raise ValueError(f"task {t} has no candidates")
+            records = [{
+                "pos": pos,
+                "primary": c.primary,
+                "obj": sum(obj.get(v, 0.0) for v in c.implied),
+                "rows": c.budget,
+            } for pos, c in enumerate(choices)]
             self.cand_records.append(records)
             self.task_max.append(max(r["obj"] for r in records))
 
         # arc variables grouped by task pair, with per-side maxima for bounds
-        task_idx = {t: i for i, t in enumerate(self.tasks)}
-        self.pairs: list[tuple[int, int]] = []
-        self.arc_entries: list[dict[tuple[str, str], dict]] = []
-        pair_pos: dict[tuple[str, str], int] = {}
-        for a in cat.arcs:
-            key = (a.src_task, a.dst_task)
-            if key not in pair_pos:
-                pair_pos[key] = len(self.pairs)
-                self.pairs.append((task_idx[a.src_task], task_idx[a.dst_task]))
-                self.arc_entries.append({})
-            self.arc_entries[pair_pos[key]][(a.src_dev, a.dst_dev)] = {
-                "var": a.var,
-                "obj": obj.get(a.var, 0.0),
-                "rows": var_rows.get(a.var, []),
-            }
+        self.pairs = table.pairs
+        self.arc_entries: list[dict[tuple[str, str], dict]] = [
+            {key: {"obj": obj.get(a.var, 0.0), "rows": a.budget} for key, a in arcs.items()}
+            for arcs in table.arcs
+        ]
         self.arc_max_any: list[float] = []
         self.arc_max_src: list[dict[str, float]] = []
         self.arc_max_dst: list[dict[str, float]] = []
@@ -153,7 +108,7 @@ class _TaskChoiceSearch:
                                         default=-math.inf))
             self.arc_max_src.append(by_src)
             self.arc_max_dst.append(by_dst)
-        self.touching: list[list[int]] = [[] for _ in self.tasks]
+        self.touching: list[list[int]] = [[] for _ in range(self.n_tasks)]
         for p, (i, j) in enumerate(self.pairs):
             self.touching[i].append(p)
             self.touching[j].append(p)
@@ -161,14 +116,12 @@ class _TaskChoiceSearch:
         # mutable search state
         self.fixed_dev: list[str | None] = [None] * self.n_tasks
         self.chosen_pos: list[int] = [-1] * self.n_tasks
-        self.chosen_rec: list[dict | None] = [None] * self.n_tasks
-        self.usage = [0.0] * len(self.inc_rows)
+        self.usage = [0.0] * len(table.rows)
         self.partial = 0.0
         self.future = sum(self.task_max) + sum(self.arc_max_any)
         self.arc_bound = list(self.arc_max_any)
         self.best_g = -math.inf
         self.best_vec: tuple[int, ...] | None = None
-        self.best_assignment: list[int] | None = None
         # an incumbent is canonical once it was reached in DFS order; only
         # then may subtrees that merely tie it be pruned
         self.best_canonical = False
@@ -201,7 +154,6 @@ class _TaskChoiceSearch:
         self.future -= self.task_max[depth]
         self.fixed_dev[depth] = rec["primary"]
         self.chosen_pos[depth] = rec["pos"]
-        self.chosen_rec[depth] = rec
 
         if feasible:
             for p in self.touching[depth]:
@@ -253,7 +205,6 @@ class _TaskChoiceSearch:
             self.arc_bound[p] = old
         self.fixed_dev[depth] = None
         self.chosen_pos[depth] = -1
-        self.chosen_rec[depth] = None
 
     # -- search --------------------------------------------------------------
 
@@ -282,7 +233,6 @@ class _TaskChoiceSearch:
         else:
             self.best_g = self.partial + self.model.objective_offset
             self.best_vec = tuple(self.chosen_pos)
-            self.best_assignment = self._materialize()
             self.best_canonical = False
         for token in reversed(tokens):
             self._undo(token)
@@ -295,18 +245,7 @@ class _TaskChoiceSearch:
         if g > self.best_g or (g == self.best_g and not self.best_canonical):
             self.best_g = g
             self.best_vec = tuple(self.chosen_pos)
-            self.best_assignment = self._materialize()
             self.best_canonical = True
-
-    def _materialize(self) -> list[int]:
-        x = [0] * self.model.catalog.n_vars
-        for depth in range(self.n_tasks):
-            for v in self.chosen_rec[depth]["implied"]:
-                x[v] = 1
-        for p, (i, j) in enumerate(self.pairs):
-            entry = self.arc_entries[p][(self.fixed_dev[i], self.fixed_dev[j])]
-            x[entry["var"]] = 1
-        return x
 
     def _dfs(self, depth: int, parent_bound: float = math.inf) -> None:
         if depth == self.n_tasks:
@@ -318,8 +257,8 @@ class _TaskChoiceSearch:
             if token is None:
                 continue
             bound = self.partial + self.future + self.model.objective_offset
-            assert bound <= parent_bound + 1e-9 * max(1.0, abs(parent_bound)), \
-                "relaxation bound increased down the tree"
+            if bound > parent_bound + 1e-9 * max(1.0, abs(parent_bound)):
+                raise RuntimeError("relaxation bound increased down the tree")
             limit = self.best_g + gap
             if bound < limit or (bound == limit and self.best_canonical):
                 self.max_pruned = max(self.max_pruned, bound)
@@ -338,21 +277,20 @@ class _TaskChoiceSearch:
             status = SolverStatus.TIME_LIMIT
 
         wall = time.perf_counter() - t0
-        if self.best_assignment is None:
+        if self.best_vec is None:
             final = (SolverStatus.INFEASIBLE if status is SolverStatus.OPTIMAL
                      else SolverStatus.TIME_LIMIT)
-            sol = Solution(final, None, None,
-                           bound=root_bound if final is SolverStatus.TIME_LIMIT else None,
-                           nodes=self.nodes, wall_time=wall)
-            return sol
+            return Solution(final, None, None,
+                            bound=root_bound if final is SolverStatus.TIME_LIMIT else None,
+                            nodes=self.nodes, wall_time=wall)
         if status is SolverStatus.TIME_LIMIT:
             bound = root_bound
         else:
             bound = max(self.best_g, self.max_pruned)
-        sol = Solution(status, self.best_g, self.best_assignment,
-                       bound=bound, nodes=self.nodes, wall_time=wall)
-        sol._choices = list(self.best_vec)
-        return sol
+        picks = [choices[pos].index for choices, pos in zip(self.table.options, self.best_vec)]
+        return Solution(status, self.best_g, self.table.vector(picks),
+                        bound=bound, nodes=self.nodes, wall_time=wall,
+                        choices=list(self.best_vec))
 
 
 def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Solution:

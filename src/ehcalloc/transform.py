@@ -2,7 +2,7 @@
 
 Step one replicates every task across the devices it may run on and every
 task-graph arc across all compatible device pairs, pricing each arc with
-its transfer latency and energy.  Step two expands each task-on-device
+its transfer latency.  Step two expands each task-on-device
 node into explicit redundancy candidates: one for single execution, one
 per replica device for dual execution, and one per unordered replica pair
 for triple execution.  Each candidate carries its own end-to-end latency,
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .model import CriticalityPolicy, Topology, TaskSpec, WorkflowGraph, validate_workflow
 from .params import (
     ExecMode,
-    comm_energy,
     comm_latency,
     comp_energy,
     exec_mode,
@@ -35,7 +34,6 @@ class EgArc:
     dst_task: str
     dst_dev: str
     latency: float                # seconds, 0 when devices coincide
-    energy: float                 # joules across all devices involved
 
 
 class ExpandedGraph:
@@ -58,11 +56,8 @@ class ExpandedGraph:
             bits = graph.task(src).output_size
             for k in self.devices_of[src]:
                 for l in self.devices_of[dst]:
-                    self.arcs.append(EgArc(
-                        src, k, dst, l,
-                        latency=comm_latency(topology, k, l, bits),
-                        energy=comm_energy(topology, k, l, bits),
-                    ))
+                    self.arcs.append(EgArc(src, k, dst, l,
+                                           latency=comm_latency(topology, k, l, bits)))
 
     @property
     def node_count(self) -> int:

@@ -68,3 +68,29 @@ def small_instance(base: Topology, seed: int):
     graph = sg.generate(spec, tuple(base.devices))
     level = 1 + seed % 3
     return topo, graph, e.default_policy(level)
+
+
+def scipy_milp(model):
+    """Maximize a model with HiGHS through ``scipy.optimize.milp``.
+
+    Returns ``(status, optimum)``; status 0 means solved to optimality.
+    Raises ImportError when scipy is not installed.
+    """
+    from scipy import optimize, sparse
+
+    n = model.catalog.n_vars
+    c = np.zeros(n)
+    for v, coef in model.objective.items():
+        c[v] = -coef                       # scipy minimizes
+    rows = sparse.lil_matrix((len(model.constraints), n))
+    lo, hi = [], []
+    for i, con in enumerate(model.constraints):
+        for v, coef in con.coeffs.items():
+            rows[i, v] = coef
+        lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        hi.append(con.rhs)
+    res = optimize.milp(
+        c=c, constraints=optimize.LinearConstraint(rows.tocsr(), lo, hi),
+        integrality=np.ones(n), bounds=optimize.Bounds(0, 1))
+    optimum = None if res.fun is None else -res.fun + model.objective_offset
+    return res.status, optimum

@@ -12,12 +12,11 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 import ehcalloc as e
 import ehcalloc.synthgen as sg
-from conftest import LIGHT_TARGETS, STRUCTURES, small_instance
+from conftest import LIGHT_TARGETS, STRUCTURES, scipy_milp, small_instance
 from ehcalloc.bilp import (
     BilpModel,
     ObjectiveWeights,
@@ -277,28 +276,13 @@ def test_08_interchange_round_trip(report, topology, workflow, policy,
     # external solver fed from the re-read fixture model, if one is present
     external = "no external solver installed"
     try:
-        from scipy import optimize, sparse
+        status, got = scipy_milp(clone)
     except ImportError:
         pass
     else:
-        n = clone.catalog.n_vars
-        c = np.zeros(n)
-        for v, coef in clone.objective.items():
-            c[v] = -coef
-        rows = sparse.lil_matrix((len(clone.constraints), n))
-        lo, hi = [], []
-        for i, con in enumerate(clone.constraints):
-            for v, coef in con.coeffs.items():
-                rows[i, v] = coef
-            lo.append(-np.inf if con.sense == "<=" else con.rhs)
-            hi.append(con.rhs)
-        res = optimize.milp(
-            c=c, constraints=optimize.LinearConstraint(rows.tocsr(), lo, hi),
-            integrality=np.ones(n), bounds=optimize.Bounds(0, 1))
-        got = -res.fun + clone.objective_offset
         want = solve_builtin(clone).objective
-        if res.status != 0 or not math.isclose(got, want, rel_tol=1e-8,
-                                               abs_tol=1e-8):
+        if status != 0 or not math.isclose(got, want, rel_tol=1e-8,
+                                           abs_tol=1e-8):
             problems.append(f"external optimum {got} vs {want}")
         else:
             external = f"external optimum matches ({got:.12f})"

@@ -1,6 +1,8 @@
 """Command line driver: subcommands, exit codes, artifact files."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -212,6 +214,20 @@ class TestBadInput:
         dump_workflow(WorkflowGraph([t], []), wf_file)
         assert run("solve", "--workflow", str(wf_file)) == EXIT_BAD_INPUT
         assert "validation failed" in capsys.readouterr().err
+
+
+def test_nan_in_a_workflow_file_exits_one_without_traceback(workdir):
+    task = e.inspection_workflow().tasks[3]
+    bad = e.WorkflowGraph([dataclasses.replace(task, exec_time={
+        **task.exec_time, task.allowed_devices[0]: math.nan})], [])
+    wf_file = workdir / "nan.json"
+    dump_workflow(bad, wf_file)
+    assert "NaN" in wf_file.read_text()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ehcalloc.cli", "solve", "--workflow", str(wf_file)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "validation failed" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_console_script_is_wired():

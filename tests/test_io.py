@@ -17,7 +17,7 @@ from ehcalloc.io import (
     load_workflow,
 )
 from ehcalloc.model import UNBOUNDED
-from ehcalloc.solver import SolverMode, SolverOptions
+from ehcalloc.solver import SolverOptions
 
 
 def write(tmp_path, name, payload):
@@ -126,8 +126,7 @@ class TestRoundTrips:
         scenario = Scenario(
             policy=e.default_policy(2),
             weights=e.ObjectiveWeights(0.3, 0.7),
-            solver=SolverOptions(mode=SolverMode.BUILTIN, time_limit=12.5,
-                                 absolute_gap=1e-9),
+            solver=SolverOptions(time_limit=12.5, absolute_gap=1e-9),
         )
         p = tmp_path / "scenario.json"
         dump_scenario(scenario, p)
@@ -147,7 +146,6 @@ class TestScenarioDefaults:
         assert s.policy.level == 3 and s.policy.max_level == 3
         assert s.policy.kappa == 0.06 and s.policy.lambda_coef == 3.0
         assert (s.weights.w_rel, s.weights.w_lat) == (0.5, 0.5)
-        assert s.solver.mode is SolverMode.BUILTIN
         assert s.solver.time_limit is None
 
     def test_w_lat_defaults_to_the_complement(self, tmp_path):

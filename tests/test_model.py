@@ -1,5 +1,6 @@
 """Core domain types: devices, channels, topology, workflow, policy."""
 
+import dataclasses
 import math
 
 import pytest
@@ -42,6 +43,9 @@ class TestDevice:
         ("energy_budget", 0.0),
         ("compare_time", -1e-9),
         ("max_power", 0.0),
+        ("energy_budget", math.nan),
+        ("compare_time", math.nan),
+        ("vote_power", math.nan),
     ])
     def test_rejects_non_positive(self, field, value):
         with pytest.raises(ValueError):
@@ -60,6 +64,12 @@ class TestChannel:
     def test_rejects_non_positive_bandwidth(self):
         with pytest.raises(ValueError):
             Channel("a", "b", 0.0, 1e-6, 1e-6)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1e-6, 1e-6), (1e6, math.nan, 1e-6),
+                                      (1e6, 1e-6, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="NaN"):
+            Channel("a", "b", *args)
 
 
 def two_device_topology() -> Topology:
@@ -185,6 +195,18 @@ class TestValidateWorkflow:
         assert "ghost" in text
         assert "vulnerability" in text
         assert len(report.violations) >= 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["memory", "storage", "output_size",
+                                       "exec_time", "power", "vulnerability"])
+    def test_non_finite_values_reported(self, field, value):
+        task = chain_tasks(1)[0]
+        old = getattr(task, field)
+        new = {**old, "a": value} if isinstance(old, dict) else value
+        g = WorkflowGraph([dataclasses.replace(task, **{field: new})], [])
+        report = validate_workflow(g, two_device_topology())
+        assert len(report.violations) == 1
+        assert field.split("_")[0] in report.violations[0]
 
     def test_cycle_reported(self):
         topo = two_device_topology()

@@ -2,10 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 import ehcalloc as e
+from conftest import scipy_milp
 from ehcalloc.bilp import ObjectiveWeights, normalization_bounds, weighted_objective
 from ehcalloc.solver import (
     SolverStatus,
@@ -16,7 +16,7 @@ from ehcalloc.solver import (
     verify,
 )
 
-scipy_milp = pytest.importorskip("scipy.optimize", reason="scipy unavailable").milp
+pytest.importorskip("scipy.optimize", reason="scipy unavailable")
 
 
 @pytest.fixture(scope="module")
@@ -73,28 +73,8 @@ class TestRoundTrip:
 
 class TestExternalSolve:
     def test_scipy_milp_agrees_with_builtin(self, weighted):
-        from scipy import optimize, sparse
-
-        n = weighted.catalog.n_vars
-        c = np.zeros(n)
-        for v, coef in weighted.objective.items():
-            c[v] = -coef                       # scipy minimizes
-        rows, lo, hi = [], [], []
-        for con in weighted.constraints:
-            row = np.zeros(n)
-            for v, coef in con.coeffs.items():
-                row[v] = coef
-            rows.append(row)
-            lo.append(-np.inf if con.sense == "<=" else con.rhs)
-            hi.append(con.rhs)
-        res = optimize.milp(
-            c=c,
-            constraints=optimize.LinearConstraint(sparse.csr_matrix(np.array(rows)), lo, hi),
-            integrality=np.ones(n),
-            bounds=optimize.Bounds(0, 1),
-        )
-        assert res.status == 0
-        external = -res.fun + weighted.objective_offset
+        status, external = scipy_milp(weighted)
+        assert status == 0
         sol = solve_builtin(weighted)
         assert external == pytest.approx(sol.objective, abs=1e-8)
 

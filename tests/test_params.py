@@ -2,12 +2,12 @@
 
 import pytest
 
-from ehcalloc import reference_topology
-from ehcalloc.model import CriticalityPolicy, TaskSpec
+from ehcalloc import build_eg, build_reg, default_policy, reference_topology
+from ehcalloc.bilp import ArcVar, arc_energy_share
+from ehcalloc.model import CriticalityPolicy, TaskSpec, WorkflowGraph
 from ehcalloc.params import (
     ExecMode,
     RouteKind,
-    comm_energy,
     comm_latency,
     comp_energy,
     exec_mode,
@@ -23,6 +23,20 @@ MBIT = 1e6
 @pytest.fixture(scope="module")
 def topo():
     return reference_topology()
+
+
+def arc_energy_total(topo, src: str, dst: str, bits: float) -> float:
+    """Joules an active src->dst arc carrying ``bits`` charges the model,
+    summed over every device."""
+    def task(tid):
+        return TaskSpec(id=tid, memory=1e6, storage=1e6, output_size=bits,
+                        allowed_devices=("e", "h", "c"),
+                        exec_time={d: 1.0 for d in "ehc"}, power={d: 1.0 for d in "ehc"},
+                        vulnerability={d: 0.01 for d in "ehc"})
+    graph = WorkflowGraph([task("t1"), task("t2")], [("t1", "t2")])
+    reg = build_reg(build_eg(graph, topo), default_policy())
+    arc = ArcVar(0, "t1", src, "t2", dst)
+    return sum(arc_energy_share(reg, arc, d.id) for d in topo.devices)
 
 
 class TestRoute:
@@ -59,13 +73,13 @@ class TestCommLatency:
 class TestCommEnergy:
     def test_direct_sums_tx_and_rx(self, topo):
         # h->c at 2.50 / 1.25 uJ per bit
-        assert comm_energy(topo, "h", "c", MBIT) == pytest.approx(3.75, rel=1e-12)
+        assert arc_energy_total(topo, "h", "c", MBIT) == pytest.approx(3.75, rel=1e-12)
         assert tx_energy(topo, "h", "c", MBIT) == pytest.approx(2.50, rel=1e-12)
         assert rx_energy(topo, "h", "c", MBIT) == pytest.approx(1.25, rel=1e-12)
 
     def test_relayed_charges_all_three_devices(self, topo):
         # e->c via h for 1 Mbit: e tx 1.00 J, h rx 0.70 J + tx 2.50 J, c rx 1.25 J
-        assert comm_energy(topo, "e", "c", MBIT) == pytest.approx(5.45, rel=1e-12)
+        assert arc_energy_total(topo, "e", "c", MBIT) == pytest.approx(5.45, rel=1e-12)
 
     def test_endpoint_shares_cover_adjacent_leg_only(self, topo):
         # sender pays its own uplink; receiver its own downlink
@@ -73,7 +87,7 @@ class TestCommEnergy:
         assert rx_energy(topo, "e", "c", MBIT) == pytest.approx(1.25, rel=1e-12)
 
     def test_same_device_costs_nothing(self, topo):
-        assert comm_energy(topo, "e", "e", MBIT) == 0.0
+        assert arc_energy_total(topo, "e", "e", MBIT) == 0.0
         assert tx_energy(topo, "e", "e", MBIT) == 0.0
         assert rx_energy(topo, "e", "e", MBIT) == 0.0
 

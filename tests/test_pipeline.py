@@ -156,6 +156,11 @@ class TestSweep:
         # floats print with repr so a reader recovers them exactly
         assert repr(swept.rows[1]["g"]) in lines[2]
 
+    def test_worker_processes_return_the_same_rows(self, topology, workflow, policy):
+        serial = sweep(topology, workflow, policy, steps=2, workers=1)
+        pooled = sweep(topology, workflow, policy, steps=2, workers=2)
+        assert pooled.rows == serial.rows
+
 
 @pytest.fixture(scope="module")
 def compared(topology, workflow, policy):
