@@ -1,11 +1,18 @@
 """Binary integer linear program assembly over a candidate graph.
 
-Variables, in a fixed global order so exports and solves are repeatable:
+Three variable families, in a fixed global order so exports and solves
+are repeatable:
 
 * one binary per redundancy candidate (pick exactly one per task),
 * one binary per expanded arc (active when both endpoint placements are),
-* one binary per task-on-device placement (any candidate there chosen),
-* one binary per replica slot of every candidate (drives budget rows).
+* one binary per task-on-device placement (any candidate there chosen).
+
+Arcs are tied to placements by marginal rows: for a workflow arc u->v,
+the arcs leaving u on device k sum to u's placement on k, and the arcs
+entering v on device l sum to v's placement on l (the local polytope
+of max-sum labelling).  Budget rows charge each candidate column the
+memory, storage and energy of all its replica slots on that device,
+summed slot by slot.
 
 The weighted objective trades normalized log-reliability against
 normalized end-to-end latency; normalization bounds come from four
@@ -57,14 +64,6 @@ class SetVar:
     device: str
 
 
-@dataclass(frozen=True)
-class ReplicaVar:
-    var: int
-    candidate_var: int
-    slot: int
-    device: str
-
-
 class VariableCatalog:
     """Index of every binary variable and what it stands for."""
 
@@ -74,14 +73,12 @@ class VariableCatalog:
         candidates: list[CandidateVar],
         arcs: list[ArcVar],
         sets: list[SetVar],
-        replicas: list[ReplicaVar],
     ) -> None:
         self.task_order = list(task_order)
         self.candidates = list(candidates)
         self.arcs = list(arcs)
         self.sets = list(sets)
-        self.replicas = list(replicas)
-        self.n_vars = len(candidates) + len(arcs) + len(sets) + len(replicas)
+        self.n_vars = len(candidates) + len(arcs) + len(sets)
 
         self.names: list[str] = [""] * self.n_vars
         for c in self.candidates:
@@ -90,16 +87,11 @@ class VariableCatalog:
             self.names[a.var] = f"A{a.var}"
         for s in self.sets:
             self.names[s.var] = f"S{s.var}"
-        for r in self.replicas:
-            self.names[r.var] = f"P{r.var}"
 
         self.by_task: dict[str, list[CandidateVar]] = {t: [] for t in self.task_order}
         for c in self.candidates:
             self.by_task[c.task].append(c)
         self.set_var: dict[tuple[str, str], SetVar] = {(s.task, s.device): s for s in self.sets}
-        self.replicas_of: dict[int, list[ReplicaVar]] = {c.var: [] for c in self.candidates}
-        for r in self.replicas:
-            self.replicas_of[r.candidate_var].append(r)
         self.arcs_by_tasks: dict[tuple[str, str], list[ArcVar]] = {}
         for a in self.arcs:
             self.arcs_by_tasks.setdefault((a.src_task, a.dst_task), []).append(a)
@@ -110,7 +102,8 @@ class VariableCatalog:
             "candidate": len(self.candidates),
             "arc": len(self.arcs),
             "placement": len(self.sets),
-            "replica": len(self.replicas),
+            # replica slots fold into candidates; perfbench/tracing.py reads this key
+            "replica": 0,
             "total": self.n_vars,
         }
 
@@ -130,11 +123,6 @@ class VariableCatalog:
             "placements": [
                 {"var": s.var, "task": s.task, "device": s.device} for s in self.sets
             ],
-            "replicas": [
-                {"var": r.var, "candidate_var": r.candidate_var,
-                 "slot": r.slot, "device": r.device}
-                for r in self.replicas
-            ],
         }
 
     @classmethod
@@ -148,8 +136,6 @@ class VariableCatalog:
                          d["dst_task"], d["dst_dev"])
                   for d in data["arcs"]],
             sets=[SetVar(d["var"], d["task"], d["device"]) for d in data["placements"]],
-            replicas=[ReplicaVar(d["var"], d["candidate_var"], d["slot"], d["device"])
-                      for d in data["replicas"]],
         )
 
 
@@ -196,7 +182,7 @@ class BilpModel:
 
 @dataclass(frozen=True, slots=True)
 class Choice:
-    """One candidate of a task, with every variable that picking it sets.
+    """One candidate of a task, with the variables that picking it sets.
 
     ``budget`` folds the coefficients of those variables into one
     ``(row, coeff)`` pair per budget row they touch; ``row`` indexes
@@ -206,7 +192,7 @@ class Choice:
     index: int                                  # position in catalog.candidates
     task: str
     primary: str
-    implied: tuple[int, ...]                    # candidate, placement, replica slots
+    implied: tuple[int, int]                    # candidate, placement
     budget: tuple[tuple[int, float], ...]
 
     @property
@@ -223,11 +209,11 @@ class ArcChoice:
 class TaskChoices:
     """A model seen as its one real decision: a candidate per task.
 
-    A pick fixes the candidate's placement and replica-slot variables,
-    and the primaries of two adjacent tasks fix the arc between them, so
-    one pick per task determines the whole 0/1 vector.  Only the catalog
-    and the monotone ``<=`` rows (the budgets) are read, so models read
-    back from MPS, or with rows dropped, work the same.
+    A pick fixes the candidate's placement variable, and the primaries
+    of two adjacent tasks fix the arc between them, so one pick per task
+    determines the whole 0/1 vector.  Only the catalog and the monotone
+    ``<=`` rows (the budgets) are read, so models read back from MPS, or
+    with rows dropped, work the same.
     """
 
     def __init__(self, model: BilpModel) -> None:
@@ -251,8 +237,7 @@ class TaskChoices:
         #: per candidate index
         self.by_index: list[Choice] = []
         for i, c in enumerate(cat.candidates):
-            implied = (c.var, cat.set_var[(c.task, c.primary)].var,
-                       *(r.var for r in cat.replicas_of[c.var]))
+            implied = (c.var, cat.set_var[(c.task, c.primary)].var)
             budget: dict[int, float] = {}
             for v in implied:
                 for pos, coeff in var_rows.get(v, ()):
@@ -315,12 +300,7 @@ def build_catalog(reg: CandidateGraph) -> VariableCatalog:
     for task_id, dev in reg.eg.nodes:
         sets.append(SetVar(n, task_id, dev))
         n += 1
-    replicas: list[ReplicaVar] = []
-    for cvar, cand in zip(candidates, reg.candidates):
-        for slot, dev, _joules in cand.per_replica_energy:
-            replicas.append(ReplicaVar(n, cvar.var, slot, dev))
-            n += 1
-    return VariableCatalog(reg.graph.task_ids, candidates, arcs, sets, replicas)
+    return VariableCatalog(reg.graph.task_ids, candidates, arcs, sets)
 
 
 def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[LinearConstraint]:
@@ -343,48 +323,33 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
             coeffs[c.var] = -1.0
         rows.append(LinearConstraint(coeffs, "=", 0.0, f"placement_link[{s.task},{s.device}]"))
 
-    # replica slots move with their candidate
-    for c in catalog.candidates:
-        reps = catalog.replicas_of[c.var]
-        coeffs = {c.var: float(len(reps))}
-        for r in reps:
-            coeffs[r.var] = -1.0
-        rows.append(LinearConstraint(coeffs, "=", 0.0, f"replica_link[{c.key}]"))
+    # marginal rows of each workflow arc u->v: the arcs leaving u@k sum to
+    # u's placement on k, the arcs entering v@l to v's placement on l
+    devices_of = reg.eg.devices_of
+    for (src, dst), arcs in catalog.arcs_by_tasks.items():
+        for k in devices_of[src]:
+            coeffs = {a.var: 1.0 for a in arcs if a.src_dev == k}
+            coeffs[catalog.set_var[(src, k)].var] = -1.0
+            rows.append(LinearConstraint(coeffs, "=", 0.0, f"arc_src[{src}@{k}->{dst}]"))
+        for l in devices_of[dst]:
+            coeffs = {a.var: 1.0 for a in arcs if a.dst_dev == l}
+            coeffs[catalog.set_var[(dst, l)].var] = -1.0
+            rows.append(LinearConstraint(coeffs, "=", 0.0, f"arc_dst[{src}->{dst}@{l}]"))
 
-    # each task activates as many outgoing arcs as it has successors
-    for task_id in catalog.task_order:
-        nu = reg.graph.out_degree(task_id)
-        if nu == 0:
-            continue
-        coeffs: dict[int, float] = {}
-        for child in reg.graph.children[task_id]:
-            for a in catalog.arcs_by_tasks[(task_id, child)]:
-                coeffs[a.var] = 1.0
-        rows.append(LinearConstraint(coeffs, "=", float(nu), f"out_degree[{task_id}]"))
-
-    # arc active exactly when both endpoint placements are (AND linearization)
-    for a in catalog.arcs:
-        s = catalog.set_var[(a.src_task, a.src_dev)]
-        d = catalog.set_var[(a.dst_task, a.dst_dev)]
-        label = f"{a.src_task}@{a.src_dev}->{a.dst_task}@{a.dst_dev}"
-        rows.append(LinearConstraint({a.var: 1.0, s.var: -1.0}, "<=", 0.0, f"arc_src[{label}]"))
-        rows.append(LinearConstraint({a.var: 1.0, d.var: -1.0}, "<=", 0.0, f"arc_dst[{label}]"))
-        rows.append(LinearConstraint({s.var: 1.0, d.var: 1.0, a.var: -1.0}, "<=", 1.0,
-                                     f"arc_on[{label}]"))
-
-    # per-device budgets: each replica slot charges its task's memory and
-    # storage and its own energy to its device; an active arc charges every
-    # device with a finite energy budget its share of the transfer
+    # per-device budgets: a candidate charges each device the memory,
+    # storage and energy of all its replica slots there, summed slot by
+    # slot from 0.0; an active arc charges every device with a finite
+    # energy budget its share of the transfer
     mem: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     sto: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     en: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     for cvar, cand in zip(catalog.candidates, reg.candidates):
         task = reg.graph.task(cand.task)
-        for r, (_slot, _dev, joules) in zip(catalog.replicas_of[cvar.var],
-                                            cand.per_replica_energy):
-            mem[r.device][r.var] = task.memory
-            sto[r.device][r.var] = task.storage
-            en[r.device][r.var] = joules
+        v = cvar.var
+        for _slot, dev, joules in cand.per_replica_energy:
+            mem[dev][v] = mem[dev].get(v, 0.0) + task.memory
+            sto[dev][v] = sto[dev].get(v, 0.0) + task.storage
+            en[dev][v] = en[dev].get(v, 0.0) + joules
     bounded = [d for d in topo.devices if not d.energy_unbounded]
     for a in catalog.arcs:
         for device in bounded:

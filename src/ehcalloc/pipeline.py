@@ -21,7 +21,6 @@ from .bilp import (
     InfeasibleError,
     NormalizationBounds,
     ObjectiveWeights,
-    VariableCatalog,
     arc_energy_share,
     build_model,
     weighted_objective,
@@ -105,23 +104,24 @@ def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
                           picks: list[int]) -> list[int]:
     """Full binary vector implied by one candidate index per task.
 
-    Inverse of :func:`chosen_candidates`: sets the candidate, placement,
-    and replica variables for each pick and activates the unique arc
+    Inverse of :func:`chosen_candidates`: sets the candidate and
+    placement variables for each pick and activates the unique arc
     between each pair of chosen placements.
     """
     return model.choices.vector(picks)
 
 
-def _device_usage(reg: CandidateGraph, catalog: VariableCatalog,
-                  cands: list[CandidateNode], arcs: list[ArcVar]) -> list[dict]:
+def _device_usage(reg: CandidateGraph, cands: list[CandidateNode],
+                  arcs: list[ArcVar]) -> list[dict]:
     """Per-device budget usage of the chosen candidates and arcs.
 
-    Sums in the order of the budget rows' terms: replica slots, then arcs.
+    Sums replica slot by replica slot, then arc by arc.  A device on
+    which no candidate of the graph places a slot reports integer ``0``
+    memory and storage, as plan files always have.
     """
-    hosts = {r.device for r in catalog.replicas}
+    hosts = {dev for c in reg.candidates for _slot, dev, _j in c.per_replica_energy}
     usage: dict[str, dict] = {}
     for d in reg.topology.devices:
-        # a device that hosts no slot has an empty budget row, summing to int 0
         zero = 0.0 if d.id in hosts else 0
         usage[d.id] = {
             "device": d.id,
@@ -191,7 +191,7 @@ def extract_plan(
                 "src_device": arc.src_dev, "dst_device": arc.dst_dev,
                 "latency_s": arc.latency,
             })
-    plan.devices = _device_usage(reg, model.catalog, cands, chosen_arcs)
+    plan.devices = _device_usage(reg, cands, chosen_arcs)
     return plan
 
 

@@ -2,8 +2,8 @@
 
 The built-in solver is a deterministic branch-and-bound over the one
 real degree of freedom the model has: which redundancy candidate each
-task picks.  Placement, replica and arc variables are all implied by
-that choice, so the search fixes one task per level, bounds the rest by
+task picks.  The placement and arc variables are implied by that
+choice, so the search fixes one task per level, bounds the rest by
 a relaxation that keeps the pick-one rows and drops budget and arc
 coupling (tightened by propagating fixed picks into arc costs), and
 prunes monotone budget rows incrementally.  Candidates are visited in
@@ -73,8 +73,8 @@ class _TaskChoiceSearch:
         self.n_tasks = len(table.tasks)
         self.row_cap = [row.rhs + _row_tol(row.rhs) for row in table.rows]
 
-        # per-task candidate records: static objective of the candidate, its
-        # placement and its replica slots, plus their folded budget rows
+        # per-task candidate records: static objective of the candidate and
+        # its placement, plus their folded budget rows
         self.cand_records: list[list[dict]] = []
         self.task_max: list[float] = []
         for t, choices in zip(table.tasks, table.options):

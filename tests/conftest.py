@@ -70,10 +70,11 @@ def small_instance(base: Topology, seed: int):
     return topo, graph, e.default_policy(level)
 
 
-def scipy_milp(model):
+def scipy_milp(model, relax=False):
     """Maximize a model with HiGHS through ``scipy.optimize.milp``.
 
     Returns ``(status, optimum)``; status 0 means solved to optimality.
+    ``relax=True`` drops integrality and returns the LP bound instead.
     Raises ImportError when scipy is not installed.
     """
     from scipy import optimize, sparse
@@ -91,6 +92,6 @@ def scipy_milp(model):
         hi.append(con.rhs)
     res = optimize.milp(
         c=c, constraints=optimize.LinearConstraint(rows.tocsr(), lo, hi),
-        integrality=np.ones(n), bounds=optimize.Bounds(0, 1))
+        integrality=np.zeros(n) if relax else np.ones(n), bounds=optimize.Bounds(0, 1))
     optimum = None if res.fun is None else -res.fun + model.objective_offset
     return res.status, optimum

@@ -18,6 +18,7 @@ from ehcalloc.bilp import (
 )
 from ehcalloc.model import TaskSpec, WorkflowGraph
 from ehcalloc.oracle import oracle_bounds
+from ehcalloc.solver import verify
 
 
 def small_graph():
@@ -40,14 +41,15 @@ def reg_model():
 
 
 class TestCatalog:
-    def test_variable_layout_candidates_arcs_sets_replicas(self, reg_model):
+    def test_variable_layout_candidates_arcs_sets(self, reg_model):
         reg, model = reg_model
         cat = model.catalog
         n_c, n_a, n_s = len(cat.candidates), len(cat.arcs), len(cat.sets)
         assert [c.var for c in cat.candidates] == list(range(n_c))
         assert [a.var for a in cat.arcs] == list(range(n_c, n_c + n_a))
         assert [s.var for s in cat.sets] == list(range(n_c + n_a, n_c + n_a + n_s))
-        assert cat.n_vars == n_c + n_a + n_s + len(cat.replicas)
+        assert cat.n_vars == n_c + n_a + n_s
+        assert not any(n.startswith("P") for n in cat.names)
 
     def test_names_encode_category(self, reg_model):
         _, model = reg_model
@@ -55,17 +57,27 @@ class TestCatalog:
         assert cat.names[cat.candidates[0].var].startswith("C")
         assert cat.names[cat.arcs[0].var].startswith("A")
         assert cat.names[cat.sets[0].var].startswith("S")
-        assert cat.names[cat.replicas[0].var].startswith("P")
         assert len(set(cat.names)) == cat.n_vars
         assert all(len(n) <= 8 for n in cat.names)
 
     def test_replica_slots_mirror_candidates(self, reg_model):
+        # each candidate column carries the per-slot sum of its replica
+        # slots on a device, in every budget row of that device
         reg, model = reg_model
-        cat = model.catalog
-        for cvar, cand in zip(cat.candidates, reg.candidates):
-            slots = cat.replicas_of[cvar.var]
-            assert [r.slot for r in slots] == [s for s, _, _ in cand.per_replica_energy]
-            assert [r.device for r in slots] == [d for _, d, _ in cand.per_replica_energy]
+        rows = {r.tag: r for r in model.constraints}
+        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
+            task = reg.graph.task(cand.task)
+            for d in "ehc":
+                slots = [j for _, dev, j in cand.per_replica_energy if dev == d]
+                mem = rows[f"memory[{d}]"].coeffs.get(cvar.var)
+                sto = rows[f"storage[{d}]"].coeffs.get(cvar.var)
+                if not slots:
+                    assert mem is None and sto is None
+                    continue
+                assert mem == sum([task.memory] * len(slots), 0.0)
+                assert sto == sum([task.storage] * len(slots), 0.0)
+                if f"energy[{d}]" in rows:
+                    assert rows[f"energy[{d}]"].coeffs[cvar.var] == sum(slots, 0.0)
 
     def test_round_trips_through_json(self, reg_model):
         _, model = reg_model
@@ -100,28 +112,39 @@ class TestConstraints:
             assert row.sense == "=" and row.rhs == 0.0
             assert sorted(row.coeffs.values()).count(1.0) == 1
 
-    def test_replica_links_scale_with_slot_count(self, reg_model):
-        reg, model = reg_model
-        cat = model.catalog
-        rows = rows_by_kind(model, "replica_link")
-        assert len(rows) == len(cat.candidates)
-        for row, cvar in zip(rows, cat.candidates):
-            n_slots = len(cat.replicas_of[cvar.var])
-            assert row.coeffs[cvar.var] == float(n_slots)
-            assert sum(1 for c in row.coeffs.values() if c == -1.0) == n_slots
-
-    def test_out_degree_rows_only_for_tasks_with_children(self, reg_model):
-        reg, model = reg_model
-        rows = rows_by_kind(model, "out_degree")
-        assert [r.tag for r in rows] == ["out_degree[t1]"]
-        assert rows[0].rhs == 1.0
-
-    def test_and_linearization_three_rows_per_arc(self, reg_model):
+    def test_marginal_rows_link_arcs_to_placements(self, reg_model):
+        # t1 runs on e or h, t2 on h or c: one row per endpoint device
         _, model = reg_model
-        n_arcs = len(model.catalog.arcs)
-        assert len(rows_by_kind(model, "arc_src")) == n_arcs
-        assert len(rows_by_kind(model, "arc_dst")) == n_arcs
-        assert len(rows_by_kind(model, "arc_on")) == n_arcs
+        cat = model.catalog
+        rows = rows_by_kind(model, "arc_src") + rows_by_kind(model, "arc_dst")
+        assert [r.tag for r in rows] == ["arc_src[t1@e->t2]", "arc_src[t1@h->t2]",
+                                         "arc_dst[t1->t2@h]", "arc_dst[t1->t2@c]"]
+        for row, (task, dev) in zip(rows, [("t1", "e"), ("t1", "h"),
+                                           ("t2", "h"), ("t2", "c")]):
+            assert row.sense == "=" and row.rhs == 0.0
+            want = {a.var: 1.0 for a in cat.arcs
+                    if (task, dev) in ((a.src_task, a.src_dev), (a.dst_task, a.dst_dev))}
+            want[cat.set_var[(task, dev)].var] = -1.0
+            assert row.coeffs == want
+
+    def test_verify_flags_arcs_that_disagree_with_placements(self, reg_model):
+        _, model = reg_model
+        table = model.choices
+        picks = [table.options[0][0].index, table.options[1][-1].index]
+        x = table.vector(picks)
+        assert verify(model, x) == []
+        on = next(a for a in model.catalog.arcs if x[a.var] == 1)
+        other = next(a for a in model.catalog.arcs
+                     if (a.src_dev, a.dst_dev) != (on.src_dev, on.dst_dev))
+        moved = list(x)
+        moved[on.var], moved[other.var] = 0, 1
+        cleared = list(x)
+        cleared[on.var] = 0
+        doubled = list(x)
+        doubled[other.var] = 1
+        for bad in (moved, cleared, doubled):
+            issues = verify(model, bad)
+            assert issues and all(i.startswith(("arc_src[", "arc_dst[")) for i in issues)
 
     def test_budget_rows_per_device(self, reg_model):
         reg, model = reg_model
@@ -132,11 +155,16 @@ class TestConstraints:
         assert tags == ["energy[e]", "energy[h]"]
 
     def test_memory_row_charges_replica_slots(self, reg_model):
+        # the candidate column pays 1 MB per replica slot it puts on h
         reg, model = reg_model
         row = next(r for r in model.constraints if r.tag == "memory[h]")
-        h_slots = [r for r in model.catalog.replicas if r.device == "h"]
-        assert set(row.coeffs) == {r.var for r in h_slots}
-        assert all(c == 1e6 for c in row.coeffs.values())
+        want = {}
+        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
+            n_h = sum(1 for _, dev, _ in cand.per_replica_energy if dev == "h")
+            if n_h:
+                want[cvar.var] = 1e6 * n_h
+        assert row.coeffs == want
+        assert any(c == 2e6 for c in want.values())
         assert row.rhs == reg.topology.device("h").memory_budget
 
 

@@ -5,8 +5,15 @@ import math
 import pytest
 
 import ehcalloc as e
-from conftest import scipy_milp
-from ehcalloc.bilp import ObjectiveWeights, normalization_bounds, weighted_objective
+import ehcalloc.synthgen as sg
+from conftest import scipy_milp, small_instance
+from ehcalloc.bilp import (
+    ObjectiveWeights,
+    normalization_bounds,
+    objective_latency,
+    objective_reliability,
+    weighted_objective,
+)
 from ehcalloc.solver import (
     SolverStatus,
     export_mps,
@@ -89,6 +96,43 @@ class TestExternalSolve:
         assert x == sol.assignment
         assert verify(weighted, x) == []
         assert weighted.objective_value(x) == pytest.approx(sol.objective)
+
+
+def normalization_models(reg, model):
+    """The four auxiliary models behind the normalization bounds, as
+    ``(kind, sign, model)``; each maximizes ``sign`` times its objective."""
+    rel = objective_reliability(reg, model.catalog)
+    lat = objective_latency(reg, model.catalog)
+    return [(kind, sign, model.with_objective({v: sign * c for v, c in coeffs.items()},
+                                              objective_kind=kind))
+            for kind, coeffs, sign in (("rel_max", rel, 1.0), ("rel_min", rel, -1.0),
+                                       ("lat_max", lat, 1.0), ("lat_min", lat, -1.0))]
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_normalization_solves_match_highs(self, topology, seed):
+        topo, graph, policy = small_instance(topology, seed)
+        reg, model = e.prepare(topo, graph, policy)
+        for kind, _sign, aux in normalization_models(reg, model):
+            sol = solve_builtin(aux)
+            status, external = scipy_milp(aux)
+            if sol.status is SolverStatus.INFEASIBLE:
+                assert status == 2, kind
+                continue
+            assert status == 0, kind
+            # HiGHS stops within its default absolute MIP gap of 1e-6
+            assert external - 1e-9 <= sol.objective <= external + 1e-6, kind
+
+    def test_lp_relaxation_is_tight_on_the_worst_latency(self, topology, policy):
+        spec = sg.GenSpec(task_count=40, structure="mixed", seed=1)
+        graph = sg.generate(spec, tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        _, _, lat_max = normalization_models(reg, model)[2]
+        status, optimum = scipy_milp(lat_max)
+        lp_status, lp_bound = scipy_milp(lat_max, relax=True)
+        assert status == 0 and lp_status == 0
+        assert optimum <= lp_bound <= 1.01 * optimum
 
 
 class TestReadSolutionErrors:
