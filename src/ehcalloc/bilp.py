@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .params import rx_energy, tx_energy
 from .transform import CandidateGraph
@@ -182,28 +183,16 @@ class BilpModel:
 
 @dataclass(frozen=True, slots=True)
 class Choice:
-    """One candidate of a task, with the variables that picking it sets.
-
-    ``budget`` folds the coefficients of those variables into one
-    ``(row, coeff)`` pair per budget row they touch; ``row`` indexes
-    :attr:`TaskChoices.rows`.
-    """
+    """One candidate of a task, with the variables that picking it sets."""
 
     index: int                                  # position in catalog.candidates
     task: str
     primary: str
     implied: tuple[int, int]                    # candidate, placement
-    budget: tuple[tuple[int, float], ...]
 
     @property
     def var(self) -> int:
         return self.implied[0]
-
-
-@dataclass(frozen=True, slots=True)
-class ArcChoice:
-    var: int
-    budget: tuple[tuple[int, float], ...]
 
 
 class TaskChoices:
@@ -225,11 +214,6 @@ class TaskChoices:
             row for row in model.constraints
             if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())
         ]
-        var_rows: dict[int, list[tuple[int, float]]] = {}
-        for pos, row in enumerate(self.rows):
-            for v, c in row.coeffs.items():
-                if c:
-                    var_rows.setdefault(v, []).append((pos, c))
 
         task_pos = {t: k for k, t in enumerate(self.tasks)}
         #: per task, its candidates in catalog order
@@ -237,24 +221,42 @@ class TaskChoices:
         #: per candidate index
         self.by_index: list[Choice] = []
         for i, c in enumerate(cat.candidates):
-            implied = (c.var, cat.set_var[(c.task, c.primary)].var)
-            budget: dict[int, float] = {}
-            for v in implied:
-                for pos, coeff in var_rows.get(v, ()):
-                    budget[pos] = budget.get(pos, 0.0) + coeff
-            choice = Choice(i, c.task, c.primary, implied, tuple(budget.items()))
+            choice = Choice(i, c.task, c.primary, (c.var, cat.set_var[(c.task, c.primary)].var))
             self.by_index.append(choice)
             self.options[task_pos[c.task]].append(choice)
 
         #: per workflow arc: its (src, dst) task positions, and its arc
         #: variables keyed by (src device, dst device)
         self.pairs: list[tuple[int, int]] = []
-        self.arcs: list[dict[tuple[str, str], ArcChoice]] = []
+        self.arcs: list[dict[tuple[str, str], int]] = []
         for (src, dst), arcs in cat.arcs_by_tasks.items():
             self.pairs.append((task_pos[src], task_pos[dst]))
-            self.arcs.append({
-                (a.src_dev, a.dst_dev): ArcChoice(a.var, tuple(var_rows.get(a.var, ())))
-                for a in arcs})
+            self.arcs.append({(a.src_dev, a.dst_dev): a.var for a in arcs})
+
+    @cached_property
+    def budget(self) -> dict[int, tuple[tuple[int, float], ...]]:
+        """Per candidate and arc variable, its ``(row, coeff)`` pairs.
+
+        ``row`` indexes :attr:`rows`.  A candidate folds the coefficients
+        of all its implied variables into one pair per row they touch.
+        Only the search needs these, so they are built on first use.
+        """
+        var_rows: dict[int, list[tuple[int, float]]] = {}
+        for pos, row in enumerate(self.rows):
+            for v, c in row.coeffs.items():
+                if c:
+                    var_rows.setdefault(v, []).append((pos, c))
+        out: dict[int, tuple[tuple[int, float], ...]] = {}
+        for c in self.by_index:
+            fold: dict[int, float] = {}
+            for v in c.implied:
+                for pos, coeff in var_rows.get(v, ()):
+                    fold[pos] = fold.get(pos, 0.0) + coeff
+            out[c.var] = tuple(fold.items())
+        for arcs in self.arcs:
+            for var in arcs.values():
+                out[var] = tuple(var_rows.get(var, ()))
+        return out
 
     def vector(self, picks) -> list[int]:
         """The 0/1 vector of one candidate index per task, in any order."""
@@ -271,7 +273,7 @@ class TaskChoices:
         if missing:
             raise ValueError(f"no candidate picked for tasks {missing}")
         for (i, j), arcs in zip(self.pairs, self.arcs):
-            x[arcs[(primary[self.tasks[i]], primary[self.tasks[j]])].var] = 1
+            x[arcs[(primary[self.tasks[i]], primary[self.tasks[j]])]] = 1
         return x
 
     def picks(self, x) -> list[int]:

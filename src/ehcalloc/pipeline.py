@@ -295,11 +295,26 @@ def sweep(
     point = partial(_sweep_point, reg, model, options, bounds)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, grid))
+        # each worker receives the prepared model once, not once per point
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_point,
+                                 initargs=(point,)) as pool:
+            rows = list(pool.map(_worker_point, grid))
     else:
         rows = [point(w) for w in grid]
     return SweepResult([d.id for d in topology.devices], rows)
+
+
+#: a sweep worker process's grid-point function, set by its pool initializer
+_worker_point_fn = None
+
+
+def _set_worker_point(point) -> None:
+    global _worker_point_fn
+    _worker_point_fn = point
+
+
+def _worker_point(w: float) -> dict:
+    return _worker_point_fn(w)
 
 
 def _sweep_point(reg: CandidateGraph, model: BilpModel, options: SolverOptions | None,

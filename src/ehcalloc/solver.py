@@ -3,19 +3,29 @@
 The built-in solver is a deterministic branch-and-bound over the one
 real degree of freedom the model has: which redundancy candidate each
 task picks.  The placement and arc variables are implied by that
-choice, so the search fixes one task per level, bounds the rest by
-a relaxation that keeps the pick-one rows and drops budget and arc
-coupling (tightened by propagating fixed picks into arc costs), and
-prunes monotone budget rows incrementally.  Candidates are visited in
-canonical order and a subtree is pruned when its bound does not strictly
-beat the incumbent, so the search returns the lexicographically smallest
-candidate-index vector among the optima and never enumerates tied ones.
+choice, so the search fixes one task per level and prunes monotone
+budget rows incrementally.
+
+The bound is a separable relaxation of a reparametrized objective.
+Before the search, a few sweeps of max-sum diffusion (Werner, TPAMI
+2007) move mass from each workflow arc's device-pair terms into the
+candidates of its endpoint tasks, grouped by primary device.  Every
+complete pick keeps its objective, but the relaxation (each open task
+takes its best candidate, each open arc its best device pair
+consistent with fixed endpoints) gets much tighter.  The leaf values
+read the original coefficients in a fixed summation order, so the
+objective reported for a pick vector does not depend on the bound.
+
+Because the bound and the leaf values sum different terms, they are
+never compared for equality: a subtree is pruned only when its bound
+falls below the incumbent by more than ``1e-9 * max(1, |incumbent|)``.
+Near-ties are explored, and a leaf must strictly beat the incumbent to
+replace it, so the search returns the lexicographically smallest
+candidate-index vector among the optima.
 
 A greedy pass (best locally feasible candidate per task) seeds the
-incumbent.  Until the tree search itself confirms an equally good leaf,
-subtrees tying the greedy value are still explored, which keeps the
-lex-smallest tie-break exact while pruning strictly more than a cold
-start would.
+incumbent.  A tree leaf that ties it replaces it, since it comes first
+in canonical order.
 """
 
 from __future__ import annotations
@@ -57,8 +67,13 @@ class _TimeUp(Exception):
     pass
 
 
-def _row_tol(rhs: float) -> float:
-    return 1e-9 * max(1.0, abs(rhs))
+#: sweeps of max-sum diffusion before each search; on the bundled
+#: fixture's 21-point sweep, 20 or 50 sweeps visit as many nodes as 10
+DIFFUSION_SWEEPS = 10
+
+
+def _tol(value: float) -> float:
+    return 1e-9 * max(1.0, abs(value))
 
 
 class _TaskChoiceSearch:
@@ -69,77 +84,134 @@ class _TaskChoiceSearch:
         self.options = options
         self.table = table = model.choices
         obj = model.objective
+        budget = table.budget
 
         self.n_tasks = len(table.tasks)
-        self.row_cap = [row.rhs + _row_tol(row.rhs) for row in table.rows]
+        self.row_cap = [row.rhs + _tol(row.rhs) for row in table.rows]
 
         # per-task candidate records: static objective of the candidate and
-        # its placement, plus their folded budget rows
+        # its placement, plus their folded budget rows; "robj" is the
+        # reparametrized objective the bounds read
         self.cand_records: list[list[dict]] = []
-        self.task_max: list[float] = []
         for t, choices in zip(table.tasks, table.options):
             if not choices:
                 raise ValueError(f"task {t} has no candidates")
-            records = [{
+            self.cand_records.append([{
                 "pos": pos,
                 "primary": c.primary,
                 "obj": sum(obj.get(v, 0.0) for v in c.implied),
-                "rows": c.budget,
-            } for pos, c in enumerate(choices)]
-            self.cand_records.append(records)
-            self.task_max.append(max(r["obj"] for r in records))
+                "rows": budget[c.var],
+            } for pos, c in enumerate(choices)])
 
-        # arc variables grouped by task pair, with per-side maxima for bounds
+        # arc variables grouped by task pair
         self.pairs = table.pairs
         self.arc_entries: list[dict[tuple[str, str], dict]] = [
-            {key: {"obj": obj.get(a.var, 0.0), "rows": a.budget} for key, a in arcs.items()}
+            {key: {"obj": obj.get(var, 0.0), "rows": budget[var]} for key, var in arcs.items()}
             for arcs in table.arcs
         ]
-        self.arc_max_any: list[float] = []
-        self.arc_max_src: list[dict[str, float]] = []
-        self.arc_max_dst: list[dict[str, float]] = []
-        for entries in self.arc_entries:
-            by_src: dict[str, float] = {}
-            by_dst: dict[str, float] = {}
-            for (k, l), e in entries.items():
-                by_src[k] = max(by_src.get(k, -math.inf), e["obj"])
-                by_dst[l] = max(by_dst.get(l, -math.inf), e["obj"])
-            self.arc_max_any.append(max((e["obj"] for e in entries.values()),
-                                        default=-math.inf))
-            self.arc_max_src.append(by_src)
-            self.arc_max_dst.append(by_dst)
         self.touching: list[list[int]] = [[] for _ in range(self.n_tasks)]
         for p, (i, j) in enumerate(self.pairs):
             self.touching[i].append(p)
             self.touching[j].append(p)
 
-        # mutable search state
+        # mutable search state; the bounds are set by _reparametrize
         self.fixed_dev: list[str | None] = [None] * self.n_tasks
         self.chosen_pos: list[int] = [-1] * self.n_tasks
         self.usage = [0.0] * len(table.rows)
         self.partial = 0.0
-        self.future = sum(self.task_max) + sum(self.arc_max_any)
-        self.arc_bound = list(self.arc_max_any)
+        self.rpartial = 0.0
         self.best_g = -math.inf
         self.best_vec: tuple[int, ...] | None = None
-        # an incumbent is canonical once it was reached in DFS order; only
-        # then may subtrees that merely tie it be pruned
+        # an incumbent is canonical once it was reached in DFS order; a
+        # leaf tying a non-canonical (greedy) incumbent replaces it
         self.best_canonical = False
         self.max_pruned = -math.inf
         self.nodes = 0
         self.deadline = (time.perf_counter() + options.time_limit
                          if options.time_limit is not None else None)
 
+    def _reparametrize(self) -> None:
+        """Max-sum diffusion, then the separable bounds of its result.
+
+        A message moves objective mass from one side of a workflow arc
+        into the candidates of that side's task on one primary device:
+        they gain it, and the arc's device pairs through that device lose
+        it.  A complete pick gains on its candidates exactly what it
+        loses on its arcs, so its objective is unchanged.  Each sweep
+        visits every (task, primary device) group with arcs, in task
+        order, and sets its messages so that the group's best candidate
+        and its best device pair on each incident arc score the same.
+        Every sweep leaves a valid reparametrization, so diffusion simply
+        stops early when the deadline passes.
+        """
+        # msgs[p][s][dev]: mass moved from arc p into its side-s task
+        # (0 = source, 1 = destination) on device dev
+        msgs = [({k: 0.0 for k, _ in entries}, {l: 0.0 for _, l in entries})
+                for entries in self.arc_entries]
+        side_of = [[0 if self.pairs[p][0] == depth else 1 for p in touching]
+                   for depth, touching in enumerate(self.touching)]
+        groups: list[tuple[str, float, list[tuple[dict, dict, list]]]] = []
+        for depth, records in enumerate(self.cand_records):
+            best: dict[str, float] = {}
+            for rec in records:
+                best[rec["primary"]] = max(best.get(rec["primary"], -math.inf), rec["obj"])
+            for dev, base in best.items():
+                incident = []
+                for p, s in zip(self.touching[depth], side_of[depth]):
+                    # the other side's device and the pair's objective
+                    terms = [(key[1 - s], e["obj"])
+                             for key, e in self.arc_entries[p].items() if key[s] == dev]
+                    incident.append((msgs[p][s], msgs[p][1 - s], terms))
+                # a group with no device pair on some arc can never be picked
+                if incident and all(terms for _, _, terms in incident):
+                    groups.append((dev, base, incident))
+
+        for _ in range(DIFFUSION_SWEEPS):
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                break
+            for dev, base, incident in groups:
+                marginals = [max(obj - other[o] for o, obj in terms) - mine[dev]
+                             for mine, other, terms in incident]
+                u = base + sum(mine[dev] for mine, _, _ in incident)
+                avg = (u + sum(marginals)) / (1 + len(marginals))
+                for (mine, _, _), m in zip(incident, marginals):
+                    mine[dev] += m - avg
+
+        for depth, records in enumerate(self.cand_records):
+            for rec in records:
+                rec["robj"] = rec["obj"] + sum(
+                    msgs[p][s].get(rec["primary"], 0.0)
+                    for p, s in zip(self.touching[depth], side_of[depth]))
+        self.task_max = [max(r["robj"] for r in records) for records in self.cand_records]
+        self.arc_max_any: list[float] = []
+        self.arc_max_src: list[dict[str, float]] = []
+        self.arc_max_dst: list[dict[str, float]] = []
+        for entries, (src, dst) in zip(self.arc_entries, msgs):
+            by_src: dict[str, float] = {}
+            by_dst: dict[str, float] = {}
+            for (k, l), e in entries.items():
+                e["robj"] = e["obj"] - src[k] - dst[l]
+                by_src[k] = max(by_src.get(k, -math.inf), e["robj"])
+                by_dst[l] = max(by_dst.get(l, -math.inf), e["robj"])
+            self.arc_max_any.append(max(by_src.values(), default=-math.inf))
+            self.arc_max_src.append(by_src)
+            self.arc_max_dst.append(by_dst)
+        self.future = sum(self.task_max) + sum(self.arc_max_any)
+        self.arc_bound = list(self.arc_max_any)
+
     # -- incremental choice application -------------------------------------
 
     def _apply(self, depth: int, rec: dict) -> tuple | None:
         """Fix task ``depth`` to candidate ``rec``; returns an undo token,
         or None (after self-undoing) if the partial choice is infeasible."""
-        self.nodes += 1
+        # checked from the first node on, so a deadline that passed during
+        # diffusion stops the search at once
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.perf_counter() > self.deadline:
                 raise _TimeUp
+        self.nodes += 1
         old_partial = self.partial
+        old_rpartial = self.rpartial
         old_future = self.future
         touched_rows: list[tuple[int, float]] = []
         touched_arcs: list[tuple[int, float]] = []
@@ -151,6 +223,7 @@ class _TaskChoiceSearch:
             if self.usage[rpos] > self.row_cap[rpos]:
                 feasible = False
         self.partial += rec["obj"]
+        self.rpartial += rec["robj"]
         self.future -= self.task_max[depth]
         self.fixed_dev[depth] = rec["primary"]
         self.chosen_pos[depth] = rec["pos"]
@@ -180,6 +253,7 @@ class _TaskChoiceSearch:
                         feasible = False
                         break
                     self.partial += entry["obj"]
+                    self.rpartial += entry["robj"]
                     for rpos, coeff in entry["rows"]:
                         touched_rows.append((rpos, self.usage[rpos]))
                         self.usage[rpos] += coeff
@@ -188,16 +262,17 @@ class _TaskChoiceSearch:
                     if not feasible:
                         break
 
-        token = (depth, old_partial, old_future, touched_rows, touched_arcs)
+        token = (depth, old_partial, old_rpartial, old_future, touched_rows, touched_arcs)
         if not feasible:
             self._undo(token)
             return None
         return token
 
     def _undo(self, token: tuple) -> None:
-        depth, old_partial, old_future, touched_rows, touched_arcs = token
+        depth, old_partial, old_rpartial, old_future, touched_rows, touched_arcs = token
         # restore saved values exactly; no float drift across siblings
         self.partial = old_partial
+        self.rpartial = old_rpartial
         self.future = old_future
         for rpos, old in reversed(touched_rows):
             self.usage[rpos] = old
@@ -256,11 +331,13 @@ class _TaskChoiceSearch:
             token = self._apply(depth, rec)
             if token is None:
                 continue
-            bound = self.partial + self.future + self.model.objective_offset
-            if bound > parent_bound + 1e-9 * max(1.0, abs(parent_bound)):
+            bound = self.rpartial + self.future + self.model.objective_offset
+            if bound > parent_bound + _tol(parent_bound):
                 raise RuntimeError("relaxation bound increased down the tree")
+            # the bound and the leaf values sum different terms, so only a
+            # clear miss is pruned; near-ties are explored, never dropped
             limit = self.best_g + gap
-            if bound < limit or (bound == limit and self.best_canonical):
+            if bound < limit - _tol(limit):
                 self.max_pruned = max(self.max_pruned, bound)
             else:
                 self._dfs(depth + 1, bound)
@@ -268,7 +345,8 @@ class _TaskChoiceSearch:
 
     def run(self) -> Solution:
         t0 = time.perf_counter()
-        root_bound = self.partial + self.future + self.model.objective_offset
+        self._reparametrize()
+        root_bound = self.rpartial + self.future + self.model.objective_offset
         status = SolverStatus.OPTIMAL
         try:
             self._greedy()

@@ -8,6 +8,7 @@ import ehcalloc as e
 import ehcalloc.synthgen as sg
 from conftest import scipy_milp, small_instance
 from ehcalloc.bilp import (
+    NormalizationBounds,
     ObjectiveWeights,
     normalization_bounds,
     objective_latency,
@@ -15,6 +16,7 @@ from ehcalloc.bilp import (
     weighted_objective,
 )
 from ehcalloc.solver import (
+    SolverOptions,
     SolverStatus,
     export_mps,
     read_mps,
@@ -133,6 +135,26 @@ class TestAgainstHighs:
         lp_status, lp_bound = scipy_milp(lat_max, relax=True)
         assert status == 0 and lp_status == 0
         assert optimum <= lp_bound <= 1.01 * optimum
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_weighted_solve_matches_highs_beyond_brute_force(self, topology, policy, n):
+        # normalization bounds from HiGHS, so only the weighted solve is the
+        # built-in solver's; it must prove its optimum well within the limit
+        spec = sg.GenSpec(task_count=n, structure="mixed", seed=1)
+        graph = sg.generate(spec, tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        extremes = {}
+        for kind, sign, aux in normalization_models(reg, model):
+            status, optimum = scipy_milp(aux)
+            assert status == 0, kind
+            extremes[kind] = sign * optimum
+        bounds = NormalizationBounds(**extremes)
+        weighted = weighted_objective(reg, model, ObjectiveWeights(0.5, 0.5), bounds)
+        status, external = scipy_milp(weighted)
+        assert status == 0
+        sol = solve_builtin(weighted, SolverOptions(time_limit=10.0))
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.objective == pytest.approx(external, rel=1e-9)
 
 
 class TestReadSolutionErrors:
