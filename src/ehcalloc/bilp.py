@@ -18,15 +18,17 @@ The weighted objective trades normalized log-reliability against
 normalized end-to-end latency; normalization bounds come from four
 auxiliary single-objective solves over the same constraint set.
 
-:class:`TaskChoices` reads a model back as its one real decision, a
-candidate per task; the solver and the pick/vector conversions use it.
+:class:`VariableCatalog` also indexes the model as its one real
+decision, a candidate per task: per task its candidates, per candidate
+its placement, per workflow arc its task pair and, per arc side, its
+arc variables by device pair.  The rows, the solver and the pick/vector
+conversions all read that one index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .params import rx_energy, tx_energy
 from .transform import CandidateGraph
@@ -89,13 +91,65 @@ class VariableCatalog:
         for s in self.sets:
             self.names[s.var] = f"S{s.var}"
 
-        self.by_task: dict[str, list[CandidateVar]] = {t: [] for t in self.task_order}
-        for c in self.candidates:
-            self.by_task[c.task].append(c)
         self.set_var: dict[tuple[str, str], SetVar] = {(s.task, s.device): s for s in self.sets}
-        self.arcs_by_tasks: dict[tuple[str, str], list[ArcVar]] = {}
+
+        # the model's one real decision is a candidate per task; a pick
+        # sets its placement, and two adjacent picks set the arc between
+        task_pos = {t: k for k, t in enumerate(self.task_order)}
+        #: per task, the positions of its candidates in :attr:`candidates`
+        self.options: list[list[int]] = [[] for _ in self.task_order]
+        #: per candidate position, its placement variable
+        self.placement: list[int] = []
+        for i, c in enumerate(self.candidates):
+            self.options[task_pos[c.task]].append(i)
+            self.placement.append(self.set_var[(c.task, c.primary)].var)
+        #: per workflow arc, its (source, destination) task positions
+        self.pairs: list[tuple[int, int]] = []
+        #: per workflow arc and side (0 = source, 1 = destination): this
+        #: side's device -> {the other side's device: arc variable}
+        self.ends: list[tuple[dict[str, dict[str, int]], dict[str, dict[str, int]]]] = []
+        arc_of: dict[tuple[str, str], int] = {}
         for a in self.arcs:
-            self.arcs_by_tasks.setdefault((a.src_task, a.dst_task), []).append(a)
+            p = arc_of.get((a.src_task, a.dst_task))
+            if p is None:
+                p = arc_of[(a.src_task, a.dst_task)] = len(self.pairs)
+                self.pairs.append((task_pos[a.src_task], task_pos[a.dst_task]))
+                self.ends.append(({}, {}))
+            src, dst = self.ends[p]
+            src.setdefault(a.src_dev, {})[a.dst_dev] = a.var
+            dst.setdefault(a.dst_dev, {})[a.src_dev] = a.var
+        #: per task, its workflow arcs as (arc, side, other task position)
+        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in self.task_order]
+        for p, (i, j) in enumerate(self.pairs):
+            self.incident[i].append((p, 0, j))
+            self.incident[j].append((p, 1, i))
+
+    def vector(self, picks) -> list[int]:
+        """The 0/1 vector of one candidate position per task, in any order."""
+        x = [0] * self.n_vars
+        primary: dict[str, str] = {}
+        for i in picks:
+            c = self.candidates[i]
+            if c.task in primary:
+                raise ValueError(f"two candidates picked for task {c.task}")
+            primary[c.task] = c.primary
+            x[c.var] = x[self.placement[i]] = 1
+        missing = [t for t in self.task_order if t not in primary]
+        if missing:
+            raise ValueError(f"no candidate picked for tasks {missing}")
+        for (i, j), (src, _) in zip(self.pairs, self.ends):
+            x[src[primary[self.task_order[i]]][primary[self.task_order[j]]]] = 1
+        return x
+
+    def picks(self, x) -> list[int]:
+        """The candidate position each task picks in a 0/1 vector, in task order."""
+        out: list[int] = []
+        for t, options in zip(self.task_order, self.options):
+            hit = [i for i in options if x[self.candidates[i].var] == 1]
+            if len(hit) != 1:
+                raise ValueError(f"assignment picks {len(hit)} candidates for task {t}")
+            out.append(hit[0])
+        return out
 
     @property
     def category_counts(self) -> dict[str, int]:
@@ -158,133 +212,53 @@ class BilpModel:
     objective: dict[int, float]
     objective_offset: float = 0.0
     metadata: dict = field(default_factory=dict)
-    _choices: TaskChoices | None = field(default=None, repr=False, compare=False)
+    # holds the budget fold once built; with_objective copies keep these
+    # rows, so they share the cell
+    _budget: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
         return self.catalog.n_vars
 
     @property
-    def choices(self) -> TaskChoices:
-        """The task-choice table of these rows, built on first use."""
-        if self._choices is None:
-            self._choices = TaskChoices(self)
-        return self._choices
+    def budget(self) -> tuple[list[LinearConstraint], dict[int, tuple[tuple[int, float], ...]]]:
+        """The monotone ``<=`` rows (the budgets), and per candidate and
+        arc variable its ``(row, coeff)`` pairs, ``row`` indexing them.
+
+        A candidate folds the coefficients of its own and its placement
+        variable into one pair per row they touch.  Only these rows are
+        read, so models read back from MPS, or with rows dropped, work
+        the same.  Only the search needs the fold, so it is built on
+        first use.
+        """
+        if not self._budget:
+            rows = [row for row in self.constraints
+                    if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
+            var_rows: dict[int, list[tuple[int, float]]] = {}
+            for pos, row in enumerate(rows):
+                for v, c in row.coeffs.items():
+                    if c:
+                        var_rows.setdefault(v, []).append((pos, c))
+            cat = self.catalog
+            pairs: dict[int, tuple[tuple[int, float], ...]] = {}
+            for c, placement in zip(cat.candidates, cat.placement):
+                fold: dict[int, float] = {}
+                for v in (c.var, placement):
+                    for pos, coeff in var_rows.get(v, ()):
+                        fold[pos] = fold.get(pos, 0.0) + coeff
+                pairs[c.var] = tuple(fold.items())
+            for a in cat.arcs:
+                pairs[a.var] = tuple(var_rows.get(a.var, ()))
+            self._budget.append((rows, pairs))
+        return self._budget[0]
 
     def objective_value(self, x) -> float:
         return sum(c * x[v] for v, c in self.objective.items()) + self.objective_offset
 
     def with_objective(self, objective: dict[int, float], offset: float = 0.0,
                        **metadata) -> "BilpModel":
-        # the copy keeps these rows, so it shares their task-choice table
         return BilpModel(self.catalog, self.constraints, dict(objective), offset,
-                         {**self.metadata, **metadata}, self.choices)
-
-
-@dataclass(frozen=True, slots=True)
-class Choice:
-    """One candidate of a task, with the variables that picking it sets."""
-
-    index: int                                  # position in catalog.candidates
-    task: str
-    primary: str
-    implied: tuple[int, int]                    # candidate, placement
-
-    @property
-    def var(self) -> int:
-        return self.implied[0]
-
-
-class TaskChoices:
-    """A model seen as its one real decision: a candidate per task.
-
-    A pick fixes the candidate's placement variable, and the primaries
-    of two adjacent tasks fix the arc between them, so one pick per task
-    determines the whole 0/1 vector.  Only the catalog and the monotone
-    ``<=`` rows (the budgets) are read, so models read back from MPS, or
-    with rows dropped, work the same.
-    """
-
-    def __init__(self, model: BilpModel) -> None:
-        cat = model.catalog
-        self.n_vars = cat.n_vars
-        self.tasks = cat.task_order
-        # monotone <= rows can be checked as picks accumulate
-        self.rows: list[LinearConstraint] = [
-            row for row in model.constraints
-            if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())
-        ]
-
-        task_pos = {t: k for k, t in enumerate(self.tasks)}
-        #: per task, its candidates in catalog order
-        self.options: list[list[Choice]] = [[] for _ in self.tasks]
-        #: per candidate index
-        self.by_index: list[Choice] = []
-        for i, c in enumerate(cat.candidates):
-            choice = Choice(i, c.task, c.primary, (c.var, cat.set_var[(c.task, c.primary)].var))
-            self.by_index.append(choice)
-            self.options[task_pos[c.task]].append(choice)
-
-        #: per workflow arc: its (src, dst) task positions, and its arc
-        #: variables keyed by (src device, dst device)
-        self.pairs: list[tuple[int, int]] = []
-        self.arcs: list[dict[tuple[str, str], int]] = []
-        for (src, dst), arcs in cat.arcs_by_tasks.items():
-            self.pairs.append((task_pos[src], task_pos[dst]))
-            self.arcs.append({(a.src_dev, a.dst_dev): a.var for a in arcs})
-
-    @cached_property
-    def budget(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """Per candidate and arc variable, its ``(row, coeff)`` pairs.
-
-        ``row`` indexes :attr:`rows`.  A candidate folds the coefficients
-        of all its implied variables into one pair per row they touch.
-        Only the search needs these, so they are built on first use.
-        """
-        var_rows: dict[int, list[tuple[int, float]]] = {}
-        for pos, row in enumerate(self.rows):
-            for v, c in row.coeffs.items():
-                if c:
-                    var_rows.setdefault(v, []).append((pos, c))
-        out: dict[int, tuple[tuple[int, float], ...]] = {}
-        for c in self.by_index:
-            fold: dict[int, float] = {}
-            for v in c.implied:
-                for pos, coeff in var_rows.get(v, ()):
-                    fold[pos] = fold.get(pos, 0.0) + coeff
-            out[c.var] = tuple(fold.items())
-        for arcs in self.arcs:
-            for var in arcs.values():
-                out[var] = tuple(var_rows.get(var, ()))
-        return out
-
-    def vector(self, picks) -> list[int]:
-        """The 0/1 vector of one candidate index per task, in any order."""
-        x = [0] * self.n_vars
-        primary: dict[str, str] = {}
-        for i in picks:
-            c = self.by_index[i]
-            if c.task in primary:
-                raise ValueError(f"two candidates picked for task {c.task}")
-            primary[c.task] = c.primary
-            for v in c.implied:
-                x[v] = 1
-        missing = [t for t in self.tasks if t not in primary]
-        if missing:
-            raise ValueError(f"no candidate picked for tasks {missing}")
-        for (i, j), arcs in zip(self.pairs, self.arcs):
-            x[arcs[(primary[self.tasks[i]], primary[self.tasks[j]])]] = 1
-        return x
-
-    def picks(self, x) -> list[int]:
-        """The candidate index each task picks in a 0/1 vector, in task order."""
-        out: list[int] = []
-        for t, options in zip(self.tasks, self.options):
-            hit = [c.index for c in options if x[c.var] == 1]
-            if len(hit) != 1:
-                raise ValueError(f"assignment picks {len(hit)} candidates for task {t}")
-            out.append(hit[0])
-        return out
+                         {**self.metadata, **metadata}, self._budget)
 
 
 def build_catalog(reg: CandidateGraph) -> VariableCatalog:
@@ -311,8 +285,9 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
     topo = reg.topology
 
     # exactly one candidate per task
-    for task_id in catalog.task_order:
-        coeffs = {c.var: 1.0 for c in catalog.by_task[task_id]}
+    cands = catalog.candidates
+    for task_id, options in zip(catalog.task_order, catalog.options):
+        coeffs = {cands[i].var: 1.0 for i in options}
         rows.append(LinearConstraint(coeffs, "=", 1.0, f"choose_one[{task_id}]"))
 
     # placement active iff one of its candidates picked
@@ -328,15 +303,14 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
     # marginal rows of each workflow arc u->v: the arcs leaving u@k sum to
     # u's placement on k, the arcs entering v@l to v's placement on l
     devices_of = reg.eg.devices_of
-    for (src, dst), arcs in catalog.arcs_by_tasks.items():
-        for k in devices_of[src]:
-            coeffs = {a.var: 1.0 for a in arcs if a.src_dev == k}
-            coeffs[catalog.set_var[(src, k)].var] = -1.0
-            rows.append(LinearConstraint(coeffs, "=", 0.0, f"arc_src[{src}@{k}->{dst}]"))
-        for l in devices_of[dst]:
-            coeffs = {a.var: 1.0 for a in arcs if a.dst_dev == l}
-            coeffs[catalog.set_var[(dst, l)].var] = -1.0
-            rows.append(LinearConstraint(coeffs, "=", 0.0, f"arc_dst[{src}->{dst}@{l}]"))
+    for (i, j), ends in zip(catalog.pairs, catalog.ends):
+        src, dst = catalog.task_order[i], catalog.task_order[j]
+        for side, task in enumerate((src, dst)):
+            for k in devices_of[task]:
+                coeffs = {var: 1.0 for var in ends[side].get(k, {}).values()}
+                coeffs[catalog.set_var[(task, k)].var] = -1.0
+                tag = f"arc_src[{src}@{k}->{dst}]" if side == 0 else f"arc_dst[{src}->{dst}@{k}]"
+                rows.append(LinearConstraint(coeffs, "=", 0.0, tag))
 
     # per-device budgets: a candidate charges each device the memory,
     # storage and energy of all its replica slots there, summed slot by

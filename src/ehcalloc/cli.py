@@ -109,15 +109,8 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     topology, graph, scenario = _load_inputs(args)
-    try:
-        plan, ctx = pipeline.solve_allocation(
-            topology, graph, scenario.policy, scenario.weights, scenario.solver)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except TimeLimitError as exc:
-        print(f"time limit: {exc}", file=sys.stderr)
-        return EXIT_TIME_LIMIT
+    plan, _ = pipeline.solve_allocation(
+        topology, graph, scenario.policy, scenario.weights, scenario.solver)
     text = json.dumps(plan.to_json_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -136,15 +129,8 @@ def cmd_sweep(args) -> int:
     steps = round(1.0 / args.step)
     if abs(steps * args.step - 1.0) > 1e-9:
         raise io.ConfigError("--step must divide 1 evenly")
-    try:
-        result = pipeline.sweep(topology, graph, scenario.policy, steps,
-                                scenario.solver, workers=args.workers)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except TimeLimitError as exc:
-        print(f"time limit: {exc}", file=sys.stderr)
-        return EXIT_TIME_LIMIT
+    result = pipeline.sweep(topology, graph, scenario.policy, steps,
+                            scenario.solver, workers=args.workers)
     out = Path(args.out)
     out.write_text(result.to_csv())
     json_out = out.with_suffix(".json")
@@ -156,15 +142,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     topology, graph, scenario = _load_inputs(args)
-    try:
-        result = pipeline.baselines(topology, graph, scenario.policy,
-                                    scenario.weights, scenario.solver)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except TimeLimitError as exc:
-        print(f"time limit: {exc}", file=sys.stderr)
-        return EXIT_TIME_LIMIT
+    result = pipeline.baselines(topology, graph, scenario.policy,
+                                scenario.weights, scenario.solver)
     data = {
         "unrestricted": result["unrestricted"].to_json_dict(),
         "baselines": {d: p.to_json_dict() for d, p in result["baselines"].items()},
@@ -238,9 +217,7 @@ def cmd_validate(args) -> int:
     if not agree:
         problems.append("monte carlo")
 
-    space = 1
-    for t in reg.graph.task_ids:
-        space *= len(reg.candidates_for_task(t))
+    space = oracle.space_size(reg)
     if space <= args.brute_limit:
         bounds = normalization_bounds(reg, model, scenario.solver)
         result = oracle.brute_force(reg, scenario.weights, bounds)
@@ -271,14 +248,7 @@ def cmd_export_mps(args) -> int:
             except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
                 raise io.ConfigError(f"cannot read bounds {args.bounds}: {exc}") from exc
         else:
-            try:
-                bounds = normalization_bounds(reg, model, scenario.solver)
-            except InfeasibleError as exc:
-                print(f"infeasible: {exc}", file=sys.stderr)
-                return EXIT_INFEASIBLE
-            except TimeLimitError as exc:
-                print(f"time limit: {exc}", file=sys.stderr)
-                return EXIT_TIME_LIMIT
+            bounds = normalization_bounds(reg, model, scenario.solver)
         target = weighted_objective(reg, model, scenario.weights, bounds)
     else:
         # auxiliary objectives for computing normalization bounds externally;
@@ -374,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except io.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except TimeLimitError as exc:
         print(f"time limit: {exc}", file=sys.stderr)
         return EXIT_TIME_LIMIT

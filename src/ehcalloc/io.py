@@ -159,10 +159,13 @@ def load_scenario(path: str | Path) -> Scenario:
     mode = s.get("mode", "builtin")
     if mode != "builtin":
         raise ConfigError(f"{path}: unknown solver mode {mode!r}")
+    # a positive gap would let an unproven result be labelled optimal
+    gap = s.get("absolute_gap", 0)
+    if gap != 0:
+        raise ConfigError(f"{path}: absolute_gap must be 0, got {gap!r}")
     options = SolverOptions(
         time_limit=(None if s.get("time_limit_s") is None
                     else float(s["time_limit_s"])),
-        absolute_gap=float(s.get("absolute_gap", 0.0)),
     )
     return Scenario(policy, weights, options)
 
@@ -233,9 +236,6 @@ def dump_scenario(scenario: Scenario, path: str | Path) -> None:
             "lambda": scenario.policy.lambda_coef,
         },
         "weights": {"w_rel": scenario.weights.w_rel, "w_lat": scenario.weights.w_lat},
-        "solver": {
-            "time_limit_s": scenario.solver.time_limit,
-            "absolute_gap": scenario.solver.absolute_gap,
-        },
+        "solver": {"time_limit_s": scenario.solver.time_limit},
     }
     Path(path).write_text(json.dumps(data, indent=2) + "\n")

@@ -35,7 +35,8 @@ class OracleResult:
     enumerated: int = 0
 
 
-def _space_size(reg: CandidateGraph) -> int:
+def space_size(reg: CandidateGraph) -> int:
+    """Number of candidate-index vectors: the product of per-task choices."""
     size = 1
     for t in reg.graph.task_ids:
         size *= len(reg.candidates_for_task(t))
@@ -121,6 +122,23 @@ def raw_objectives(reg: CandidateGraph, cands, arc_tables=None) -> tuple[float, 
     return math.log(r_total), f_lat
 
 
+def _feasible_points(reg: CandidateGraph, guard: int):
+    """Yield ``(vector, f_rel, f_lat)`` for every feasible candidate-index
+    vector, in lexicographic order."""
+    size = space_size(reg)
+    if size > guard:
+        raise ValueError(f"assignment space {size} exceeds guard {guard}")
+    cand_lists = [
+        [reg.candidates[i] for i in reg.candidates_for_task(t)]
+        for t in reg.graph.task_ids
+    ]
+    arc_tables = _arc_tables(reg)
+    for vec in itertools.product(*(range(len(cl)) for cl in cand_lists)):
+        cands = [cl[i] for cl, i in zip(cand_lists, vec)]
+        if _feasible(reg, cands, arc_tables):
+            yield (vec, *raw_objectives(reg, cands, arc_tables))
+
+
 def brute_force(
     reg: CandidateGraph,
     weights: ObjectiveWeights,
@@ -132,32 +150,17 @@ def brute_force(
     Ties go to the lexicographically smallest candidate-index vector,
     the same rule the branch-and-bound uses.
     """
-    size = _space_size(reg)
-    if size > guard:
-        raise ValueError(f"assignment space {size} exceeds guard {guard}")
-
-    cand_lists = [
-        [reg.candidates[i] for i in reg.candidates_for_task(t)]
-        for t in reg.graph.task_ids
-    ]
-    arc_tables = _arc_tables(reg)
-
     best_g = -math.inf
     best: tuple | None = None
     feasible_count = 0
-    enumerated = 0
-    for vec in itertools.product(*(range(len(cl)) for cl in cand_lists)):
-        enumerated += 1
-        cands = [cl[i] for cl, i in zip(cand_lists, vec)]
-        if not _feasible(reg, cands, arc_tables):
-            continue
+    for vec, f_rel, f_lat in _feasible_points(reg, guard):
         feasible_count += 1
-        f_rel, f_lat = raw_objectives(reg, cands, arc_tables)
         g = (weights.w_rel * bounds.normalize_rel(f_rel)
              - weights.w_lat * bounds.normalize_lat(f_lat))
         if g > best_g:
             best_g, best = g, (vec, f_rel, f_lat)
 
+    enumerated = space_size(reg)
     if best is None:
         return OracleResult("infeasible", None, None,
                             feasible_count=0, enumerated=enumerated)
@@ -169,21 +172,9 @@ def brute_force(
 def oracle_bounds(reg: CandidateGraph, guard: int = ENUMERATION_GUARD) -> NormalizationBounds:
     """Normalization bounds by enumeration, for checking the solver's four
     auxiliary solves."""
-    size = _space_size(reg)
-    if size > guard:
-        raise ValueError(f"assignment space {size} exceeds guard {guard}")
-    cand_lists = [
-        [reg.candidates[i] for i in reg.candidates_for_task(t)]
-        for t in reg.graph.task_ids
-    ]
-    arc_tables = _arc_tables(reg)
     rel_lo = lat_lo = math.inf
     rel_hi = lat_hi = -math.inf
-    for vec in itertools.product(*(range(len(cl)) for cl in cand_lists)):
-        cands = [cl[i] for cl, i in zip(cand_lists, vec)]
-        if not _feasible(reg, cands, arc_tables):
-            continue
-        f_rel, f_lat = raw_objectives(reg, cands, arc_tables)
+    for _vec, f_rel, f_lat in _feasible_points(reg, guard):
         rel_lo, rel_hi = min(rel_lo, f_rel), max(rel_hi, f_rel)
         lat_lo, lat_hi = min(lat_lo, f_lat), max(lat_hi, f_lat)
     if math.isinf(rel_lo):

@@ -35,9 +35,6 @@ from .transform import CandidateGraph, CandidateNode, build_eg, build_reg
 class PipelineContext:
     """Everything a solve produced, for callers that want to dig deeper."""
 
-    topology: Topology
-    graph: WorkflowGraph
-    policy: CriticalityPolicy
     reg: CandidateGraph
     model: BilpModel
     bounds: NormalizationBounds
@@ -97,7 +94,7 @@ def prepare(topology: Topology, graph: WorkflowGraph,
 def chosen_candidates(reg: CandidateGraph, model: BilpModel,
                       assignment: list[int]) -> list[int]:
     """Candidate indexes (one per task, in task order) picked by an assignment."""
-    return model.choices.picks(assignment)
+    return model.catalog.picks(assignment)
 
 
 def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
@@ -108,7 +105,7 @@ def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
     placement variables for each pick and activates the unique arc
     between each pair of chosen placements.
     """
-    return model.choices.vector(picks)
+    return model.catalog.vector(picks)
 
 
 def _device_usage(reg: CandidateGraph, cands: list[CandidateNode],
@@ -224,8 +221,7 @@ def _solve_prepared(
         bounds = normalization_bounds(reg, model, options)
     weighted = weighted_objective(reg, model, weights, bounds)
     solution = solve_builtin(weighted, options)
-    ctx = PipelineContext(reg.topology, reg.graph, reg.policy, reg, model, bounds,
-                          weighted, solution)
+    ctx = PipelineContext(reg, model, bounds, weighted, solution)
     return extract_plan(reg, model, weights, bounds, solution), ctx
 
 

@@ -16,6 +16,12 @@ consistent with fixed endpoints) gets much tighter.  The leaf values
 read the original coefficients in a fixed summation order, so the
 objective reported for a pick vector does not depend on the bound.
 
+The search reads its layout from the model's variable catalog: per task
+its candidates and its incident workflow arcs, each with the side the
+task sits on, and per arc side its arc variables by device pair.  The
+diffusion messages, the per-device arc bounds and the lookup of an arc
+between two fixed picks all index that one side layout.
+
 Because the bound and the leaf values sum different terms, they are
 never compared for equality: a subtree is pruned only when its bound
 falls below the incumbent by more than ``1e-9 * max(1, |incumbent|)``.
@@ -49,7 +55,6 @@ class SolverStatus(enum.Enum):
 @dataclass
 class SolverOptions:
     time_limit: float | None = None       # seconds of wall time
-    absolute_gap: float = 0.0             # prune nodes within this of the incumbent
 
 
 @dataclass
@@ -81,43 +86,31 @@ class _TaskChoiceSearch:
 
     def __init__(self, model: BilpModel, options: SolverOptions) -> None:
         self.model = model
-        self.options = options
-        self.table = table = model.choices
-        obj = model.objective
-        budget = table.budget
+        self.cat = cat = model.catalog
+        self.obj = obj = model.objective
+        rows, self.budget = model.budget
 
-        self.n_tasks = len(table.tasks)
-        self.row_cap = [row.rhs + _tol(row.rhs) for row in table.rows]
+        self.n_tasks = len(cat.task_order)
+        self.row_cap = [row.rhs + _tol(row.rhs) for row in rows]
 
         # per-task candidate records: static objective of the candidate and
         # its placement, plus their folded budget rows; "robj" is the
         # reparametrized objective the bounds read
         self.cand_records: list[list[dict]] = []
-        for t, choices in zip(table.tasks, table.options):
-            if not choices:
+        for t, positions in zip(cat.task_order, cat.options):
+            if not positions:
                 raise ValueError(f"task {t} has no candidates")
             self.cand_records.append([{
                 "pos": pos,
-                "primary": c.primary,
-                "obj": sum(obj.get(v, 0.0) for v in c.implied),
-                "rows": budget[c.var],
-            } for pos, c in enumerate(choices)])
-
-        # arc variables grouped by task pair
-        self.pairs = table.pairs
-        self.arc_entries: list[dict[tuple[str, str], dict]] = [
-            {key: {"obj": obj.get(var, 0.0), "rows": budget[var]} for key, var in arcs.items()}
-            for arcs in table.arcs
-        ]
-        self.touching: list[list[int]] = [[] for _ in range(self.n_tasks)]
-        for p, (i, j) in enumerate(self.pairs):
-            self.touching[i].append(p)
-            self.touching[j].append(p)
+                "primary": cat.candidates[i].primary,
+                "obj": obj.get(cat.candidates[i].var, 0.0) + obj.get(cat.placement[i], 0.0),
+                "rows": self.budget[cat.candidates[i].var],
+            } for pos, i in enumerate(positions)])
 
         # mutable search state; the bounds are set by _reparametrize
         self.fixed_dev: list[str | None] = [None] * self.n_tasks
         self.chosen_pos: list[int] = [-1] * self.n_tasks
-        self.usage = [0.0] * len(table.rows)
+        self.usage = [0.0] * len(rows)
         self.partial = 0.0
         self.rpartial = 0.0
         self.best_g = -math.inf
@@ -144,12 +137,10 @@ class _TaskChoiceSearch:
         Every sweep leaves a valid reparametrization, so diffusion simply
         stops early when the deadline passes.
         """
-        # msgs[p][s][dev]: mass moved from arc p into its side-s task
-        # (0 = source, 1 = destination) on device dev
-        msgs = [({k: 0.0 for k, _ in entries}, {l: 0.0 for _, l in entries})
-                for entries in self.arc_entries]
-        side_of = [[0 if self.pairs[p][0] == depth else 1 for p in touching]
-                   for depth, touching in enumerate(self.touching)]
+        cat, obj = self.cat, self.obj
+        # msgs[p][s][dev]: mass moved from arc p into its side-s task on
+        # device dev, laid out like cat.ends
+        msgs = [tuple({dev: 0.0 for dev in end} for end in ends) for ends in cat.ends]
         groups: list[tuple[str, float, list[tuple[dict, dict, list]]]] = []
         for depth, records in enumerate(self.cand_records):
             best: dict[str, float] = {}
@@ -157,10 +148,10 @@ class _TaskChoiceSearch:
                 best[rec["primary"]] = max(best.get(rec["primary"], -math.inf), rec["obj"])
             for dev, base in best.items():
                 incident = []
-                for p, s in zip(self.touching[depth], side_of[depth]):
+                for p, s, _ in cat.incident[depth]:
                     # the other side's device and the pair's objective
-                    terms = [(key[1 - s], e["obj"])
-                             for key, e in self.arc_entries[p].items() if key[s] == dev]
+                    terms = [(o, obj.get(var, 0.0))
+                             for o, var in cat.ends[p][s].get(dev, {}).items()]
                     incident.append((msgs[p][s], msgs[p][1 - s], terms))
                 # a group with no device pair on some arc can never be picked
                 if incident and all(terms for _, _, terms in incident):
@@ -170,34 +161,32 @@ class _TaskChoiceSearch:
             if self.deadline is not None and time.perf_counter() > self.deadline:
                 break
             for dev, base, incident in groups:
-                marginals = [max(obj - other[o] for o, obj in terms) - mine[dev]
+                marginals = [max(val - other[o] for o, val in terms) - mine[dev]
                              for mine, other, terms in incident]
                 u = base + sum(mine[dev] for mine, _, _ in incident)
                 avg = (u + sum(marginals)) / (1 + len(marginals))
                 for (mine, _, _), m in zip(incident, marginals):
                     mine[dev] += m - avg
 
-        for depth, records in enumerate(self.cand_records):
+        for incident, records in zip(cat.incident, self.cand_records):
             for rec in records:
                 rec["robj"] = rec["obj"] + sum(
-                    msgs[p][s].get(rec["primary"], 0.0)
-                    for p, s in zip(self.touching[depth], side_of[depth]))
+                    msgs[p][s].get(rec["primary"], 0.0) for p, s, _ in incident)
         self.task_max = [max(r["robj"] for r in records) for records in self.cand_records]
-        self.arc_max_any: list[float] = []
-        self.arc_max_src: list[dict[str, float]] = []
-        self.arc_max_dst: list[dict[str, float]] = []
-        for entries, (src, dst) in zip(self.arc_entries, msgs):
-            by_src: dict[str, float] = {}
-            by_dst: dict[str, float] = {}
-            for (k, l), e in entries.items():
-                e["robj"] = e["obj"] - src[k] - dst[l]
-                by_src[k] = max(by_src.get(k, -math.inf), e["robj"])
-                by_dst[l] = max(by_dst.get(l, -math.inf), e["robj"])
-            self.arc_max_any.append(max(by_src.values(), default=-math.inf))
-            self.arc_max_src.append(by_src)
-            self.arc_max_dst.append(by_dst)
-        self.future = sum(self.task_max) + sum(self.arc_max_any)
-        self.arc_bound = list(self.arc_max_any)
+        # per arc variable, its reparametrized objective; per arc side and
+        # device, the best of them
+        self.robj: dict[int, float] = {}
+        self.arc_max: list[tuple[dict[str, float], dict[str, float]]] = []
+        for (src, dst), (m_src, m_dst) in zip(cat.ends, msgs):
+            for k, row in src.items():
+                for l, var in row.items():
+                    self.robj[var] = obj.get(var, 0.0) - m_src[k] - m_dst[l]
+            self.arc_max.append(tuple(
+                {dev: max(self.robj[var] for var in row.values()) for dev, row in end.items()}
+                for end in (src, dst)))
+        self.arc_bound = [max(by_src.values(), default=-math.inf)
+                          for by_src, _ in self.arc_max]
+        self.future = sum(self.task_max) + sum(self.arc_bound)
 
     # -- incremental choice application -------------------------------------
 
@@ -229,38 +218,32 @@ class _TaskChoiceSearch:
         self.chosen_pos[depth] = rec["pos"]
 
         if feasible:
-            for p in self.touching[depth]:
-                i, j = self.pairs[p]
-                other = j if i == depth else i
+            dev = rec["primary"]
+            for p, s, other in self.cat.incident[depth]:
+                touched_arcs.append((p, self.arc_bound[p]))
                 if self.fixed_dev[other] is None:
-                    dev = rec["primary"]
-                    side = self.arc_max_src[p] if i == depth else self.arc_max_dst[p]
-                    newb = side.get(dev, -math.inf)
-                    touched_arcs.append((p, self.arc_bound[p]))
+                    newb = self.arc_max[p][s].get(dev, -math.inf)
                     self.future += newb - self.arc_bound[p]
                     self.arc_bound[p] = newb
                     if newb == -math.inf:
                         feasible = False
                         break
-                else:
-                    key = ((rec["primary"], self.fixed_dev[other]) if i == depth
-                           else (self.fixed_dev[other], rec["primary"]))
-                    entry = self.arc_entries[p].get(key)
-                    touched_arcs.append((p, self.arc_bound[p]))
-                    self.future -= self.arc_bound[p]
-                    self.arc_bound[p] = 0.0
-                    if entry is None:
+                    continue
+                self.future -= self.arc_bound[p]
+                self.arc_bound[p] = 0.0
+                var = self.cat.ends[p][s].get(dev, {}).get(self.fixed_dev[other])
+                if var is None:
+                    feasible = False
+                    break
+                self.partial += self.obj.get(var, 0.0)
+                self.rpartial += self.robj[var]
+                for rpos, coeff in self.budget[var]:
+                    touched_rows.append((rpos, self.usage[rpos]))
+                    self.usage[rpos] += coeff
+                    if self.usage[rpos] > self.row_cap[rpos]:
                         feasible = False
-                        break
-                    self.partial += entry["obj"]
-                    self.rpartial += entry["robj"]
-                    for rpos, coeff in entry["rows"]:
-                        touched_rows.append((rpos, self.usage[rpos]))
-                        self.usage[rpos] += coeff
-                        if self.usage[rpos] > self.row_cap[rpos]:
-                            feasible = False
-                    if not feasible:
-                        break
+                if not feasible:
+                    break
 
         token = (depth, old_partial, old_rpartial, old_future, touched_rows, touched_arcs)
         if not feasible:
@@ -326,7 +309,6 @@ class _TaskChoiceSearch:
         if depth == self.n_tasks:
             self._accept_leaf()
             return
-        gap = self.options.absolute_gap
         for rec in self.cand_records[depth]:
             token = self._apply(depth, rec)
             if token is None:
@@ -336,8 +318,7 @@ class _TaskChoiceSearch:
                 raise RuntimeError("relaxation bound increased down the tree")
             # the bound and the leaf values sum different terms, so only a
             # clear miss is pruned; near-ties are explored, never dropped
-            limit = self.best_g + gap
-            if bound < limit - _tol(limit):
+            if bound < self.best_g - _tol(self.best_g):
                 self.max_pruned = max(self.max_pruned, bound)
             else:
                 self._dfs(depth + 1, bound)
@@ -365,14 +346,14 @@ class _TaskChoiceSearch:
             bound = root_bound
         else:
             bound = max(self.best_g, self.max_pruned)
-        picks = [choices[pos].index for choices, pos in zip(self.table.options, self.best_vec)]
-        return Solution(status, self.best_g, self.table.vector(picks),
+        picks = [positions[pos] for positions, pos in zip(self.cat.options, self.best_vec)]
+        return Solution(status, self.best_g, self.cat.vector(picks),
                         bound=bound, nodes=self.nodes, wall_time=wall,
                         choices=list(self.best_vec))
 
 
 def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Solution:
-    """Solve to proven optimality (absolute gap 0 by default).
+    """Solve to proven optimality.
 
     The final incumbent is re-checked against every constraint row; a
     violation means the model does not have the task-choice structure

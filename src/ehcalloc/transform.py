@@ -308,16 +308,3 @@ def reg_summary(reg: CandidateGraph) -> dict:
         },
     }
 
-
-def to_dot(eg: ExpandedGraph) -> str:
-    """Render the expanded graph in DOT format."""
-    lines = ["digraph expanded {", "  rankdir=LR;"]
-    for task_id, dev in eg.nodes:
-        lines.append(f'  "{task_id}@{dev}";')
-    for a in eg.arcs:
-        lines.append(
-            f'  "{a.src_task}@{a.src_dev}" -> "{a.dst_task}@{a.dst_dev}"'
-            f' [label="{a.latency:.4g}s"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -129,9 +129,8 @@ class TestConstraints:
 
     def test_verify_flags_arcs_that_disagree_with_placements(self, reg_model):
         _, model = reg_model
-        table = model.choices
-        picks = [table.options[0][0].index, table.options[1][-1].index]
-        x = table.vector(picks)
+        cat = model.catalog
+        x = cat.vector([cat.options[0][0], cat.options[1][-1]])
         assert verify(model, x) == []
         on = next(a for a in model.catalog.arcs if x[a.var] == 1)
         other = next(a for a in model.catalog.arcs

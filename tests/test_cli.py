@@ -36,6 +36,15 @@ def plan_file(workdir):
     return out
 
 
+#: every subcommand that solves, with the arguments it needs (weighted
+#: export-mps without --bounds runs the normalization solves)
+SOLVING_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["sweep", "--out", "{dir}/limited.csv"], ["baseline"],
+     ["export-mps", "--out", "{dir}/limited.mps"]],
+    ids=["solve", "sweep", "baseline", "export-mps"])
+
+
 class TestSolve:
     def test_writes_the_plan_and_exits_zero(self, plan_file):
         plan = json.loads(plan_file.read_text())
@@ -65,11 +74,14 @@ class TestSolve:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_time_limit_zero_exits_three(self, capsys):
-        assert run("solve", "--time-limit", "0") == EXIT_TIME_LIMIT
-        capsys.readouterr()
+    @SOLVING_COMMANDS
+    def test_time_limit_zero_exits_three(self, argv, workdir, capsys):
+        args = [a.format(dir=workdir) for a in argv]
+        assert run(*args, "--time-limit", "0") == EXIT_TIME_LIMIT
+        assert capsys.readouterr().err.startswith("time limit: ")
 
-    def test_infeasible_system_exits_two(self, workdir, topology, workflow,
+    @SOLVING_COMMANDS
+    def test_infeasible_system_exits_two(self, argv, workdir, topology, workflow,
                                          capsys):
         starved = Topology(
             [d if d.id != "e" else Device(**{**d.__dict__, "memory_budget": 1.0})
@@ -77,8 +89,18 @@ class TestSolve:
             list(topology.channels.values()), dict(topology.relays))
         sys_file = workdir / "starved.json"
         dump_system(starved, sys_file)
-        assert run("solve", "--system", str(sys_file)) == EXIT_INFEASIBLE
-        capsys.readouterr()
+        args = [a.format(dir=workdir) for a in argv]
+        assert run(*args, "--system", str(sys_file)) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("infeasible: ")
+
+    @pytest.mark.parametrize("gap, code", [(0, EXIT_OK), (1e-6, EXIT_BAD_INPUT)],
+                             ids=["zero", "nonzero"])
+    def test_only_a_zero_absolute_gap_is_accepted(self, gap, code, workdir, capsys):
+        scenario = workdir / f"gap_{gap}.json"
+        scenario.write_text(json.dumps({"solver": {"absolute_gap": gap}}))
+        assert run("solve", "--scenario", str(scenario)) == code
+        if code == EXIT_BAD_INPUT:
+            assert "absolute_gap must be 0" in capsys.readouterr().err
 
 
 class TestValidate:

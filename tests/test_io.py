@@ -126,7 +126,7 @@ class TestRoundTrips:
         scenario = Scenario(
             policy=e.default_policy(2),
             weights=e.ObjectiveWeights(0.3, 0.7),
-            solver=SolverOptions(time_limit=12.5, absolute_gap=1e-9),
+            solver=SolverOptions(time_limit=12.5),
         )
         p = tmp_path / "scenario.json"
         dump_scenario(scenario, p)

@@ -150,10 +150,8 @@ class TestOptimality:
              for v, (k, l) in enumerate(itertools.product("ab", "ab"))],
             [SetVar(8 + v, t, d) for v, (t, d) in enumerate(itertools.product(("t1", "t2"), "ab"))])
         model = BilpModel(cat, [], {1: 1.0, 4: 1.0})
-        table = model.choices
-        scores = {picks: model.objective_value(table.vector(picks))
-                  for picks in itertools.product(*([c.index for c in opts]
-                                                   for opts in table.options))}
+        scores = {picks: model.objective_value(cat.vector(picks))
+                  for picks in itertools.product(*cat.options)}
         assert sorted(p for p, g in scores.items() if g == 1.0) == [(0, 2), (1, 2), (1, 3)]
         sol = solve_builtin(model)
         assert sol.objective == 1.0 and list(sol.choices) == [0, 0]
@@ -193,7 +191,8 @@ def root_bounds(model):
     search = _TaskChoiceSearch(model, SolverOptions())
     search._reparametrize()
     plain = (sum(max(r["obj"] for r in records) for records in search.cand_records)
-             + sum(max(a["obj"] for a in entries.values()) for entries in search.arc_entries))
+             + sum(max(search.obj.get(var, 0.0) for row in src.values() for var in row.values())
+                   for src, _ in model.catalog.ends))
     return (search.rpartial + search.future + model.objective_offset,
             plain + model.objective_offset)
 
