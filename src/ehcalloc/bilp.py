@@ -212,13 +212,20 @@ class BilpModel:
     objective: dict[int, float]
     objective_offset: float = 0.0
     metadata: dict = field(default_factory=dict)
-    # holds the budget fold once built; with_objective copies keep these
-    # rows, so they share the cell
-    _budget: list = field(default_factory=list, repr=False, compare=False)
+    # what is derived from the catalog and rows alone, built on first use;
+    # with_objective copies keep these rows, so they share the dict
+    _shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
         return self.catalog.n_vars
+
+    def shared(self, key: str, build):
+        """``build()``, computed once per catalog and rows: the first call
+        on this model or any of its ``with_objective`` copies stores it."""
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
 
     @property
     def budget(self) -> tuple[list[LinearConstraint], dict[int, tuple[tuple[int, float], ...]]]:
@@ -231,26 +238,27 @@ class BilpModel:
         the same.  Only the search needs the fold, so it is built on
         first use.
         """
-        if not self._budget:
-            rows = [row for row in self.constraints
-                    if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
-            var_rows: dict[int, list[tuple[int, float]]] = {}
-            for pos, row in enumerate(rows):
-                for v, c in row.coeffs.items():
-                    if c:
-                        var_rows.setdefault(v, []).append((pos, c))
-            cat = self.catalog
-            pairs: dict[int, tuple[tuple[int, float], ...]] = {}
-            for c, placement in zip(cat.candidates, cat.placement):
-                fold: dict[int, float] = {}
-                for v in (c.var, placement):
-                    for pos, coeff in var_rows.get(v, ()):
-                        fold[pos] = fold.get(pos, 0.0) + coeff
-                pairs[c.var] = tuple(fold.items())
-            for a in cat.arcs:
-                pairs[a.var] = tuple(var_rows.get(a.var, ()))
-            self._budget.append((rows, pairs))
-        return self._budget[0]
+        return self.shared("budget", self._fold_budget)
+
+    def _fold_budget(self):
+        rows = [row for row in self.constraints
+                if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
+        var_rows: dict[int, list[tuple[int, float]]] = {}
+        for pos, row in enumerate(rows):
+            for v, c in row.coeffs.items():
+                if c:
+                    var_rows.setdefault(v, []).append((pos, c))
+        cat = self.catalog
+        pairs: dict[int, tuple[tuple[int, float], ...]] = {}
+        for c, placement in zip(cat.candidates, cat.placement):
+            fold: dict[int, float] = {}
+            for v in (c.var, placement):
+                for pos, coeff in var_rows.get(v, ()):
+                    fold[pos] = fold.get(pos, 0.0) + coeff
+            pairs[c.var] = tuple(fold.items())
+        for a in cat.arcs:
+            pairs[a.var] = tuple(var_rows.get(a.var, ()))
+        return rows, pairs
 
     def objective_value(self, x) -> float:
         return sum(c * x[v] for v, c in self.objective.items()) + self.objective_offset
@@ -258,7 +266,7 @@ class BilpModel:
     def with_objective(self, objective: dict[int, float], offset: float = 0.0,
                        **metadata) -> "BilpModel":
         return BilpModel(self.catalog, self.constraints, dict(objective), offset,
-                         {**self.metadata, **metadata}, self._budget)
+                         {**self.metadata, **metadata}, self._shared)
 
 
 def build_catalog(reg: CandidateGraph) -> VariableCatalog:

@@ -6,15 +6,38 @@ task picks.  The placement and arc variables are implied by that
 choice, so the search fixes one task per level and prunes monotone
 budget rows incrementally.
 
-The bound is a separable relaxation of a reparametrized objective.
-Before the search, a few sweeps of max-sum diffusion (Werner, TPAMI
-2007) move mass from each workflow arc's device-pair terms into the
-candidates of its endpoint tasks, grouped by primary device.  Every
-complete pick keeps its objective, but the relaxation (each open task
-takes its best candidate, each open arc its best device pair
-consistent with fixed endpoints) gets much tighter.  The leaf values
-read the original coefficients in a fixed summation order, so the
-objective reported for a pick vector does not depend on the bound.
+The bound is a separable relaxation of a dualized, reparametrized
+objective: each open task takes its best candidate, each open arc its
+best device pair consistent with fixed endpoints.  It is built in two
+steps before the search.
+
+* The monotone ``<=`` budget rows are dualized (Lagrangian relaxation;
+  Fisher, Management Science 27(1), 1981).  With multipliers
+  ``lam >= 0`` every candidate and arc term pays ``lam_r * coeff /
+  rhs_r`` on each budget row r, and the constant ``sum_r lam_r *
+  row_cap_r / rhs_r`` is added back, so no pick that fits its budgets
+  (up to the row tolerance ``row_cap``) loses anything.
+* A few sweeps of max-sum diffusion (Werner, TPAMI 2007) then move mass
+  from each workflow arc's device-pair terms into the candidates of its
+  endpoint tasks, grouped by primary device.  Every complete pick keeps
+  its score, but the relaxation gets much tighter.
+
+The multipliers come from Kelley's cutting-plane method (J. SIAM 8(4),
+1960) on the Lagrangian dual.  Its oracle is the diffusion bound; the
+slope of each cut is ``(row_cap_r - A_r x) / rhs_r`` at the pick x that
+takes every task's best candidate, and a small simplex solves the
+master LP.  When that pick already fits every budget at zero
+multipliers, zero is optimal and the first diffusion is the bound.
+Feasibility, leaf values and :func:`verify` read only the original rows
+and coefficients.
+
+The search order is fixed once the bound is built: tasks with a single
+candidate first, so a pinned task that cannot fit fails at the root,
+then tasks by descending spread (best minus worst candidate term), and
+per task its candidates best term first.  A leaf's value sums the
+original coefficients in the canonical order (tasks in catalog order,
+each arc when its later endpoint is added), so the objective reported
+for a pick vector depends on neither the bound nor the search order.
 
 The search reads its layout from the model's variable catalog: per task
 its candidates and its incident workflow arcs, each with the side the
@@ -25,13 +48,9 @@ between two fixed picks all index that one side layout.
 Because the bound and the leaf values sum different terms, they are
 never compared for equality: a subtree is pruned only when its bound
 falls below the incumbent by more than ``1e-9 * max(1, |incumbent|)``.
-Near-ties are explored, and a leaf must strictly beat the incumbent to
-replace it, so the search returns the lexicographically smallest
-candidate-index vector among the optima.
-
-A greedy pass (best locally feasible candidate per task) seeds the
-incumbent.  A tree leaf that ties it replaces it, since it comes first
-in canonical order.
+Near-ties are explored, and a leaf replaces the incumbent when it scores
+higher, or the same with a lexicographically smaller candidate-index
+vector, so the search returns the smallest such vector among the optima.
 """
 
 from __future__ import annotations
@@ -72,13 +91,81 @@ class _TimeUp(Exception):
     pass
 
 
-#: sweeps of max-sum diffusion before each search; on the bundled
+#: sweeps of max-sum diffusion per bound evaluation; on the bundled
 #: fixture's 21-point sweep, 20 or 50 sweeps visit as many nodes as 10
 DIFFUSION_SWEEPS = 10
+#: most bound evaluations Kelley's method spends on the multipliers
+KELLEY_CALLS = 30
 
 
 def _tol(value: float) -> float:
     return 1e-9 * max(1.0, abs(value))
+
+
+class _Layout:
+    """What the search reads of a model apart from its objective.
+
+    It depends only on the catalog and the budget fold, so it is built
+    once per prepared model, on its first solve, and shared by the
+    ``with_objective`` copies and by every bound evaluation.
+    """
+
+    def __init__(self, model: BilpModel) -> None:
+        cat = model.catalog
+        rows, self.budget = model.budget
+        self.rhs = [row.rhs for row in rows]
+        self.row_cap = [row.rhs + _tol(row.rhs) for row in rows]
+        #: the rows the bound dualizes: a finite positive rhs and a coefficient
+        self.dual_rows = [r for r, row in enumerate(rows)
+                          if 0.0 < row.rhs < math.inf and any(row.coeffs.values())]
+        #: per task, per candidate: primary device, folded budget pairs,
+        #: candidate and placement variable
+        self.cands: list[list[tuple[str, tuple, int, int]]] = []
+        for t, positions in zip(cat.task_order, cat.options):
+            if not positions:
+                raise ValueError(f"task {t} has no candidates")
+            self.cands.append([(cat.candidates[i].primary, self.budget[cat.candidates[i].var],
+                                cat.candidates[i].var, cat.placement[i]) for i in positions])
+        #: tasks with a single candidate; the search fixes them first, so a
+        #: pinned task that cannot fit fails at the root
+        self.forced = {t for t, recs in enumerate(self.cands) if len(recs) == 1}
+        #: per task, its candidates' primary devices in first-seen order
+        self.devices = [list(dict.fromkeys(primary for primary, *_ in recs))
+                        for recs in self.cands]
+        #: diffusion groups, in task order: a task, one of its primary
+        #: devices, its candidates there, and per incident arc side the
+        #: arc's (other device, arc variable) pairs through that device
+        self.groups: list[tuple[int, str, list[int], list[tuple[int, int, list]]]] = []
+        for t, (recs, devices) in enumerate(zip(self.cands, self.devices)):
+            for dev in devices:
+                incident = [(p, s, list(cat.ends[p][s].get(dev, {}).items()))
+                            for p, s, _ in cat.incident[t]]
+                # a group with no device pair on some arc can never be picked
+                if incident and all(terms for _, _, terms in incident):
+                    members = [k for k, rec in enumerate(recs) if rec[0] == dev]
+                    self.groups.append((t, dev, members, incident))
+
+
+def _layout(model: BilpModel) -> _Layout:
+    return model.shared("search layout", lambda: _Layout(model))
+
+
+class _Relaxation:
+    """The separable bound of one dualized, reparametrized objective.
+
+    ``crobj`` holds per task its candidates' terms, ``arobj`` per arc
+    variable its term; ``task_max`` and ``arc_max`` (per arc side and
+    device) are their best values, ``arc_bound`` per arc its best pair,
+    and ``bound`` sums the best terms and the multipliers' constant.
+    """
+
+    def __init__(self, crobj, arobj, arc_max, constant) -> None:
+        self.crobj = crobj
+        self.arobj = arobj
+        self.arc_max = arc_max
+        self.task_max = [max(terms) for terms in crobj]
+        self.arc_bound = [max(by_src.values(), default=-math.inf) for by_src, _ in arc_max]
+        self.bound = constant + sum(self.task_max) + sum(self.arc_bound)
 
 
 class _TaskChoiceSearch:
@@ -88,77 +175,69 @@ class _TaskChoiceSearch:
         self.model = model
         self.cat = cat = model.catalog
         self.obj = obj = model.objective
-        rows, self.budget = model.budget
-
+        self.lay = lay = _layout(model)
         self.n_tasks = len(cat.task_order)
-        self.row_cap = [row.rhs + _tol(row.rhs) for row in rows]
+        # per task, its candidates' objective terms (candidate and placement)
+        self.cobj = [[obj.get(cvar, 0.0) + obj.get(pvar, 0.0) for _, _, cvar, pvar in recs]
+                     for recs in lay.cands]
 
-        # per-task candidate records: static objective of the candidate and
-        # its placement, plus their folded budget rows; "robj" is the
-        # reparametrized objective the bounds read
-        self.cand_records: list[list[dict]] = []
-        for t, positions in zip(cat.task_order, cat.options):
-            if not positions:
-                raise ValueError(f"task {t} has no candidates")
-            self.cand_records.append([{
-                "pos": pos,
-                "primary": cat.candidates[i].primary,
-                "obj": obj.get(cat.candidates[i].var, 0.0) + obj.get(cat.placement[i], 0.0),
-                "rows": self.budget[cat.candidates[i].var],
-            } for pos, i in enumerate(positions)])
-
-        # mutable search state; the bounds are set by _reparametrize
+        # mutable search state; the bounds are set by run()
         self.fixed_dev: list[str | None] = [None] * self.n_tasks
-        self.chosen_pos: list[int] = [-1] * self.n_tasks
-        self.usage = [0.0] * len(rows)
-        self.partial = 0.0
+        self.chosen: list[int] = [-1] * self.n_tasks
+        self.arc_var = [-1] * len(cat.pairs)
+        self.usage = [0.0] * len(lay.rhs)
         self.rpartial = 0.0
         self.best_g = -math.inf
         self.best_vec: tuple[int, ...] | None = None
-        # an incumbent is canonical once it was reached in DFS order; a
-        # leaf tying a non-canonical (greedy) incumbent replaces it
-        self.best_canonical = False
         self.max_pruned = -math.inf
         self.nodes = 0
         self.deadline = (time.perf_counter() + options.time_limit
                          if options.time_limit is not None else None)
 
-    def _reparametrize(self) -> None:
-        """Max-sum diffusion, then the separable bounds of its result.
+    def _expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() > self.deadline
 
-        A message moves objective mass from one side of a workflow arc
-        into the candidates of that side's task on one primary device:
-        they gain it, and the arc's device pairs through that device lose
-        it.  A complete pick gains on its candidates exactly what it
-        loses on its arcs, so its objective is unchanged.  Each sweep
-        visits every (task, primary device) group with arcs, in task
-        order, and sets its messages so that the group's best candidate
-        and its best device pair on each incident arc score the same.
-        Every sweep leaves a valid reparametrization, so diffusion simply
-        stops early when the deadline passes.
+    # -- the bound -------------------------------------------------------------
+
+    def _relax(self, lam: list[float]) -> _Relaxation:
+        """Dualize the budget rows with multipliers ``lam``, then run
+        max-sum diffusion on the result.
+
+        Each candidate and arc term pays ``lam_r * coeff / rhs_r`` on
+        every dualized row r, and ``sum_r lam_r * row_cap_r / rhs_r`` is
+        added back as a constant, so a pick that fits its budgets scores
+        at most its objective.
+
+        A diffusion message then moves objective mass from one side of a
+        workflow arc into the candidates of that side's task on one
+        primary device: they gain it, and the arc's device pairs through
+        that device lose it.  A complete pick gains on its candidates
+        exactly what it loses on its arcs, so its score is unchanged.
+        Each sweep visits every group of the layout and sets its messages
+        so that the group's best candidate and its best device pair on
+        each incident arc score the same.  Every sweep leaves a valid
+        reparametrization, so diffusion simply stops early when the
+        deadline passes.
         """
-        cat, obj = self.cat, self.obj
+        cat, lay, obj = self.cat, self.lay, self.obj
+        weight = [0.0] * len(lay.rhs)
+        for r, value in zip(lay.dual_rows, lam):
+            weight[r] = value / lay.rhs[r]
+        cval = [[value - sum(weight[r] * coeff for r, coeff in rows)
+                 for value, (_, rows, _, _) in zip(values, recs)]
+                for values, recs in zip(self.cobj, lay.cands)]
+        aval = {a.var: obj.get(a.var, 0.0) - sum(weight[r] * coeff for r, coeff in lay.budget[a.var])
+                for a in cat.arcs}
+
         # msgs[p][s][dev]: mass moved from arc p into its side-s task on
         # device dev, laid out like cat.ends
         msgs = [tuple({dev: 0.0 for dev in end} for end in ends) for ends in cat.ends]
-        groups: list[tuple[str, float, list[tuple[dict, dict, list]]]] = []
-        for depth, records in enumerate(self.cand_records):
-            best: dict[str, float] = {}
-            for rec in records:
-                best[rec["primary"]] = max(best.get(rec["primary"], -math.inf), rec["obj"])
-            for dev, base in best.items():
-                incident = []
-                for p, s, _ in cat.incident[depth]:
-                    # the other side's device and the pair's objective
-                    terms = [(o, obj.get(var, 0.0))
-                             for o, var in cat.ends[p][s].get(dev, {}).items()]
-                    incident.append((msgs[p][s], msgs[p][1 - s], terms))
-                # a group with no device pair on some arc can never be picked
-                if incident and all(terms for _, _, terms in incident):
-                    groups.append((dev, base, incident))
-
+        groups = [(dev, max(cval[t][k] for k in members),
+                   [(msgs[p][s], msgs[p][1 - s], [(o, aval[var]) for o, var in terms])
+                    for p, s, terms in incident])
+                  for t, dev, members, incident in lay.groups]
         for _ in range(DIFFUSION_SWEEPS):
-            if self.deadline is not None and time.perf_counter() > self.deadline:
+            if self._expired():
                 break
             for dev, base, incident in groups:
                 marginals = [max(val - other[o] for o, val in terms) - mine[dev]
@@ -168,61 +247,126 @@ class _TaskChoiceSearch:
                 for (mine, _, _), m in zip(incident, marginals):
                     mine[dev] += m - avg
 
-        for incident, records in zip(cat.incident, self.cand_records):
-            for rec in records:
-                rec["robj"] = rec["obj"] + sum(
-                    msgs[p][s].get(rec["primary"], 0.0) for p, s, _ in incident)
-        self.task_max = [max(r["robj"] for r in records) for records in self.cand_records]
-        # per arc variable, its reparametrized objective; per arc side and
-        # device, the best of them
-        self.robj: dict[int, float] = {}
-        self.arc_max: list[tuple[dict[str, float], dict[str, float]]] = []
+        # per task and primary device, the mass its arcs moved in
+        gains = [{dev: sum(msgs[p][s].get(dev, 0.0) for p, s, _ in incident) for dev in devices}
+                 for devices, incident in zip(lay.devices, cat.incident)]
+        crobj = [[value + gain[primary] for value, (primary, *_) in zip(values, recs)]
+                 for values, recs, gain in zip(cval, lay.cands, gains)]
+        arobj: dict[int, float] = {}
+        arc_max = []
         for (src, dst), (m_src, m_dst) in zip(cat.ends, msgs):
             for k, row in src.items():
                 for l, var in row.items():
-                    self.robj[var] = obj.get(var, 0.0) - m_src[k] - m_dst[l]
-            self.arc_max.append(tuple(
-                {dev: max(self.robj[var] for var in row.values()) for dev, row in end.items()}
+                    arobj[var] = aval[var] - m_src[k] - m_dst[l]
+            arc_max.append(tuple(
+                {dev: max(arobj[var] for var in row.values()) for dev, row in end.items()}
                 for end in (src, dst)))
-        self.arc_bound = [max(by_src.values(), default=-math.inf)
-                          for by_src, _ in self.arc_max]
-        self.future = sum(self.task_max) + sum(self.arc_bound)
+        constant = sum(weight[r] * lay.row_cap[r] for r in lay.dual_rows)
+        return _Relaxation(crobj, arobj, arc_max, constant)
+
+    def _slope(self, relax: _Relaxation) -> list[float]:
+        """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
+        takes every task's best candidate: a subgradient of the bound in
+        the multipliers whenever that pick attains it."""
+        cat, lay = self.cat, self.lay
+        usage = [0.0] * len(lay.rhs)
+        primary = []
+        for terms, recs in zip(relax.crobj, lay.cands):
+            dev, rows, _, _ = recs[max(range(len(terms)), key=terms.__getitem__)]
+            primary.append(dev)
+            for r, coeff in rows:
+                usage[r] += coeff
+        for (i, j), (src, _) in zip(cat.pairs, cat.ends):
+            var = src.get(primary[i], {}).get(primary[j])
+            for r, coeff in lay.budget.get(var, ()):
+                usage[r] += coeff
+        return [(lay.row_cap[r] - usage[r]) / lay.rhs[r] for r in lay.dual_rows]
+
+    def _multipliers(self) -> _Relaxation:
+        """The tightest relaxation Kelley's cutting-plane method finds.
+
+        Every oracle call is one :meth:`_relax`; its cut is the bound
+        plus the slope of :meth:`_slope` times the step in the
+        multipliers, and the next multipliers minimize the cuts' maximum
+        over a box.  It stops when that minimum closes on the best bound,
+        when the best-candidate pick fits its budgets with complementary
+        slackness (at zero multipliers: fits them at all), or when the
+        deadline passes.  Any multipliers give a valid bound.
+        """
+        lam = [0.0] * len(self.lay.dual_rows)
+        best = relax = self._relax(lam)
+        if not lam:
+            return best
+        cuts: list[tuple[float, list[float]]] = []
+        # the box keeps the master LP bounded; boxes 5 or 50 times larger
+        # reach the same bounds on the synthetic mixed and serial n=40
+        upper = [2.0 * max(1.0, abs(relax.bound))] * len(lam)
+        seen = {tuple(lam)}
+        for _ in range(KELLEY_CALLS):
+            slope = self._slope(relax)
+            step = sum(l * g for l, g in zip(lam, slope))
+            if min(slope) >= 0.0 and step <= _tol(relax.bound):
+                break
+            cuts.append((relax.bound - step, slope))
+            theta, lam = _kelley_master(cuts, upper)
+            # the last 1e-6 (relative) of the gap would prune next to nothing
+            if theta >= best.bound - 1e-6 * max(1.0, abs(best.bound)) \
+                    or tuple(lam) in seen or self._expired():
+                break
+            seen.add(tuple(lam))
+            relax = self._relax(lam)
+            if relax.bound < best.bound:
+                best = relax
+        return best
+
+    def _install(self, relax: _Relaxation) -> None:
+        """Adopt a relaxation as the bound and fix the search order:
+        single-candidate tasks first, then tasks by descending spread of
+        their candidate terms; per task, children best term first."""
+        self.relax = relax
+        self.arc_bound = list(relax.arc_bound)
+        self.future = relax.bound
+        spread = [max(terms) - min(terms) for terms in relax.crobj]
+        self.order = sorted(range(self.n_tasks),
+                            key=lambda t: (t not in self.lay.forced, -spread[t]))
+        self.children = [sorted(((k, primary, rows, term)
+                                 for k, ((primary, rows, _, _), term) in enumerate(zip(recs, terms))),
+                                key=lambda child: -child[3])
+                         for recs, terms in zip(self.lay.cands, relax.crobj)]
 
     # -- incremental choice application -------------------------------------
 
-    def _apply(self, depth: int, rec: dict) -> tuple | None:
-        """Fix task ``depth`` to candidate ``rec``; returns an undo token,
+    def _apply(self, t: int, child: tuple) -> tuple | None:
+        """Fix task ``t`` to candidate ``child``; returns an undo token,
         or None (after self-undoing) if the partial choice is infeasible."""
-        # checked from the first node on, so a deadline that passed during
-        # diffusion stops the search at once
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.perf_counter() > self.deadline:
-                raise _TimeUp
+        # checked from the first node on, so a deadline that passed while
+        # the bound was built stops the search at once
+        if self.nodes % 256 == 0 and self._expired():
+            raise _TimeUp
         self.nodes += 1
-        old_partial = self.partial
+        k, dev, rows, term = child
+        relax, usage, cap = self.relax, self.usage, self.lay.row_cap
         old_rpartial = self.rpartial
         old_future = self.future
         touched_rows: list[tuple[int, float]] = []
         touched_arcs: list[tuple[int, float]] = []
 
         feasible = True
-        for rpos, coeff in rec["rows"]:
-            touched_rows.append((rpos, self.usage[rpos]))
-            self.usage[rpos] += coeff
-            if self.usage[rpos] > self.row_cap[rpos]:
+        for rpos, coeff in rows:
+            touched_rows.append((rpos, usage[rpos]))
+            usage[rpos] += coeff
+            if usage[rpos] > cap[rpos]:
                 feasible = False
-        self.partial += rec["obj"]
-        self.rpartial += rec["robj"]
-        self.future -= self.task_max[depth]
-        self.fixed_dev[depth] = rec["primary"]
-        self.chosen_pos[depth] = rec["pos"]
+        self.rpartial += term
+        self.future -= relax.task_max[t]
+        self.fixed_dev[t] = dev
+        self.chosen[t] = k
 
         if feasible:
-            dev = rec["primary"]
-            for p, s, other in self.cat.incident[depth]:
+            for p, s, other in self.cat.incident[t]:
                 touched_arcs.append((p, self.arc_bound[p]))
                 if self.fixed_dev[other] is None:
-                    newb = self.arc_max[p][s].get(dev, -math.inf)
+                    newb = relax.arc_max[p][s].get(dev, -math.inf)
                     self.future += newb - self.arc_bound[p]
                     self.arc_bound[p] = newb
                     if newb == -math.inf:
@@ -235,82 +379,60 @@ class _TaskChoiceSearch:
                 if var is None:
                     feasible = False
                     break
-                self.partial += self.obj.get(var, 0.0)
-                self.rpartial += self.robj[var]
-                for rpos, coeff in self.budget[var]:
-                    touched_rows.append((rpos, self.usage[rpos]))
-                    self.usage[rpos] += coeff
-                    if self.usage[rpos] > self.row_cap[rpos]:
+                self.arc_var[p] = var
+                self.rpartial += relax.arobj[var]
+                for rpos, coeff in self.lay.budget[var]:
+                    touched_rows.append((rpos, usage[rpos]))
+                    usage[rpos] += coeff
+                    if usage[rpos] > cap[rpos]:
                         feasible = False
                 if not feasible:
                     break
 
-        token = (depth, old_partial, old_rpartial, old_future, touched_rows, touched_arcs)
+        token = (t, old_rpartial, old_future, touched_rows, touched_arcs)
         if not feasible:
             self._undo(token)
             return None
         return token
 
     def _undo(self, token: tuple) -> None:
-        depth, old_partial, old_rpartial, old_future, touched_rows, touched_arcs = token
+        t, old_rpartial, old_future, touched_rows, touched_arcs = token
         # restore saved values exactly; no float drift across siblings
-        self.partial = old_partial
         self.rpartial = old_rpartial
         self.future = old_future
         for rpos, old in reversed(touched_rows):
             self.usage[rpos] = old
         for p, old in reversed(touched_arcs):
             self.arc_bound[p] = old
-        self.fixed_dev[depth] = None
-        self.chosen_pos[depth] = -1
+        self.fixed_dev[t] = None
+        self.chosen[t] = -1
 
     # -- search --------------------------------------------------------------
 
-    def _greedy(self) -> None:
-        """Seed the incumbent with a one-pass greedy assignment.
-
-        At each task, the applied candidate is the one whose committed
-        objective (own terms plus arcs to already-fixed neighbours) is
-        largest and feasible so far.  Purely a warm start: the result is
-        recorded as non-canonical so tie-breaking is unaffected.
-        """
-        tokens: list[tuple] = []
-        for depth in range(self.n_tasks):
-            best: tuple[float, dict] | None = None
-            for rec in self.cand_records[depth]:
-                token = self._apply(depth, rec)
-                if token is None:
-                    continue
-                score = self.partial
-                self._undo(token)
-                if best is None or score > best[0]:
-                    best = (score, rec)
-            if best is None:
-                break
-            tokens.append(self._apply(depth, best[1]))
-        else:
-            self.best_g = self.partial + self.model.objective_offset
-            self.best_vec = tuple(self.chosen_pos)
-            self.best_canonical = False
-        for token in reversed(tokens):
-            self._undo(token)
-
     def _accept_leaf(self) -> None:
-        # leaves are reached in lexicographic candidate order, so requiring a
-        # strict improvement keeps the lex-smallest vector among equal optima;
-        # a non-canonical (greedy) incumbent may be replaced by a tying leaf
-        g = self.partial + self.model.objective_offset
-        if g > self.best_g or (g == self.best_g and not self.best_canonical):
+        # the leaf value reads the original terms in canonical order: tasks
+        # in catalog order, each arc when its later endpoint is added
+        g = 0.0
+        for t, incident in enumerate(self.cat.incident):
+            g += self.cobj[t][self.chosen[t]]
+            for p, _, other in incident:
+                if other < t:
+                    g += self.obj.get(self.arc_var[p], 0.0)
+        g += self.model.objective_offset
+        vec = tuple(self.chosen)
+        # among equal optima the lexicographically smallest vector wins,
+        # whatever order the search reaches them in
+        if g > self.best_g or (g == self.best_g and vec < self.best_vec):
             self.best_g = g
-            self.best_vec = tuple(self.chosen_pos)
-            self.best_canonical = True
+            self.best_vec = vec
 
-    def _dfs(self, depth: int, parent_bound: float = math.inf) -> None:
-        if depth == self.n_tasks:
+    def _dfs(self, level: int, parent_bound: float = math.inf) -> None:
+        if level == self.n_tasks:
             self._accept_leaf()
             return
-        for rec in self.cand_records[depth]:
-            token = self._apply(depth, rec)
+        t = self.order[level]
+        for child in self.children[t]:
+            token = self._apply(t, child)
             if token is None:
                 continue
             bound = self.rpartial + self.future + self.model.objective_offset
@@ -321,16 +443,15 @@ class _TaskChoiceSearch:
             if bound < self.best_g - _tol(self.best_g):
                 self.max_pruned = max(self.max_pruned, bound)
             else:
-                self._dfs(depth + 1, bound)
+                self._dfs(level + 1, bound)
             self._undo(token)
 
     def run(self) -> Solution:
         t0 = time.perf_counter()
-        self._reparametrize()
-        root_bound = self.rpartial + self.future + self.model.objective_offset
+        self._install(self._multipliers())
+        root_bound = self.future + self.model.objective_offset
         status = SolverStatus.OPTIMAL
         try:
-            self._greedy()
             self._dfs(0)
         except _TimeUp:
             status = SolverStatus.TIME_LIMIT
@@ -350,6 +471,61 @@ class _TaskChoiceSearch:
         return Solution(status, self.best_g, self.cat.vector(picks),
                         bound=bound, nodes=self.nodes, wall_time=wall,
                         choices=list(self.best_vec))
+
+
+def _kelley_master(cuts: list[tuple[float, list[float]]],
+                   upper: list[float]) -> tuple[float, list[float]]:
+    """Minimize ``theta`` over ``theta >= a + g . lam`` for every cut
+    ``(a, g)`` and ``0 <= lam <= upper``; returns ``(theta, lam)``.
+
+    Solved as its dual: maximize ``sum_k mu_k a_k - sum_r upper_r nu_r``
+    over ``mu, nu >= 0`` with ``sum_k mu_k = 1`` and, per row r,
+    ``sum_k mu_k g_kr + nu_r >= 0``.  That has R + 1 equality rows
+    (surplus ``s_r``), and all of ``mu`` on one cut, with ``nu_r`` or
+    ``s_r`` absorbing each entry of its slope, is a feasible start.  A
+    revised simplex with Bland's rule keeps it finite and deterministic;
+    ``theta`` and ``lam`` are the simplex multipliers of its last basis.
+    """
+    n_cuts, n_rows = len(cuts), len(upper)
+    m = n_rows + 1
+    # columns mu_k, nu_r, s_r; row r + 1 reads -sum_k mu_k g_kr - nu_r + s_r = 0
+    cols = [[1.0] + [-g for g in slope] for _, slope in cuts]
+    cols += [[0.0] * (1 + r) + [-1.0] + [0.0] * (n_rows - r - 1) for r in range(n_rows)]
+    cols += [[0.0] * (1 + r) + [1.0] + [0.0] * (n_rows - r - 1) for r in range(n_rows)]
+    cost = [a for a, _ in cuts] + [-u for u in upper] + [0.0] * n_rows
+    eps = 1e-12 * max(1.0, max(abs(a) for a, _ in cuts))
+
+    start = cuts[-1][1]
+    sign = [-1.0 if g < 0.0 else 1.0 for g in start]       # nu_r or s_r basic
+    basis = [n_cuts - 1] + [n_cuts + r if g < 0.0 else n_cuts + n_rows + r
+                            for r, g in enumerate(start)]
+    binv = [[1.0] + [0.0] * n_rows]
+    for r, (g, d) in enumerate(zip(start, sign)):
+        row = [0.0] * m
+        row[0], row[1 + r] = d * g, d
+        binv.append(row)
+    x_b = [row[0] for row in binv]
+
+    for _ in range(50 * m * len(cols)):
+        y = [sum(cost[basis[i]] * binv[i][j] for i in range(m)) for j in range(m)]
+        in_basis = set(basis)
+        enter = next((j for j, col in enumerate(cols) if j not in in_basis
+                      and cost[j] - sum(a * b for a, b in zip(y, col)) > eps), None)
+        if enter is None:
+            break
+        u = [sum(a * b for a, b in zip(row, cols[enter])) for row in binv]
+        leave = min((i for i in range(m) if u[i] > 1e-12),
+                    key=lambda i: (x_b[i] / u[i], basis[i]))
+        piv = u[leave]
+        binv[leave] = [v / piv for v in binv[leave]]
+        x_b[leave] /= piv
+        for i in range(m):
+            if i != leave and u[i] != 0.0:
+                f = u[i]
+                binv[i] = [a - f * b for a, b in zip(binv[i], binv[leave])]
+                x_b[i] -= f * x_b[leave]
+        basis[leave] = enter
+    return y[0], [min(max(v, 0.0), u) for v, u in zip(y[1:], upper)]
 
 
 def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Solution:

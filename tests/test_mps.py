@@ -138,8 +138,9 @@ class TestAgainstHighs:
 
     @pytest.mark.parametrize("n", [20, 30, 40])
     def test_weighted_solve_matches_highs_beyond_brute_force(self, topology, policy, n):
-        # normalization bounds from HiGHS, so only the weighted solve is the
-        # built-in solver's; it must prove its optimum well within the limit
+        # each of the four normalization solves and the weighted solve
+        # must prove HiGHS's optimum well within the limit; the weighted
+        # objective is scaled by HiGHS's normalization bounds
         spec = sg.GenSpec(task_count=n, structure="mixed", seed=1)
         graph = sg.generate(spec, tuple(topology.devices))
         reg, model = e.prepare(topology, graph, policy)
@@ -147,6 +148,9 @@ class TestAgainstHighs:
         for kind, sign, aux in normalization_models(reg, model):
             status, optimum = scipy_milp(aux)
             assert status == 0, kind
+            sol = solve_builtin(aux, SolverOptions(time_limit=10.0))
+            assert sol.status is SolverStatus.OPTIMAL, kind
+            assert sol.objective == pytest.approx(optimum, rel=1e-9, abs=1e-9), kind
             extremes[kind] = sign * optimum
         bounds = NormalizationBounds(**extremes)
         weighted = weighted_objective(reg, model, ObjectiveWeights(0.5, 0.5), bounds)

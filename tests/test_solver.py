@@ -2,28 +2,37 @@
 
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ehcalloc as e
+import ehcalloc.synthgen as sg
 from conftest import scipy_milp, small_instance
 from ehcalloc.bilp import (
     ArcVar,
     BilpModel,
     CandidateVar,
+    LinearConstraint,
     ObjectiveWeights,
     SetVar,
     VariableCatalog,
     normalization_bounds,
     objective_latency,
+    objective_reliability,
     weighted_objective,
 )
-from ehcalloc.model import TaskSpec, WorkflowGraph
+from ehcalloc.model import Device, TaskSpec, Topology, WorkflowGraph
 from ehcalloc.oracle import brute_force, oracle_bounds
 from ehcalloc.pipeline import assignment_from_picks, chosen_candidates
 from ehcalloc.solver import (
     SolverOptions,
     SolverStatus,
+    _kelley_master,
     _TaskChoiceSearch,
     solve_builtin,
     verify,
@@ -138,10 +147,10 @@ class TestOptimality:
         ref = brute_force(reg, HALF, normalization_bounds(reg, weighted, None))
         assert list(sol.choices) == list(ref.choices) == [0, 0]
 
-    def test_tree_leaf_replaces_a_tying_greedy_incumbent(self):
-        # t1 -> t2 on devices a/b: own terms favour t1@b, so the greedy warm
-        # start picks (t1@b, t2@a); the arc term a->a makes (t1@a, t2@a)
-        # tie it exactly, and that earlier vector must win
+    def test_lex_smallest_optimum_wins_whatever_the_search_order(self):
+        # t1 -> t2 on devices a/b: the own term favours t2@b, so the search
+        # reaches (t1@a, t2@b) first; the arc term a->a makes (t1@a, t2@a)
+        # tie it exactly, and that lexicographically smaller vector must win
         cat = VariableCatalog(
             ["t1", "t2"],
             [CandidateVar(v, t, d, (), f"{t}@{d}")
@@ -149,12 +158,21 @@ class TestOptimality:
             [ArcVar(4 + v, "t1", k, "t2", l)
              for v, (k, l) in enumerate(itertools.product("ab", "ab"))],
             [SetVar(8 + v, t, d) for v, (t, d) in enumerate(itertools.product(("t1", "t2"), "ab"))])
-        model = BilpModel(cat, [], {1: 1.0, 4: 1.0})
+        model = BilpModel(cat, [], {3: 1.0, 4: 1.0})
         scores = {picks: model.objective_value(cat.vector(picks))
                   for picks in itertools.product(*cat.options)}
-        assert sorted(p for p, g in scores.items() if g == 1.0) == [(0, 2), (1, 2), (1, 3)]
-        sol = solve_builtin(model)
+        assert sorted(p for p, g in scores.items() if g == 1.0) == [(0, 2), (0, 3), (1, 3)]
+        leaves = []
+
+        class Tracing(_TaskChoiceSearch):
+            def _accept_leaf(self):
+                leaves.append(tuple(self.chosen))
+                super()._accept_leaf()
+
+        sol = Tracing(model, SolverOptions()).run()
+        assert leaves[0] == (0, 1)
         assert sol.objective == 1.0 and list(sol.choices) == [0, 0]
+        assert list(solve_builtin(model).choices) == [0, 0]
 
     def test_verify_flags_corrupted_assignments(self, workflow, topology, policy):
         _, weighted = build_weighted(workflow, topology, policy)
@@ -170,8 +188,8 @@ class TestOptimality:
         frac[flip] = 0.5
         assert any("not binary" in v for v in verify(weighted, frac))
 
-    def test_greedy_start_never_degrades_the_optimum(self, topology):
-        # seeds with tight budgets exercise the warm start's undo paths
+    def test_tight_budgets_keep_the_brute_force_optimum(self, topology):
+        # seeds with tight budgets exercise the multipliers and the undo paths
         for seed in (1, 3, 5):
             topo, graph, policy = small_instance(topology, seed)
             reg, model = e.prepare(topo, graph, policy)
@@ -186,15 +204,25 @@ class TestOptimality:
 
 
 def root_bounds(model):
-    """The search's root bound after diffusion, and the plain separable
-    bound of the original coefficients."""
+    """The search's root bound (budget rows dualized, then diffusion),
+    the bound of diffusion alone (zero multipliers), and the plain
+    separable bound of the original coefficients."""
     search = _TaskChoiceSearch(model, SolverOptions())
-    search._reparametrize()
-    plain = (sum(max(r["obj"] for r in records) for records in search.cand_records)
-             + sum(max(search.obj.get(var, 0.0) for row in src.values() for var in row.values())
+    zero = search._relax([0.0] * len(search.lay.dual_rows)).bound
+    root = search._multipliers().bound
+    plain = (sum(max(terms) for terms in search.cobj)
+             + sum(max(model.objective.get(var, 0.0) for row in src.values() for var in row.values())
                    for src, _ in model.catalog.ends))
-    return (search.rpartial + search.future + model.objective_offset,
-            plain + model.objective_offset)
+    return tuple(b + model.objective_offset for b in (root, zero, plain))
+
+
+def starved_fixture(topology, workflow, policy):
+    """The fixture with a one-byte edge memory: the pinned t1 cannot fit."""
+    starved = Topology(
+        [d if d.id != "e" else Device(**{**d.__dict__, "memory_budget": 1.0})
+         for d in topology.devices],
+        list(topology.channels.values()), dict(topology.relays))
+    return e.prepare(starved, workflow, policy)
 
 
 class TestReparametrizedBound:
@@ -209,13 +237,117 @@ class TestReparametrizedBound:
                  (model.with_objective(objective_latency(reg, model.catalog)),
                   extremes.lat_max)]
         for aux, optimum in cases:
-            root, plain = root_bounds(aux)
-            assert optimum - 1e-9 <= root <= plain
+            root, zero, plain = root_bounds(aux)
+            assert optimum - 1e-9 <= root <= zero <= plain
 
     def test_fixture_root_bound_against_highs(self, workflow, topology, policy):
         pytest.importorskip("scipy.optimize", reason="scipy unavailable")
         reg, weighted = build_weighted(workflow, topology, policy)
         status, optimum = scipy_milp(weighted)
         assert status == 0
-        root, plain = root_bounds(weighted)
+        root, _, plain = root_bounds(weighted)
         assert optimum - 1e-9 <= root < plain
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_dualized_bound_closes_on_the_budgeted_optimum(self, topology, policy, n):
+        # the budget rows bind on the worst latency: diffusion alone stays
+        # near the LP without them, the multipliers bring it to the optimum
+        pytest.importorskip("scipy.optimize", reason="scipy unavailable")
+        graph = sg.generate(sg.GenSpec(task_count=n, structure="mixed", seed=1),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        lat_max = model.with_objective(objective_latency(reg, model.catalog))
+        status, optimum = scipy_milp(lat_max)
+        assert status == 0
+        root, zero, _ = root_bounds(lat_max)
+        assert optimum - 1e-9 <= root <= zero
+        if n == 40:
+            assert zero > 1.3 * optimum
+            assert root <= 1.01 * optimum
+
+    @pytest.mark.parametrize("excess", [0.0, 0.9e-9], ids=["exact", "within-tolerance"])
+    def test_budget_met_at_its_limit_keeps_its_optimum(self, topology, excess):
+        # every budget the brute-force optimum touches is cut to its usage,
+        # or to just below it within the row tolerance: the optimum stays
+        # feasible only up to row_cap, so the dualized constant must be
+        # taken at row_cap, not at rhs, for the bound to cover it
+        topo, graph, policy = small_instance(topology, 1)
+        reg, model = e.prepare(topo, graph, policy)
+        lat_max = model.with_objective(objective_latency(reg, model.catalog))
+        cat = lat_max.catalog
+        best = max((picks for picks in itertools.product(*cat.options)
+                    if not verify(lat_max, cat.vector(picks))),
+                   key=lambda picks: lat_max.objective_value(cat.vector(picks)))
+        x = cat.vector(best)
+        optimum = lat_max.objective_value(x)
+        budget_rows = {id(row) for row in lat_max.budget[0]}
+        rows = [LinearConstraint(row.coeffs, row.sense, row.lhs(x) / (1.0 + excess), row.tag)
+                if id(row) in budget_rows and row.lhs(x) > 0 else row
+                for row in lat_max.constraints]
+        tight = BilpModel(cat, rows, lat_max.objective, lat_max.objective_offset)
+        root, zero, _ = root_bounds(tight)
+        assert optimum - 1e-12 * max(1.0, abs(optimum)) <= root < zero
+        sol = solve_builtin(tight)
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.objective == pytest.approx(optimum, abs=1e-9)
+        assert [opts[k] for opts, k in zip(cat.options, sol.choices)] == list(best)
+
+
+class TestKelleyMaster:
+    def test_master_matches_highs(self):
+        # random cut sets, slopes with exact zeros and ones as the search
+        # produces them; the master's optimum and its argument must agree
+        optimize = pytest.importorskip("scipy.optimize", reason="scipy unavailable")
+        rng = random.Random(0)
+        for _ in range(60):
+            n_rows, n_cuts = rng.randint(1, 8), rng.randint(1, 30)
+            cuts = [(rng.uniform(-100.0, 1000.0),
+                     [rng.choice([rng.uniform(-5.0, 1.0), 0.0, 1.0]) for _ in range(n_rows)])
+                    for _ in range(n_cuts)]
+            upper = [rng.uniform(1.0, 2000.0)] * n_rows
+            theta, lam = _kelley_master(cuts, upper)
+            res = optimize.linprog(
+                [1.0] + [0.0] * n_rows,
+                A_ub=[[-1.0] + slope for _, slope in cuts], b_ub=[-a for a, _ in cuts],
+                bounds=[(None, None)] + [(0.0, u) for u in upper], method="highs")
+            assert res.status == 0
+            assert all(0.0 <= v <= u for v, u in zip(lam, upper))
+            at_lam = max(a + sum(g * v for g, v in zip(slope, lam)) for a, slope in cuts)
+            assert theta == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+            assert at_lam == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+
+
+class TestSearchOrder:
+    def test_pinned_task_that_cannot_fit_fails_at_the_root(self, topology, workflow,
+                                                           policy):
+        reg, model = starved_fixture(topology, workflow, policy)
+        for coeffs in (objective_latency(reg, model.catalog),
+                       objective_reliability(reg, model.catalog)):
+            # the limit only turns a search that missed the pin into a failure
+            sol = solve_builtin(model.with_objective(coeffs), SolverOptions(time_limit=5.0))
+            assert sol.status is SolverStatus.INFEASIBLE
+            assert sol.nodes <= len(workflow.tasks)
+
+    def test_search_repeats_exactly(self, topology, policy):
+        graph = sg.generate(sg.GenSpec(task_count=20, structure="mixed", seed=1),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        lat_max = model.with_objective(objective_latency(reg, model.catalog))
+        first, again = solve_builtin(lat_max), solve_builtin(lat_max)
+        assert (first.objective, first.choices, first.nodes, first.bound) == \
+            (again.objective, again.choices, again.nodes, again.bound)
+
+    def test_solving_imports_no_scipy(self):
+        # scipy only checks the solver in tests; importing it at run time
+        # would raise the planner's resident memory by tens of MiB
+        src = str(Path(e.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, ehcalloc as e; "
+                "e.solve_allocation(e.reference_topology(), e.inspection_workflow(), "
+                "e.default_policy(), e.ObjectiveWeights(0.5, 0.5)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
