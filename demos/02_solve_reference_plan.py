@@ -47,7 +47,7 @@ for d in plan.devices:
 # ---------------------------------------------------------------------
 # An independent fault-injection simulation should agree with the
 # reliability the model reports, within sampling noise.
-picks = e.chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
+picks = ctx.model.catalog.picks(ctx.solution.assignment)
 p_hat, stderr = e.monte_carlo_reliability(ctx.reg, picks, samples=100_000,
                                           seed=0)
 print(f"\nsimulated reliability {p_hat:.6f} +/- {stderr:.6f}"

@@ -41,7 +41,6 @@ from .pipeline import (
     SweepResult,
     assignment_from_picks,
     baselines,
-    chosen_candidates,
     prepare,
     restrict_to_device,
     solve_allocation,
@@ -107,7 +106,6 @@ __all__ = [
     "build_eg",
     "build_model",
     "build_reg",
-    "chosen_candidates",
     "comm_latency",
     "comp_energy",
     "default_policy",

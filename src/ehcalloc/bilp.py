@@ -1,16 +1,16 @@
 """Binary integer linear program assembly over a candidate graph.
 
-Three variable families, in a fixed global order so exports and solves
+Two variable families, in a fixed global order so exports and solves
 are repeatable:
 
 * one binary per redundancy candidate (pick exactly one per task),
-* one binary per expanded arc (active when both endpoint placements are),
-* one binary per task-on-device placement (any candidate there chosen).
+* one binary per expanded arc (active when both endpoint picks are).
 
-Arcs are tied to placements by marginal rows: for a workflow arc u->v,
-the arcs leaving u on device k sum to u's placement on k, and the arcs
-entering v on device l sum to v's placement on l (the local polytope
-of max-sum labelling).  Budget rows charge each candidate column the
+Arcs are tied to candidates by marginal rows: for a workflow arc u->v,
+the arcs leaving u on device k sum to u's candidates with primary k,
+and the arcs entering v on device l sum to v's candidates with primary
+l (the local polytope of max-sum labelling, whose node marginals are
+these candidate sums).  Budget rows charge each candidate column the
 memory, storage and energy of all its replica slots on that device,
 summed slot by slot.
 
@@ -19,10 +19,10 @@ normalized end-to-end latency; normalization bounds come from four
 auxiliary single-objective solves over the same constraint set.
 
 :class:`VariableCatalog` also indexes the model as its one real
-decision, a candidate per task: per task its candidates, per candidate
-its placement, per workflow arc its task pair and, per arc side, its
-arc variables by device pair.  The rows, the solver and the pick/vector
-conversions all read that one index.
+decision, a candidate per task: per task its candidates, per workflow
+arc its task pair and, per arc side, its arc variables by device pair.
+The rows, the solver and the pick/vector conversions all read that one
+index.
 """
 
 from __future__ import annotations
@@ -60,13 +60,6 @@ class ArcVar:
     dst_dev: str
 
 
-@dataclass(frozen=True)
-class SetVar:
-    var: int
-    task: str
-    device: str
-
-
 class VariableCatalog:
     """Index of every binary variable and what it stands for."""
 
@@ -75,34 +68,25 @@ class VariableCatalog:
         task_order: list[str],
         candidates: list[CandidateVar],
         arcs: list[ArcVar],
-        sets: list[SetVar],
     ) -> None:
         self.task_order = list(task_order)
         self.candidates = list(candidates)
         self.arcs = list(arcs)
-        self.sets = list(sets)
-        self.n_vars = len(candidates) + len(arcs) + len(sets)
+        self.n_vars = len(candidates) + len(arcs)
 
         self.names: list[str] = [""] * self.n_vars
         for c in self.candidates:
             self.names[c.var] = f"C{c.var}"
         for a in self.arcs:
             self.names[a.var] = f"A{a.var}"
-        for s in self.sets:
-            self.names[s.var] = f"S{s.var}"
 
-        self.set_var: dict[tuple[str, str], SetVar] = {(s.task, s.device): s for s in self.sets}
-
-        # the model's one real decision is a candidate per task; a pick
-        # sets its placement, and two adjacent picks set the arc between
+        # the model's one real decision is a candidate per task; two
+        # adjacent picks set the arc between them
         task_pos = {t: k for k, t in enumerate(self.task_order)}
         #: per task, the positions of its candidates in :attr:`candidates`
         self.options: list[list[int]] = [[] for _ in self.task_order]
-        #: per candidate position, its placement variable
-        self.placement: list[int] = []
         for i, c in enumerate(self.candidates):
             self.options[task_pos[c.task]].append(i)
-            self.placement.append(self.set_var[(c.task, c.primary)].var)
         #: per workflow arc, its (source, destination) task positions
         self.pairs: list[tuple[int, int]] = []
         #: per workflow arc and side (0 = source, 1 = destination): this
@@ -133,7 +117,7 @@ class VariableCatalog:
             if c.task in primary:
                 raise ValueError(f"two candidates picked for task {c.task}")
             primary[c.task] = c.primary
-            x[c.var] = x[self.placement[i]] = 1
+            x[c.var] = 1
         missing = [t for t in self.task_order if t not in primary]
         if missing:
             raise ValueError(f"no candidate picked for tasks {missing}")
@@ -156,7 +140,6 @@ class VariableCatalog:
         return {
             "candidate": len(self.candidates),
             "arc": len(self.arcs),
-            "placement": len(self.sets),
             # replica slots fold into candidates; perfbench/tracing.py reads this key
             "replica": 0,
             "total": self.n_vars,
@@ -175,9 +158,6 @@ class VariableCatalog:
                  "dst_task": a.dst_task, "dst_dev": a.dst_dev}
                 for a in self.arcs
             ],
-            "placements": [
-                {"var": s.var, "task": s.task, "device": s.device} for s in self.sets
-            ],
         }
 
     @classmethod
@@ -190,7 +170,6 @@ class VariableCatalog:
             arcs=[ArcVar(d["var"], d["src_task"], d["src_dev"],
                          d["dst_task"], d["dst_dev"])
                   for d in data["arcs"]],
-            sets=[SetVar(d["var"], d["task"], d["device"]) for d in data["placements"]],
         )
 
 
@@ -228,36 +207,24 @@ class BilpModel:
         return self._shared[key]
 
     @property
-    def budget(self) -> tuple[list[LinearConstraint], dict[int, tuple[tuple[int, float], ...]]]:
-        """The monotone ``<=`` rows (the budgets), and per candidate and
-        arc variable its ``(row, coeff)`` pairs, ``row`` indexing them.
+    def budget(self) -> tuple[list[LinearConstraint], list[list[tuple[int, float]]]]:
+        """The monotone ``<=`` rows (the budgets), and per variable its
+        nonzero ``(row, coeff)`` pairs, ``row`` indexing them.
 
-        A candidate folds the coefficients of its own and its placement
-        variable into one pair per row they touch.  Only these rows are
-        read, so models read back from MPS, or with rows dropped, work
-        the same.  Only the search needs the fold, so it is built on
-        first use.
+        Only these rows are read, so models read back from MPS, or with
+        rows dropped, work the same.  Only the search needs the index, so
+        it is built on first use.
         """
-        return self.shared("budget", self._fold_budget)
+        return self.shared("budget", self._index_budget)
 
-    def _fold_budget(self):
+    def _index_budget(self):
         rows = [row for row in self.constraints
                 if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
-        var_rows: dict[int, list[tuple[int, float]]] = {}
+        pairs: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vars)]
         for pos, row in enumerate(rows):
             for v, c in row.coeffs.items():
                 if c:
-                    var_rows.setdefault(v, []).append((pos, c))
-        cat = self.catalog
-        pairs: dict[int, tuple[tuple[int, float], ...]] = {}
-        for c, placement in zip(cat.candidates, cat.placement):
-            fold: dict[int, float] = {}
-            for v in (c.var, placement):
-                for pos, coeff in var_rows.get(v, ()):
-                    fold[pos] = fold.get(pos, 0.0) + coeff
-            pairs[c.var] = tuple(fold.items())
-        for a in cat.arcs:
-            pairs[a.var] = tuple(var_rows.get(a.var, ()))
+                    pairs[v].append((pos, c))
         return rows, pairs
 
     def objective_value(self, x) -> float:
@@ -280,11 +247,7 @@ def build_catalog(reg: CandidateGraph) -> VariableCatalog:
     for a in reg.arcs:
         arcs.append(ArcVar(n, a.src_task, a.src_dev, a.dst_task, a.dst_dev))
         n += 1
-    sets: list[SetVar] = []
-    for task_id, dev in reg.eg.nodes:
-        sets.append(SetVar(n, task_id, dev))
-        n += 1
-    return VariableCatalog(reg.graph.task_ids, candidates, arcs, sets)
+    return VariableCatalog(reg.graph.task_ids, candidates, arcs)
 
 
 def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[LinearConstraint]:
@@ -298,25 +261,19 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
         coeffs = {cands[i].var: 1.0 for i in options}
         rows.append(LinearConstraint(coeffs, "=", 1.0, f"choose_one[{task_id}]"))
 
-    # placement active iff one of its candidates picked
-    cand_by_set: dict[tuple[str, str], list[CandidateVar]] = {}
-    for c in catalog.candidates:
-        cand_by_set.setdefault((c.task, c.primary), []).append(c)
-    for s in catalog.sets:
-        coeffs = {s.var: 1.0}
-        for c in cand_by_set.get((s.task, s.device), []):
-            coeffs[c.var] = -1.0
-        rows.append(LinearConstraint(coeffs, "=", 0.0, f"placement_link[{s.task},{s.device}]"))
-
     # marginal rows of each workflow arc u->v: the arcs leaving u@k sum to
-    # u's placement on k, the arcs entering v@l to v's placement on l
+    # u's candidates with primary k, the arcs entering v@l to v's on l
+    on_device: dict[tuple[str, str], list[int]] = {}
+    for c in cands:
+        on_device.setdefault((c.task, c.primary), []).append(c.var)
     devices_of = reg.eg.devices_of
     for (i, j), ends in zip(catalog.pairs, catalog.ends):
         src, dst = catalog.task_order[i], catalog.task_order[j]
         for side, task in enumerate((src, dst)):
             for k in devices_of[task]:
                 coeffs = {var: 1.0 for var in ends[side].get(k, {}).values()}
-                coeffs[catalog.set_var[(task, k)].var] = -1.0
+                for var in on_device.get((task, k), ()):
+                    coeffs[var] = -1.0
                 tag = f"arc_src[{src}@{k}->{dst}]" if side == 0 else f"arc_dst[{src}->{dst}@{k}]"
                 rows.append(LinearConstraint(coeffs, "=", 0.0, tag))
 
@@ -451,6 +408,20 @@ class NormalizationBounds:
                 "lat_min": self.lat_min, "lat_max": self.lat_max}
 
 
+def single_objective(reg: CandidateGraph, model: BilpModel, kind: str) -> BilpModel:
+    """``model`` with one raw objective alone, to be maximized.
+
+    ``kind`` is ``rel`` or ``lat`` followed by ``max`` or ``min``, joined
+    by ``_`` or ``-``, and is kept as the ``objective_kind``.  A ``min``
+    objective is maximized with its sign flipped; ``metadata["sign"]``
+    records the factor.
+    """
+    raw = objective_reliability if kind.startswith("rel") else objective_latency
+    sign = 1.0 if kind.endswith("max") else -1.0
+    return model.with_objective({v: sign * c for v, c in raw(reg, model.catalog).items()},
+                                objective_kind=kind, sign=sign)
+
+
 def normalization_bounds(reg: CandidateGraph, model: BilpModel, options=None) -> NormalizationBounds:
     """Best and worst reachable value of each raw objective.
 
@@ -459,25 +430,20 @@ def normalization_bounds(reg: CandidateGraph, model: BilpModel, options=None) ->
     """
     from .solver import SolverStatus, solve_builtin
 
-    rel = objective_reliability(reg, model.catalog)
-    lat = objective_latency(reg, model.catalog)
-
-    def extreme(coeffs: dict[int, float], maximize: bool, kind: str) -> float:
-        sign = 1.0 if maximize else -1.0
-        aux = model.with_objective({v: sign * c for v, c in coeffs.items()},
-                                   objective_kind=kind)
+    def extreme(kind: str) -> float:
+        aux = single_objective(reg, model, kind)
         sol = solve_builtin(aux, options)
         if sol.status is SolverStatus.TIME_LIMIT:
             raise TimeLimitError(f"normalization solve {kind} hit the time limit")
         if sol.status is not SolverStatus.OPTIMAL:
             raise InfeasibleError(f"normalization solve {kind} ended {sol.status.name}")
-        return sign * sol.objective
+        return aux.metadata["sign"] * sol.objective
 
     return NormalizationBounds(
-        rel_max=extreme(rel, True, "rel_max"),
-        rel_min=extreme(rel, False, "rel_min"),
-        lat_max=extreme(lat, True, "lat_max"),
-        lat_min=extreme(lat, False, "lat_min"),
+        rel_max=extreme("rel_max"),
+        rel_min=extreme("rel_min"),
+        lat_max=extreme("lat_max"),
+        lat_min=extreme("lat_min"),
     )
 
 

@@ -21,8 +21,7 @@ from .bilp import (
     ObjectiveWeights,
     model_stats,
     normalization_bounds,
-    objective_latency,
-    objective_reliability,
+    single_objective,
     weighted_objective,
 )
 from .model import validate_workflow
@@ -46,7 +45,8 @@ def _load_inputs(args):
     if getattr(args, "w_rel", None) is not None:
         scenario.weights = ObjectiveWeights(args.w_rel, 1.0 - args.w_rel)
     if getattr(args, "time_limit", None) is not None:
-        scenario.solver.time_limit = args.time_limit
+        # a fresh options object, so that its checks run on the flag's value
+        scenario.solver = SolverOptions(time_limit=args.time_limit)
     report = validate_workflow(graph, topology)
     if not report.ok:
         raise io.ConfigError("workflow validation failed:\n  " +
@@ -251,13 +251,8 @@ def cmd_export_mps(args) -> int:
             bounds = normalization_bounds(reg, model, scenario.solver)
         target = weighted_objective(reg, model, scenario.weights, bounds)
     else:
-        # auxiliary objectives for computing normalization bounds externally;
-        # all exported as maximizations, *_min via sign flip
-        coeffs = (objective_reliability(reg, model.catalog) if "rel" in kind
-                  else objective_latency(reg, model.catalog))
-        sign = 1.0 if kind.endswith("max") else -1.0
-        target = model.with_objective({v: sign * c for v, c in coeffs.items()},
-                                      objective_kind=kind, sign=sign)
+        # auxiliary objectives for computing normalization bounds externally
+        target = single_objective(reg, model, kind)
     written = export_mps(target, args.out)
     stats = model_stats(target)
     sidecar = written.with_name(written.stem + ".columns.json")

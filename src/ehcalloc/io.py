@@ -163,10 +163,13 @@ def load_scenario(path: str | Path) -> Scenario:
     gap = s.get("absolute_gap", 0)
     if gap != 0:
         raise ConfigError(f"{path}: absolute_gap must be 0, got {gap!r}")
-    options = SolverOptions(
-        time_limit=(None if s.get("time_limit_s") is None
-                    else float(s["time_limit_s"])),
-    )
+    try:
+        options = SolverOptions(
+            time_limit=(None if s.get("time_limit_s") is None
+                        else float(s["time_limit_s"])),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return Scenario(policy, weights, options)
 
 

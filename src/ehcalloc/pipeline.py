@@ -91,40 +91,27 @@ def prepare(topology: Topology, graph: WorkflowGraph,
     return reg, build_model(reg)
 
 
-def chosen_candidates(reg: CandidateGraph, model: BilpModel,
-                      assignment: list[int]) -> list[int]:
-    """Candidate indexes (one per task, in task order) picked by an assignment."""
-    return model.catalog.picks(assignment)
-
-
 def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
                           picks: list[int]) -> list[int]:
     """Full binary vector implied by one candidate index per task.
 
-    Inverse of :func:`chosen_candidates`: sets the candidate and
-    placement variables for each pick and activates the unique arc
-    between each pair of chosen placements.
+    Inverse of ``model.catalog.picks``: sets the candidate variable of
+    each pick and activates the unique arc between each pair of picks.
     """
     return model.catalog.vector(picks)
 
 
 def _device_usage(reg: CandidateGraph, cands: list[CandidateNode],
                   arcs: list[ArcVar]) -> list[dict]:
-    """Per-device budget usage of the chosen candidates and arcs.
-
-    Sums replica slot by replica slot, then arc by arc.  A device on
-    which no candidate of the graph places a slot reports integer ``0``
-    memory and storage, as plan files always have.
-    """
-    hosts = {dev for c in reg.candidates for _slot, dev, _j in c.per_replica_energy}
+    """Per-device budget usage of the chosen candidates and arcs, summed
+    from ``0.0`` replica slot by replica slot, then arc by arc."""
     usage: dict[str, dict] = {}
     for d in reg.topology.devices:
-        zero = 0.0 if d.id in hosts else 0
         usage[d.id] = {
             "device": d.id,
-            "memory_bytes": zero, "memory_budget_bytes": d.memory_budget,
-            "storage_bytes": zero, "storage_budget_bytes": d.storage_budget,
-            "energy_j": 0.0 if d.energy_unbounded else zero,
+            "memory_bytes": 0.0, "memory_budget_bytes": d.memory_budget,
+            "storage_bytes": 0.0, "storage_budget_bytes": d.storage_budget,
+            "energy_j": 0.0,
             "energy_budget_j": None if d.energy_unbounded else d.energy_budget,
         }
     for cand in cands:
@@ -159,7 +146,7 @@ def extract_plan(
     if solution.assignment is None:
         return plan
     x = solution.assignment
-    picks = chosen_candidates(reg, model, x)
+    picks = model.catalog.picks(x)
     cands = [reg.candidates[i] for i in picks]
     f_rel, f_lat = oracle.raw_objectives(reg, cands)
     plan.f_rel = f_rel
@@ -324,7 +311,7 @@ def _sweep_point(reg: CandidateGraph, model: BilpModel, options: SolverOptions |
         "reliability": plan.reliability,
     }
     if ctx.solution.assignment is not None:
-        picks = chosen_candidates(reg, model, ctx.solution.assignment)
+        picks = model.catalog.picks(ctx.solution.assignment)
         row.update(_share_stats(reg, [reg.candidates[i] for i in picks]))
     return row
 

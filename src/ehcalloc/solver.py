@@ -2,9 +2,9 @@
 
 The built-in solver is a deterministic branch-and-bound over the one
 real degree of freedom the model has: which redundancy candidate each
-task picks.  The placement and arc variables are implied by that
-choice, so the search fixes one task per level and prunes monotone
-budget rows incrementally.
+task picks.  The arc variables are implied by that choice, so the
+search fixes one task per level and prunes monotone budget rows
+incrementally.
 
 The bound is a separable relaxation of a dualized, reparametrized
 objective: each open task takes its best candidate, each open arc its
@@ -75,6 +75,12 @@ class SolverStatus(enum.Enum):
 class SolverOptions:
     time_limit: float | None = None       # seconds of wall time
 
+    def __post_init__(self) -> None:
+        # a NaN deadline never passes, and a negative one has passed already
+        if self.time_limit is not None and not self.time_limit >= 0.0:
+            raise ValueError(f"time limit must be a non-negative number of seconds, "
+                             f"got {self.time_limit!r}")
+
 
 @dataclass
 class Solution:
@@ -118,19 +124,18 @@ class _Layout:
         #: the rows the bound dualizes: a finite positive rhs and a coefficient
         self.dual_rows = [r for r, row in enumerate(rows)
                           if 0.0 < row.rhs < math.inf and any(row.coeffs.values())]
-        #: per task, per candidate: primary device, folded budget pairs,
-        #: candidate and placement variable
-        self.cands: list[list[tuple[str, tuple, int, int]]] = []
+        #: per task, per candidate: primary device and budget pairs
+        self.cands: list[list[tuple[str, list]]] = []
         for t, positions in zip(cat.task_order, cat.options):
             if not positions:
                 raise ValueError(f"task {t} has no candidates")
-            self.cands.append([(cat.candidates[i].primary, self.budget[cat.candidates[i].var],
-                                cat.candidates[i].var, cat.placement[i]) for i in positions])
+            self.cands.append([(cat.candidates[i].primary, self.budget[cat.candidates[i].var])
+                               for i in positions])
         #: tasks with a single candidate; the search fixes them first, so a
         #: pinned task that cannot fit fails at the root
         self.forced = {t for t, recs in enumerate(self.cands) if len(recs) == 1}
         #: per task, its candidates' primary devices in first-seen order
-        self.devices = [list(dict.fromkeys(primary for primary, *_ in recs))
+        self.devices = [list(dict.fromkeys(primary for primary, _ in recs))
                         for recs in self.cands]
         #: diffusion groups, in task order: a task, one of its primary
         #: devices, its candidates there, and per incident arc side the
@@ -177,9 +182,9 @@ class _TaskChoiceSearch:
         self.obj = obj = model.objective
         self.lay = lay = _layout(model)
         self.n_tasks = len(cat.task_order)
-        # per task, its candidates' objective terms (candidate and placement)
-        self.cobj = [[obj.get(cvar, 0.0) + obj.get(pvar, 0.0) for _, _, cvar, pvar in recs]
-                     for recs in lay.cands]
+        # per task, its candidates' objective terms
+        self.cobj = [[obj.get(cat.candidates[i].var, 0.0) for i in positions]
+                     for positions in cat.options]
 
         # mutable search state; the bounds are set by run()
         self.fixed_dev: list[str | None] = [None] * self.n_tasks
@@ -224,7 +229,7 @@ class _TaskChoiceSearch:
         for r, value in zip(lay.dual_rows, lam):
             weight[r] = value / lay.rhs[r]
         cval = [[value - sum(weight[r] * coeff for r, coeff in rows)
-                 for value, (_, rows, _, _) in zip(values, recs)]
+                 for value, (_, rows) in zip(values, recs)]
                 for values, recs in zip(self.cobj, lay.cands)]
         aval = {a.var: obj.get(a.var, 0.0) - sum(weight[r] * coeff for r, coeff in lay.budget[a.var])
                 for a in cat.arcs}
@@ -250,7 +255,7 @@ class _TaskChoiceSearch:
         # per task and primary device, the mass its arcs moved in
         gains = [{dev: sum(msgs[p][s].get(dev, 0.0) for p, s, _ in incident) for dev in devices}
                  for devices, incident in zip(lay.devices, cat.incident)]
-        crobj = [[value + gain[primary] for value, (primary, *_) in zip(values, recs)]
+        crobj = [[value + gain[primary] for value, (primary, _) in zip(values, recs)]
                  for values, recs, gain in zip(cval, lay.cands, gains)]
         arobj: dict[int, float] = {}
         arc_max = []
@@ -272,13 +277,13 @@ class _TaskChoiceSearch:
         usage = [0.0] * len(lay.rhs)
         primary = []
         for terms, recs in zip(relax.crobj, lay.cands):
-            dev, rows, _, _ = recs[max(range(len(terms)), key=terms.__getitem__)]
+            dev, rows = recs[max(range(len(terms)), key=terms.__getitem__)]
             primary.append(dev)
             for r, coeff in rows:
                 usage[r] += coeff
         for (i, j), (src, _) in zip(cat.pairs, cat.ends):
             var = src.get(primary[i], {}).get(primary[j])
-            for r, coeff in lay.budget.get(var, ()):
+            for r, coeff in lay.budget[var] if var is not None else ():
                 usage[r] += coeff
         return [(lay.row_cap[r] - usage[r]) / lay.rhs[r] for r in lay.dual_rows]
 
@@ -330,7 +335,7 @@ class _TaskChoiceSearch:
         self.order = sorted(range(self.n_tasks),
                             key=lambda t: (t not in self.lay.forced, -spread[t]))
         self.children = [sorted(((k, primary, rows, term)
-                                 for k, ((primary, rows, _, _), term) in enumerate(zip(recs, terms))),
+                                 for k, ((primary, rows), term) in enumerate(zip(recs, terms))),
                                 key=lambda child: -child[3])
                          for recs, terms in zip(self.lay.cands, relax.crobj)]
 

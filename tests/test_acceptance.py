@@ -29,7 +29,6 @@ from ehcalloc.io import dump_workflow
 from ehcalloc.oracle import brute_force, monte_carlo_reliability
 from ehcalloc.pipeline import (
     baselines,
-    chosen_candidates,
     prepare,
     solve_allocation,
     sweep,
@@ -166,7 +165,7 @@ def test_05_simulated_reliability_matches_the_model(report, topology,
         plan, ctx = solve_allocation(topology, workflow, policy,
                                      ObjectiveWeights(w, 1.0 - w),
                                      bounds=bounds)
-        picks = chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
+        picks = ctx.model.catalog.picks(ctx.solution.assignment)
         p_hat, stderr = monte_carlo_reliability(ctx.reg, picks,
                                                 samples=100_000, seed=100 + i)
         n_plans += 1

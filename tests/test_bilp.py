@@ -41,22 +41,22 @@ def reg_model():
 
 
 class TestCatalog:
-    def test_variable_layout_candidates_arcs_sets(self, reg_model):
+    def test_variable_layout_candidates_then_arcs(self, reg_model):
         reg, model = reg_model
         cat = model.catalog
-        n_c, n_a, n_s = len(cat.candidates), len(cat.arcs), len(cat.sets)
+        n_c, n_a = len(cat.candidates), len(cat.arcs)
         assert [c.var for c in cat.candidates] == list(range(n_c))
         assert [a.var for a in cat.arcs] == list(range(n_c, n_c + n_a))
-        assert [s.var for s in cat.sets] == list(range(n_c + n_a, n_c + n_a + n_s))
-        assert cat.n_vars == n_c + n_a + n_s
-        assert not any(n.startswith("P") for n in cat.names)
+        assert cat.n_vars == n_c + n_a
+        assert cat.category_counts == {"candidate": n_c, "arc": n_a, "replica": 0,
+                                       "total": n_c + n_a}
+        assert not any(n.startswith(("P", "S")) for n in cat.names)
 
     def test_names_encode_category(self, reg_model):
         _, model = reg_model
         cat = model.catalog
         assert cat.names[cat.candidates[0].var].startswith("C")
         assert cat.names[cat.arcs[0].var].startswith("A")
-        assert cat.names[cat.sets[0].var].startswith("S")
         assert len(set(cat.names)) == cat.n_vars
         assert all(len(n) <= 8 for n in cat.names)
 
@@ -105,17 +105,13 @@ class TestConstraints:
             assert all(c == 1.0 for c in row.coeffs.values())
             assert row.sense == "=" and row.rhs == 1.0
 
-    def test_placement_links_sum_of_candidates(self, reg_model):
-        reg, model = reg_model
-        for row in rows_by_kind(model, "placement_link"):
-            # x_set - sum(candidates there) = 0
-            assert row.sense == "=" and row.rhs == 0.0
-            assert sorted(row.coeffs.values()).count(1.0) == 1
-
     def test_marginal_rows_link_arcs_to_placements(self, reg_model):
-        # t1 runs on e or h, t2 on h or c: one row per endpoint device
+        # t1 runs on e or h, t2 on h or c: one row per endpoint device, and
+        # it takes -1 on every candidate of that task with that primary
         _, model = reg_model
         cat = model.catalog
+        assert {r.tag.split("[", 1)[0] for r in model.constraints} == {
+            "choose_one", "arc_src", "arc_dst", "memory", "storage", "energy"}
         rows = rows_by_kind(model, "arc_src") + rows_by_kind(model, "arc_dst")
         assert [r.tag for r in rows] == ["arc_src[t1@e->t2]", "arc_src[t1@h->t2]",
                                          "arc_dst[t1->t2@h]", "arc_dst[t1->t2@c]"]
@@ -124,7 +120,9 @@ class TestConstraints:
             assert row.sense == "=" and row.rhs == 0.0
             want = {a.var: 1.0 for a in cat.arcs
                     if (task, dev) in ((a.src_task, a.src_dev), (a.dst_task, a.dst_dev))}
-            want[cat.set_var[(task, dev)].var] = -1.0
+            cands = [c.var for c in cat.candidates if (c.task, c.primary) == (task, dev)]
+            assert cands
+            want.update(dict.fromkeys(cands, -1.0))
             assert row.coeffs == want
 
     def test_verify_flags_arcs_that_disagree_with_placements(self, reg_model):

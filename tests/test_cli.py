@@ -81,6 +81,15 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("time limit: ")
 
     @SOLVING_COMMANDS
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    def test_bad_time_limit_exits_one(self, argv, limit, workdir, capsys):
+        # a NaN deadline would never pass, a negative one would read as
+        # time already up
+        args = [a.format(dir=workdir) for a in argv]
+        assert run(*args, "--time-limit", limit) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: time limit must be")
+
+    @SOLVING_COMMANDS
     def test_infeasible_system_exits_two(self, argv, workdir, topology, workflow,
                                          capsys):
         starved = Topology(
@@ -250,6 +259,17 @@ def test_nan_in_a_workflow_file_exits_one_without_traceback(workdir):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_BAD_INPUT
     assert "validation failed" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_nan_time_limit_in_a_scenario_exits_one_without_traceback(workdir):
+    scenario = workdir / "nan_limit.json"
+    scenario.write_text('{"solver": {"time_limit_s": NaN}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "ehcalloc.cli", "solve", "--scenario", str(scenario)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr.startswith("error: ") and "time limit must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_script_is_wired():

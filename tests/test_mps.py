@@ -1,5 +1,6 @@
 """MPS interchange: write, read back, solve externally, import solutions."""
 
+import json
 import math
 
 import pytest
@@ -11,8 +12,7 @@ from ehcalloc.bilp import (
     NormalizationBounds,
     ObjectiveWeights,
     normalization_bounds,
-    objective_latency,
-    objective_reliability,
+    single_objective,
     weighted_objective,
 )
 from ehcalloc.solver import (
@@ -53,6 +53,32 @@ class TestRoundTrip:
         orphan.write_text(path.read_text())
         with pytest.raises(FileNotFoundError):
             read_mps(orphan)
+
+    def test_export_with_placement_columns_is_rejected(self, tmp_path):
+        # a model exported before the placement variables were dropped:
+        # one task, its candidate C0, its placement S1 and their link row
+        old = tmp_path / "old.mps"
+        old.write_text("\n".join([
+            "NAME          EHCALLOC", "OBJSENSE", "    MAXIMIZE", "ROWS", " N  OBJ",
+            " E  R0", " E  R1", "COLUMNS",
+            "    C0        OBJ       1", "    C0        R0        1",
+            "    C0        R1        -1", "    S1        R1        1",
+            "RHS", "    RHS       R0        1",
+            "BOUNDS", " BV BND       C0", " BV BND       S1", "ENDATA"]) + "\n")
+        old.with_name("old.columns.json").write_text(json.dumps({
+            "catalog": {
+                "task_order": ["t1"],
+                "candidates": [{"var": 0, "task": "t1", "primary": "e",
+                                "replicas": [], "key": "t1@e"}],
+                "arcs": [],
+                "placements": [{"var": 1, "task": "t1", "device": "e"}],
+            },
+            "rows": {"R0": "choose_one[t1]", "R1": "placement_link[t1,e]"},
+            "objective_offset": 0.0,
+            "metadata": {"objective_kind": "rel-max", "sign": 1.0},
+        }))
+        with pytest.raises(ValueError, match="unknown column 'S1'"):
+            read_mps(old)
 
     def test_catalog_survives(self, weighted, round_trip):
         _, clone = round_trip
@@ -103,12 +129,9 @@ class TestExternalSolve:
 def normalization_models(reg, model):
     """The four auxiliary models behind the normalization bounds, as
     ``(kind, sign, model)``; each maximizes ``sign`` times its objective."""
-    rel = objective_reliability(reg, model.catalog)
-    lat = objective_latency(reg, model.catalog)
-    return [(kind, sign, model.with_objective({v: sign * c for v, c in coeffs.items()},
-                                              objective_kind=kind))
-            for kind, coeffs, sign in (("rel_max", rel, 1.0), ("rel_min", rel, -1.0),
-                                       ("lat_max", lat, 1.0), ("lat_min", lat, -1.0))]
+    return [(kind, aux.metadata["sign"], aux)
+            for kind in ("rel_max", "rel_min", "lat_max", "lat_min")
+            for aux in [single_objective(reg, model, kind)]]
 
 
 class TestAgainstHighs:

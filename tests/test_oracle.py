@@ -20,7 +20,7 @@ from ehcalloc.oracle import (
     oracle_bounds,
     raw_objectives,
 )
-from ehcalloc.pipeline import assignment_from_picks, chosen_candidates
+from ehcalloc.pipeline import assignment_from_picks
 from ehcalloc.solver import solve_builtin
 
 
@@ -129,7 +129,7 @@ class TestMonteCarlo:
         reg = fixture_reg
         sol = solve_builtin(build_model(reg).with_objective(
             objective_reliability(reg, build_model(reg).catalog)))
-        picks = chosen_candidates(reg, build_model(reg), sol.assignment)
+        picks = build_model(reg).catalog.picks(sol.assignment)
         exact = math.prod(reg.candidates[i].reliability for i in picks)
         p_hat, stderr = monte_carlo_reliability(reg, picks, samples=150_000,
                                                 seed=123)

@@ -11,7 +11,6 @@ from ehcalloc.oracle import monte_carlo_reliability, raw_objectives
 from ehcalloc.pipeline import (
     assignment_from_picks,
     baselines,
-    chosen_candidates,
     prepare,
     restrict_to_device,
     solve_allocation,
@@ -71,7 +70,7 @@ class TestSolveAllocation:
 
     def test_simulation_confirms_the_reported_reliability(self, solved):
         plan, ctx = solved
-        picks = chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
+        picks = ctx.model.catalog.picks(ctx.solution.assignment)
         p_hat, stderr = monte_carlo_reliability(ctx.reg, picks,
                                                 samples=120_000, seed=5)
         assert abs(p_hat - plan.reliability) <= 3.0 * max(stderr, 1e-6)
@@ -93,14 +92,14 @@ class TestSolveAllocation:
 class TestAssignmentConversions:
     def test_picks_round_trip_through_the_full_vector(self, solved):
         _, ctx = solved
-        picks = chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
+        picks = ctx.model.catalog.picks(ctx.solution.assignment)
         x = assignment_from_picks(ctx.reg, ctx.model, picks)
         assert x == ctx.solution.assignment
         assert verify(ctx.model, x) == []
 
     def test_raw_objectives_match_the_plan(self, solved):
         plan, ctx = solved
-        picks = chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
+        picks = ctx.model.catalog.picks(ctx.solution.assignment)
         f_rel, f_lat = raw_objectives(
             ctx.reg, [ctx.reg.candidates[i] for i in picks])
         assert f_rel == pytest.approx(plan.f_rel, rel=1e-12)
@@ -108,7 +107,7 @@ class TestAssignmentConversions:
 
     def test_rejects_wrong_pick_counts(self, solved):
         _, ctx = solved
-        picks = chosen_candidates(ctx.reg, ctx.model, ctx.solution.assignment)
+        picks = ctx.model.catalog.picks(ctx.solution.assignment)
         with pytest.raises(ValueError):
             assignment_from_picks(ctx.reg, ctx.model, picks[:-1])
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from ehcalloc.bilp import (
     CandidateVar,
     LinearConstraint,
     ObjectiveWeights,
-    SetVar,
     VariableCatalog,
     normalization_bounds,
     objective_latency,
@@ -28,7 +27,7 @@ from ehcalloc.bilp import (
 )
 from ehcalloc.model import Device, TaskSpec, Topology, WorkflowGraph
 from ehcalloc.oracle import brute_force, oracle_bounds
-from ehcalloc.pipeline import assignment_from_picks, chosen_candidates
+from ehcalloc.pipeline import assignment_from_picks
 from ehcalloc.solver import (
     SolverOptions,
     SolverStatus,
@@ -81,7 +80,7 @@ class TestStatuses:
         reg, weighted = build_weighted(single_choice_graph(), topology, policy)
         sol = solve_builtin(weighted)
         assert sol.status is SolverStatus.OPTIMAL
-        picks = chosen_candidates(reg, weighted, sol.assignment)
+        picks = weighted.catalog.picks(sol.assignment)
         assert [reg.candidates[i].key for i in picks] == ["only@h"]
         assert sol.nodes >= 1 and sol.wall_time >= 0.0
 
@@ -156,8 +155,7 @@ class TestOptimality:
             [CandidateVar(v, t, d, (), f"{t}@{d}")
              for v, (t, d) in enumerate(itertools.product(("t1", "t2"), "ab"))],
             [ArcVar(4 + v, "t1", k, "t2", l)
-             for v, (k, l) in enumerate(itertools.product("ab", "ab"))],
-            [SetVar(8 + v, t, d) for v, (t, d) in enumerate(itertools.product(("t1", "t2"), "ab"))])
+             for v, (k, l) in enumerate(itertools.product("ab", "ab"))])
         model = BilpModel(cat, [], {3: 1.0, 4: 1.0})
         scores = {picks: model.objective_value(cat.vector(picks))
                   for picks in itertools.product(*cat.options)}
