@@ -21,8 +21,9 @@ auxiliary single-objective solves over the same constraint set.
 :class:`VariableCatalog` also indexes the model as its one real
 decision, a candidate per task: per task its candidates, per workflow
 arc its task pair and, per arc side, its arc variables by device pair.
-The rows, the solver and the pick/vector conversions all read that one
-index.
+The rows, the exporter and the pick/vector conversions read that index;
+what only the search needs (the budget rows per variable, the arcs per
+task) it builds itself, in ``solver._Layout``.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ class VariableCatalog:
             src, dst = self.ends[p]
             src.setdefault(a.src_dev, {})[a.dst_dev] = a.var
             dst.setdefault(a.dst_dev, {})[a.src_dev] = a.var
-        #: per task, its workflow arcs as (arc, side, other task position)
-        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in self.task_order]
-        for p, (i, j) in enumerate(self.pairs):
-            self.incident[i].append((p, 0, j))
-            self.incident[j].append((p, 1, i))
 
     def vector(self, picks) -> list[int]:
         """The 0/1 vector of one candidate position per task, in any order."""
@@ -205,27 +201,6 @@ class BilpModel:
         if key not in self._shared:
             self._shared[key] = build()
         return self._shared[key]
-
-    @property
-    def budget(self) -> tuple[list[LinearConstraint], list[list[tuple[int, float]]]]:
-        """The monotone ``<=`` rows (the budgets), and per variable its
-        nonzero ``(row, coeff)`` pairs, ``row`` indexing them.
-
-        Only these rows are read, so models read back from MPS, or with
-        rows dropped, work the same.  Only the search needs the index, so
-        it is built on first use.
-        """
-        return self.shared("budget", self._index_budget)
-
-    def _index_budget(self):
-        rows = [row for row in self.constraints
-                if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
-        pairs: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vars)]
-        for pos, row in enumerate(rows):
-            for v, c in row.coeffs.items():
-                if c:
-                    pairs[v].append((pos, c))
-        return rows, pairs
 
     def objective_value(self, x) -> float:
         return sum(c * x[v] for v, c in self.objective.items()) + self.objective_offset

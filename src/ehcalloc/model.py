@@ -8,7 +8,7 @@ converts from the usual engineering units (Mbit/s, uJ/bit, GiB, Wh).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 #: Sentinel for devices whose energy budget is not constrained (mains power).
 UNBOUNDED = math.inf
@@ -179,6 +179,16 @@ class TaskSpec:
             raise ValueError(f"task {self.id}: allowed_devices must be non-empty")
         if len(set(self.allowed_devices)) != len(self.allowed_devices):
             raise ValueError(f"task {self.id}: duplicate allowed devices")
+
+    def pinned(self, device_id: str) -> "TaskSpec":
+        """This task with ``device_id`` as its only device, keeping that
+        device's profile values."""
+        if device_id not in self.allowed_devices:
+            raise ValueError(f"task {self.id} cannot run on {device_id}")
+        return replace(self, allowed_devices=(device_id,),
+                       exec_time={device_id: self.exec_time[device_id]},
+                       power={device_id: self.power[device_id]},
+                       vulnerability={device_id: self.vulnerability[device_id]})
 
 
 class WorkflowGraph:

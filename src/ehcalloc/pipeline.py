@@ -26,7 +26,7 @@ from .bilp import (
     weighted_objective,
     normalization_bounds,
 )
-from .model import CriticalityPolicy, TaskSpec, Topology, WorkflowGraph
+from .model import CriticalityPolicy, Topology, WorkflowGraph
 from .solver import Solution, SolverOptions, SolverStatus, solve_builtin
 from .transform import CandidateGraph, CandidateNode, build_eg, build_reg
 
@@ -240,18 +240,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _share_stats(reg: CandidateGraph, cands) -> dict:
-    """Per-device replica shares and primary-to-replica placement counts."""
-    device_ids = [d.id for d in reg.topology.devices]
+def _share_stats(device_ids: list[str], tasks: list[dict]) -> dict:
+    """Per-device replica shares and primary-to-replica placement counts
+    of a plan's task rows; a row's primary and replicas are its slots."""
     slots = {d: 0 for d in device_ids}
     matrix = {p: {r: 0 for r in device_ids} for p in device_ids}
-    total = 0
-    for cand in cands:
-        for _slot, dev, _j in cand.per_replica_energy:
-            slots[dev] += 1
-            total += 1
-        for r in cand.replicas:
-            matrix[cand.primary][r] += 1
+    for row in tasks:
+        slots[row["primary"]] += 1
+        for r in row["replicas"]:
+            slots[r] += 1
+            matrix[row["primary"]][r] += 1
+    total = sum(slots.values())
     out = {f"pct_{d}": round(100.0 * slots[d] / total, 10) for d in device_ids}
     for p in device_ids:
         for r in device_ids:
@@ -303,36 +302,22 @@ def _worker_point(w: float) -> dict:
 def _sweep_point(reg: CandidateGraph, model: BilpModel, options: SolverOptions | None,
                  bounds: NormalizationBounds, w: float) -> dict:
     weights = ObjectiveWeights(w_rel=w, w_lat=1.0 - w)
-    plan, ctx = _solve_prepared(reg, model, weights, options, bounds)
+    plan, _ = _solve_prepared(reg, model, weights, options, bounds)
     row = {
         "w_rel": w, "w_lat": 1.0 - w, "status": plan.status,
         "g": plan.g, "f_rel": plan.f_rel, "f_lat_s": plan.f_lat,
         "f_rel_norm": plan.f_rel_norm, "f_lat_norm": plan.f_lat_norm,
         "reliability": plan.reliability,
     }
-    if ctx.solution.assignment is not None:
-        picks = model.catalog.picks(ctx.solution.assignment)
-        row.update(_share_stats(reg, [reg.candidates[i] for i in picks]))
+    if plan.tasks:
+        row.update(_share_stats(reg.topology.device_ids, plan.tasks))
     return row
 
 
 def restrict_to_device(graph: WorkflowGraph, device_id: str) -> WorkflowGraph:
     """Pin every freely placeable task to one device (pinned tasks keep
     their pin); the single-device baseline graph."""
-    tasks = []
-    for t in graph.tasks:
-        if len(t.allowed_devices) == 1:
-            tasks.append(t)
-            continue
-        if device_id not in t.allowed_devices:
-            raise ValueError(f"task {t.id} cannot run on {device_id}")
-        tasks.append(TaskSpec(
-            id=t.id, memory=t.memory, storage=t.storage,
-            output_size=t.output_size, allowed_devices=(device_id,),
-            exec_time={device_id: t.exec_time[device_id]},
-            power={device_id: t.power[device_id]},
-            vulnerability={device_id: t.vulnerability[device_id]},
-        ))
+    tasks = [t if len(t.allowed_devices) == 1 else t.pinned(device_id) for t in graph.tasks]
     return WorkflowGraph(tasks, list(graph.arcs))
 
 

@@ -39,9 +39,11 @@ original coefficients in the canonical order (tasks in catalog order,
 each arc when its later endpoint is added), so the objective reported
 for a pick vector depends on neither the bound nor the search order.
 
-The search reads its layout from the model's variable catalog: per task
-its candidates and its incident workflow arcs, each with the side the
-task sits on, and per arc side its arc variables by device pair.  The
+The search keeps its own index of a model, ``_Layout``, built from the
+variable catalog and the rows on a model's first solve: the budget rows
+with each variable's ``(row, coeff)`` pairs, and per task its candidates
+and its incident workflow arcs, each with the side the task sits on.
+Per arc side the catalog gives the arc variables by device pair; the
 diffusion messages, the per-device arc bounds and the lookup of an arc
 between two fixed picks all index that one side layout.
 
@@ -111,14 +113,29 @@ def _tol(value: float) -> float:
 class _Layout:
     """What the search reads of a model apart from its objective.
 
-    It depends only on the catalog and the budget fold, so it is built
-    once per prepared model, on its first solve, and shared by the
-    ``with_objective`` copies and by every bound evaluation.
+    It depends only on the catalog and the rows, so it is built once per
+    prepared model, on its first solve, and shared by the
+    ``with_objective`` copies and by every bound evaluation.  A model
+    that is only exported never builds it.
     """
 
     def __init__(self, model: BilpModel) -> None:
         cat = model.catalog
-        rows, self.budget = model.budget
+        # the budgets are the monotone <= rows; only these are read, so
+        # models read back from MPS, or with rows dropped, work the same
+        rows = [row for row in model.constraints
+                if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
+        #: per variable, its nonzero (budget row, coeff) pairs
+        self.budget: list[list[tuple[int, float]]] = [[] for _ in range(cat.n_vars)]
+        for pos, row in enumerate(rows):
+            for v, c in row.coeffs.items():
+                if c:
+                    self.budget[v].append((pos, c))
+        #: per task, its workflow arcs as (arc, side, other task position)
+        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in cat.task_order]
+        for p, (i, j) in enumerate(cat.pairs):
+            self.incident[i].append((p, 0, j))
+            self.incident[j].append((p, 1, i))
         self.rhs = [row.rhs for row in rows]
         self.row_cap = [row.rhs + _tol(row.rhs) for row in rows]
         #: the rows the bound dualizes: a finite positive rhs and a coefficient
@@ -144,7 +161,7 @@ class _Layout:
         for t, (recs, devices) in enumerate(zip(self.cands, self.devices)):
             for dev in devices:
                 incident = [(p, s, list(cat.ends[p][s].get(dev, {}).items()))
-                            for p, s, _ in cat.incident[t]]
+                            for p, s, _ in self.incident[t]]
                 # a group with no device pair on some arc can never be picked
                 if incident and all(terms for _, _, terms in incident):
                     members = [k for k, rec in enumerate(recs) if rec[0] == dev]
@@ -254,7 +271,7 @@ class _TaskChoiceSearch:
 
         # per task and primary device, the mass its arcs moved in
         gains = [{dev: sum(msgs[p][s].get(dev, 0.0) for p, s, _ in incident) for dev in devices}
-                 for devices, incident in zip(lay.devices, cat.incident)]
+                 for devices, incident in zip(lay.devices, lay.incident)]
         crobj = [[value + gain[primary] for value, (primary, _) in zip(values, recs)]
                  for values, recs, gain in zip(cval, lay.cands, gains)]
         arobj: dict[int, float] = {}
@@ -368,7 +385,7 @@ class _TaskChoiceSearch:
         self.chosen[t] = k
 
         if feasible:
-            for p, s, other in self.cat.incident[t]:
+            for p, s, other in self.lay.incident[t]:
                 touched_arcs.append((p, self.arc_bound[p]))
                 if self.fixed_dev[other] is None:
                     newb = relax.arc_max[p][s].get(dev, -math.inf)
@@ -418,7 +435,7 @@ class _TaskChoiceSearch:
         # the leaf value reads the original terms in canonical order: tasks
         # in catalog order, each arc when its later endpoint is added
         g = 0.0
-        for t, incident in enumerate(self.cat.incident):
+        for t, incident in enumerate(self.lay.incident):
             g += self.cobj[t][self.chosen[t]]
             for p, _, other in incident:
                 if other < t:
@@ -551,19 +568,19 @@ def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Sol
     return sol
 
 
-def verify(model: BilpModel, assignment: list[int], tol: float = 1e-9) -> list[str]:
-    """Check an assignment against every row; returns violation messages."""
+def verify(model: BilpModel, assignment: list[int]) -> list[str]:
+    """Check an assignment against every row, each within a tolerance of
+    ``1e-9`` relative to its rhs; returns violation messages."""
     issues: list[str] = []
     for i, v in enumerate(assignment):
         if v not in (0, 1):
             issues.append(f"variable {model.catalog.names[i]} is {v!r}, not binary")
     for row in model.constraints:
         lhs = row.lhs(assignment)
-        scaled = tol * max(1.0, abs(row.rhs))
         if row.sense == "<=":
-            if lhs > row.rhs + scaled:
+            if lhs > row.rhs + _tol(row.rhs):
                 issues.append(f"{row.tag}: {lhs!r} exceeds {row.rhs!r}")
-        elif abs(lhs - row.rhs) > scaled:
+        elif abs(lhs - row.rhs) > _tol(row.rhs):
             issues.append(f"{row.tag}: {lhs!r} != {row.rhs!r}")
     return issues
 
@@ -575,7 +592,7 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.stem + ".columns.json")
 
 
-def export_mps(model: BilpModel, path: str | Path, name: str = "EHCALLOC") -> Path:
+def export_mps(model: BilpModel, path: str | Path) -> Path:
     """Write the model as MPS (maximization, all-binary via BV bounds).
 
     Column and row names are short and opaque; the sidecar
@@ -585,14 +602,13 @@ def export_mps(model: BilpModel, path: str | Path, name: str = "EHCALLOC") -> Pa
     """
     path = Path(path)
     cat = model.catalog
-    lines: list[str] = [f"NAME          {name}", "OBJSENSE", "    MAXIMIZE", "ROWS",
+    lines: list[str] = ["NAME          EHCALLOC", "OBJSENSE", "    MAXIMIZE", "ROWS",
                         " N  OBJ"]
     row_names: list[str] = []
     for i, row in enumerate(model.constraints):
         rn = f"R{i}"
         row_names.append(rn)
-        sense = "L" if row.sense == "<=" else ("E" if row.sense == "=" else "G")
-        lines.append(f" {sense}  {rn}")
+        lines.append(f" {'L' if row.sense == '<=' else 'E'}  {rn}")
 
     by_var: list[list[tuple[str, float]]] = [[] for _ in range(cat.n_vars)]
     for v, c in model.objective.items():
@@ -632,14 +648,16 @@ def export_mps(model: BilpModel, path: str | Path, name: str = "EHCALLOC") -> Pa
     return path
 
 
-def read_mps(path: str | Path, sidecar_path: str | Path | None = None) -> BilpModel:
-    """Rebuild a model from an MPS file and its sidecar.
+def read_mps(path: str | Path) -> BilpModel:
+    """Rebuild a model from an MPS file and its sidecar ``<stem>.columns.json``.
 
     The sidecar is required: MPS alone cannot say which columns are
-    candidates of which task, and the solver needs that structure.
+    candidates of which task, and the solver needs that structure.  What
+    a model cannot hold is refused, not dropped: a ``G`` row, a
+    ``RANGES`` entry and any bound other than ``BV``.
     """
     path = Path(path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else _sidecar_path(path)
+    sidecar_path = _sidecar_path(path)
     if not sidecar_path.exists():
         raise FileNotFoundError(f"missing sidecar {sidecar_path}")
     sidecar = json.loads(sidecar_path.read_text())
@@ -655,7 +673,7 @@ def read_mps(path: str | Path, sidecar_path: str | Path | None = None) -> BilpMo
     rhs: dict[str, float] = {}
     obj_rhs = 0.0
 
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         if raw[0] not in " \t":
@@ -671,7 +689,10 @@ def read_mps(path: str | Path, sidecar_path: str | Path | None = None) -> BilpMo
             sense, rn = tokens
             if sense == "N":
                 continue
-            row_sense[rn] = {"L": "<=", "E": "=", "G": ">="}[sense]
+            if sense not in ("L", "E"):
+                raise ValueError(f"{path}:{lineno}: row type {sense!r} of {rn}; "
+                                 f"only L and E rows are supported")
+            row_sense[rn] = "<=" if sense == "L" else "="
             row_order.append(rn)
             row_coeffs[rn] = {}
         elif section == "COLUMNS":
@@ -690,6 +711,11 @@ def read_mps(path: str | Path, sidecar_path: str | Path | None = None) -> BilpMo
                     obj_rhs = float(val)
                 else:
                     rhs[rn] = float(val)
+        elif section == "RANGES":
+            raise ValueError(f"{path}:{lineno}: RANGES are not supported")
+        elif section == "BOUNDS" and tokens[0] != "BV":
+            raise ValueError(f"{path}:{lineno}: bound type {tokens[0]!r}; "
+                             f"only BV bounds are supported")
 
     tags = sidecar.get("rows", {})
     constraints = [
@@ -706,11 +732,10 @@ def read_mps(path: str | Path, sidecar_path: str | Path | None = None) -> BilpMo
     return BilpModel(catalog, constraints, obj, offset, metadata)
 
 
-def read_solution(path: str | Path, model: BilpModel,
-                  tol: float = 1e-6) -> list[int]:
+def read_solution(path: str | Path, model: BilpModel) -> list[int]:
     """Read an external solver's ``name value`` lines into an assignment.
 
-    Unlisted variables default to 0.  Values must sit within ``tol`` of
+    Unlisted variables default to 0.  Values must sit within ``1e-6`` of
     an integer 0 or 1; anything else is an error.
     """
     path = Path(path)
@@ -728,7 +753,7 @@ def read_solution(path: str | Path, model: BilpModel,
             raise ValueError(f"{path}:{lineno}: unknown variable {name!r}")
         val = float(sval)
         nearest = round(val)
-        if nearest not in (0, 1) or abs(val - nearest) > tol:
-            raise ValueError(f"{path}:{lineno}: value {val!r} is not binary within {tol}")
+        if nearest not in (0, 1) or abs(val - nearest) > 1e-6:
+            raise ValueError(f"{path}:{lineno}: value {val!r} is not binary within 1e-06")
         x[var_of[name]] = int(nearest)
     return x

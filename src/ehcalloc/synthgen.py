@@ -14,7 +14,7 @@ kept when the scenario is later evaluated at lower levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class GenSpec:
     max_in_degree: int = 3
     max_out_degree: int = 3
     seed: int = 0
-    perf_ratio_table: tuple[tuple[float, float], ...] = DEFAULT_PERF_RATIOS
-    value_pools: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_VALUE_POOLS))
     mode_targets: tuple[tuple[float, float, float], ...] = DEFAULT_MODE_TARGETS
     fixed_edge_pct: float = 0.0
     fixed_hub_pct: float = 0.0
@@ -70,6 +67,11 @@ class GenSpec:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.max_in_degree < 1 or self.max_out_degree < 1:
             raise ValueError("degree bounds must be at least 1")
+        for name in ("edge", "hub"):
+            pct = getattr(self, f"fixed_{name}_pct")
+            # written so that NaN fails the range check
+            if not 0.0 <= pct <= 100.0:
+                raise ValueError(f"fixed {name} percentage must lie in [0, 100], got {pct!r}")
 
 
 def generate_structure(spec: GenSpec) -> list[tuple[int, int]]:
@@ -183,7 +185,7 @@ def synthesize_parameters(
     vt_de, vt_te = policy.thresholds()
     rng = np.random.default_rng(spec.seed + 1)
     n = spec.task_count
-    pools = spec.value_pools
+    pools = DEFAULT_VALUE_POOLS
     edge, hub, cloud = devices
 
     def clamp_power(value: float, dev: Device) -> float:
@@ -201,8 +203,7 @@ def synthesize_parameters(
         memory = _draw_in(rng, *pools["memory_bytes"])
         storage = _draw_in(rng, *pools["storage_bytes"])
         output = _draw_in(rng, *pools["output_bits"])
-        theta_h, theta_c = spec.perf_ratio_table[
-            int(rng.integers(len(spec.perf_ratio_table)))]
+        theta_h, theta_c = DEFAULT_PERF_RATIOS[int(rng.integers(len(DEFAULT_PERF_RATIOS)))]
         l_h = l_e / theta_h
         l_c = l_h / theta_c
         p_h = clamp_power(p_e * theta_h, hub)
@@ -264,22 +265,7 @@ def assign_fixed_allocations(
     for i in order[k_edge:k_edge + k_hub]:
         pinned[i] = hub_id
 
-    tasks: list[TaskSpec] = []
-    for i, t in enumerate(graph.tasks):
-        if i not in pinned:
-            tasks.append(t)
-            continue
-        dev = pinned[i]
-        tasks.append(TaskSpec(
-            id=t.id,
-            memory=t.memory,
-            storage=t.storage,
-            output_size=t.output_size,
-            allowed_devices=(dev,),
-            exec_time={dev: t.exec_time[dev]},
-            power={dev: t.power[dev]},
-            vulnerability={dev: t.vulnerability[dev]},
-        ))
+    tasks = [t.pinned(pinned[i]) if i in pinned else t for i, t in enumerate(graph.tasks)]
     return WorkflowGraph(tasks, list(graph.arcs))
 
 

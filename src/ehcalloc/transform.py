@@ -116,38 +116,24 @@ def candidate_latency(
 ) -> float:
     """Completion time of one candidate, seconds.
 
-    Re-executions on the primary serialize; a replica on another device
-    runs in parallel with the primary but pays for shipping the task
-    input out and the result back.  Two replicas on the same foreign
-    device serialize there after a single input transfer.
+    The primary runs its own execution and every copy placed on it back
+    to back.  Each distinct foreign device receives the task input once,
+    runs its copies back to back and returns each result; it works in
+    parallel with the primary.  The candidate takes the longest of these,
+    plus the comparison time (one replica) or the vote time (two).
     """
     k = primary
-    dev = topology.device(k)
     out_bits = task.output_size
-    lk = task.exec_time[k]
-
-    def round_trip(n: str, runs: int = 1) -> float:
-        return (comm_latency(topology, k, n, in_bits)
-                + runs * (task.exec_time[n] + comm_latency(topology, n, k, out_bits)))
-
+    span = (1 + replicas.count(k)) * task.exec_time[k]
+    for n in dict.fromkeys(replicas):
+        if n != k:
+            runs = replicas.count(n)
+            span = max(span, comm_latency(topology, k, n, in_bits)
+                       + runs * (task.exec_time[n] + comm_latency(topology, n, k, out_bits)))
     if not replicas:
-        return lk
-    if len(replicas) == 1:
-        l = replicas[0]
-        if l == k:
-            return 2 * lk + dev.compare_time
-        return max(lk, round_trip(l)) + dev.compare_time
-    on_primary = sum(1 for r in replicas if r == k)
-    remotes = [r for r in replicas if r != k]
-    if on_primary == 2:
-        span = 3 * lk
-    elif on_primary == 1:
-        span = max(2 * lk, round_trip(remotes[0]))
-    elif remotes[0] == remotes[1]:
-        span = max(lk, round_trip(remotes[0], runs=2))
-    else:
-        span = max(lk, round_trip(remotes[0]), round_trip(remotes[1]))
-    return span + dev.vote_time
+        return span
+    dev = topology.device(k)
+    return span + (dev.compare_time if len(replicas) == 1 else dev.vote_time)
 
 
 def candidate_replica_energy(

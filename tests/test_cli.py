@@ -173,6 +173,17 @@ class TestGenerate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--fixed-edge-pct", "--fixed-hub-pct"])
+    @pytest.mark.parametrize("pct", ["-10", "nan", "inf"])
+    def test_bad_fixed_percentage_exits_one(self, flag, pct, workdir, capsys):
+        # -10 used to pin all but one task, inf to end in an OverflowError
+        out = workdir / "bad_pct.json"
+        assert run("generate", "--tasks", "10", flag, pct, "--out", str(out)) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixed ") and "must lie in [0, 100]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBaseline:
     def test_reports_unrestricted_and_per_device_plans(self, workdir, capsys):

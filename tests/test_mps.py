@@ -80,6 +80,21 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown column 'S1'"):
             read_mps(old)
 
+    @pytest.mark.parametrize("edit", [
+        (" L  R", " G  R"),
+        ("BOUNDS\n", "RANGES\n    RNG       R0        1\nBOUNDS\n"),
+        (" BV BND       C0\n", " FX BND       C0        1\n"),
+    ], ids=["G-row", "ranges", "FX-bound"])
+    def test_what_the_model_cannot_hold_is_refused(self, round_trip, tmp_path, edit):
+        # each of these used to be read as >= (then verified as =) or dropped
+        path, _ = round_trip
+        bad = tmp_path / "bad.mps"
+        bad.write_text(path.read_text().replace(*edit, 1))
+        bad.with_name("bad.columns.json").write_text(
+            path.with_name(path.stem + ".columns.json").read_text())
+        with pytest.raises(ValueError, match=r"bad\.mps:\d+: "):
+            read_mps(bad)
+
     def test_catalog_survives(self, weighted, round_trip):
         _, clone = round_trip
         assert clone.catalog.names == weighted.catalog.names

@@ -278,7 +278,7 @@ class TestReparametrizedBound:
                    key=lambda picks: lat_max.objective_value(cat.vector(picks)))
         x = cat.vector(best)
         optimum = lat_max.objective_value(x)
-        budget_rows = {id(row) for row in lat_max.budget[0]}
+        budget_rows = {id(row) for row in lat_max.constraints if row.sense == "<="}
         rows = [LinearConstraint(row.coeffs, row.sense, row.lhs(x) / (1.0 + excess), row.tag)
                 if id(row) in budget_rows and row.lhs(x) > 0 else row
                 for row in lat_max.constraints]
