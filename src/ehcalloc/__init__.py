@@ -34,7 +34,7 @@ from .model import (
     validate_workflow,
 )
 from .oracle import OracleResult, brute_force, monte_carlo_reliability, oracle_bounds, raw_objectives
-from .params import ExecMode, comm_latency, comp_energy, exec_mode, reliability
+from .params import ExecMode, comm_latency, comp_energy, exec_mode
 from .pipeline import (
     AllocationPlan,
     PipelineContext,
@@ -130,7 +130,6 @@ __all__ = [
     "read_solution",
     "reference_topology",
     "reg_summary",
-    "reliability",
     "restrict_to_device",
     "solve_allocation",
     "solve_builtin",

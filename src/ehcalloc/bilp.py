@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .params import rx_energy, tx_energy
 from .transform import CandidateGraph
 
 
@@ -254,8 +253,8 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
 
     # per-device budgets: a candidate charges each device the memory,
     # storage and energy of all its replica slots there, summed slot by
-    # slot from 0.0; an active arc charges every device with a finite
-    # energy budget its share of the transfer
+    # slot from 0.0, and an active arc charges each device its share of
+    # the transfer; only a finite energy budget gets a row
     mem: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     sto: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     en: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
@@ -266,12 +265,9 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
             mem[dev][v] = mem[dev].get(v, 0.0) + task.memory
             sto[dev][v] = sto[dev].get(v, 0.0) + task.storage
             en[dev][v] = en[dev].get(v, 0.0) + joules
-    bounded = [d for d in topo.devices if not d.energy_unbounded]
-    for a in catalog.arcs:
-        for device in bounded:
-            coeff = arc_energy_share(reg, a, device.id)
-            if coeff:
-                en[device.id][a.var] = coeff
+    for avar, arc in zip(catalog.arcs, reg.arcs):
+        for dev, joules in arc.per_device_energy:
+            en[dev][avar.var] = joules
     for device in topo.devices:
         rows.append(LinearConstraint(mem[device.id], "<=", device.memory_budget,
                                      f"memory[{device.id}]"))
@@ -281,26 +277,6 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
             rows.append(LinearConstraint(en[device.id], "<=", device.energy_budget,
                                          f"energy[{device.id}]"))
     return rows
-
-
-def arc_energy_share(reg: CandidateGraph, arc: ArcVar, device_id: str) -> float:
-    """Joules the device pays if this arc is active: its own transfer leg,
-    plus relay pass-through when it forwards the data."""
-    if arc.src_dev == arc.dst_dev:
-        return 0.0
-    topo = reg.topology
-    bits = reg.graph.task(arc.src_task).output_size
-    share = 0.0
-    if arc.src_dev == device_id:
-        share += tx_energy(topo, arc.src_dev, arc.dst_dev, bits)
-    if arc.dst_dev == device_id:
-        share += rx_energy(topo, arc.src_dev, arc.dst_dev, bits)
-    via = topo.relays.get((arc.src_dev, arc.dst_dev))
-    if via == device_id:
-        first = topo.channels[(arc.src_dev, via)]
-        second = topo.channels[(via, arc.dst_dev)]
-        share += bits * (first.rx_energy + second.tx_energy)
-    return share
 
 
 def build_model(reg: CandidateGraph) -> BilpModel:
@@ -336,9 +312,11 @@ class ObjectiveWeights:
     w_lat: float
 
     def __post_init__(self) -> None:
-        if self.w_rel < 0 or self.w_lat < 0:
-            raise ValueError("objective weights must be non-negative")
-        if abs(self.w_rel + self.w_lat - 1.0) > 1e-12:
+        # written so that NaN fails both checks
+        if not (self.w_rel >= 0 and self.w_lat >= 0):
+            raise ValueError(f"objective weights must be non-negative numbers, "
+                             f"got {self.w_rel!r} and {self.w_lat!r}")
+        if not abs(self.w_rel + self.w_lat - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {self.w_rel + self.w_lat!r}")
 
 
@@ -400,14 +378,17 @@ def single_objective(reg: CandidateGraph, model: BilpModel, kind: str) -> BilpMo
 def normalization_bounds(reg: CandidateGraph, model: BilpModel, options=None) -> NormalizationBounds:
     """Best and worst reachable value of each raw objective.
 
-    Four exact solves of the fully constrained model, one per bound.
-    Infeasibility in any of them means the model itself is infeasible.
+    Four exact solves of the fully constrained model, one per bound,
+    within one time limit counted from this call.  Infeasibility in any
+    of them means the model itself is infeasible.
     """
-    from .solver import SolverStatus, solve_builtin
+    from .solver import SolverStatus, deadline_of, solve_builtin, time_left
+
+    deadline = deadline_of(options)
 
     def extreme(kind: str) -> float:
         aux = single_objective(reg, model, kind)
-        sol = solve_builtin(aux, options)
+        sol = solve_builtin(aux, time_left(deadline))
         if sol.status is SolverStatus.TIME_LIMIT:
             raise TimeLimitError(f"normalization solve {kind} hit the time limit")
         if sol.status is not SolverStatus.OPTIMAL:

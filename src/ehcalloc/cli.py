@@ -124,8 +124,11 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     topology, graph, scenario = _load_inputs(args)
-    if args.step <= 0 or args.step > 1:
+    # written so that NaN fails the check
+    if not 0 < args.step <= 1:
         raise io.ConfigError("--step must lie in (0, 1]")
+    if args.workers < 1:
+        raise io.ConfigError(f"--workers must be at least 1, got {args.workers}")
     steps = round(1.0 / args.step)
     if abs(steps * args.step - 1.0) > 1e-9:
         raise io.ConfigError("--step must divide 1 evenly")

@@ -96,8 +96,8 @@ class Topology:
 
     Every ordered device pair (k, l), k != l, must either have a direct
     channel or a relay entry (k, l) -> o with direct channels k->o and
-    o->l; otherwise construction fails.  This guarantees any replica or
-    arc placement is routable.
+    o->l; otherwise construction fails.  Construction resolves each pair
+    into :attr:`legs` once, so any replica or arc placement is routable.
     """
 
     def __init__(
@@ -134,12 +134,19 @@ class Topology:
             if (k, o) not in self.channels or (o, l) not in self.channels:
                 raise ValueError(f"relay ({k},{l}) via {o}: both legs must be direct channels")
 
-        # full pairwise reachability, direct or one relay hop
+        #: per ordered device pair, the channels a transfer runs over:
+        #: none on one device, the direct channel, or both relay legs
+        self.legs: dict[tuple[str, str], tuple[Channel, ...]] = {}
         for k in ids:
             for l in ids:
+                o = self.relays.get((k, l))
                 if k == l:
-                    continue
-                if (k, l) not in self.channels and (k, l) not in self.relays:
+                    self.legs[(k, l)] = ()
+                elif (k, l) in self.channels:
+                    self.legs[(k, l)] = (self.channels[(k, l)],)
+                elif o is not None:
+                    self.legs[(k, l)] = (self.channels[(k, o)], self.channels[(o, l)])
+                else:
                     raise ValueError(f"device pair ({k},{l}) is neither direct nor relayed")
 
     def device(self, device_id: str) -> Device:
@@ -227,9 +234,6 @@ class WorkflowGraph:
     def task(self, task_id: str) -> TaskSpec:
         return self._by_id[task_id]
 
-    def out_degree(self, task_id: str) -> int:
-        return len(self.children[task_id])
-
     def input_size(self, task_id: str) -> float:
         """Total bits a task receives: sum of its parents' output sizes."""
         return sum(self._by_id[p].output_size for p in self.parents[task_id])
@@ -284,9 +288,6 @@ class CriticalityPolicy:
 class ValidationReport:
     ok: bool
     violations: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_workflow(graph: WorkflowGraph, topology: Topology) -> ValidationReport:

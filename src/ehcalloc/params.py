@@ -1,22 +1,18 @@
-"""Derived per-placement quantities: routing, communication cost, modes.
+"""Derived per-placement quantities: communication cost and modes.
 
-Communication between two devices is either direct or relayed through a
-single intermediate device.  A relayed transfer pays both legs in time,
-while each endpoint device is charged only for the leg adjacent to it.
+A transfer from one device to another runs over the legs that
+:attr:`Topology.legs` resolves once per device pair: none on one device,
+one direct channel, or two channels through a relay.  The time adds up
+over every leg.  The sender pays to transmit on the first leg, the
+receiver to receive on the last, and a relay pays both to take the data
+in and to pass it on.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .model import CriticalityPolicy, TaskSpec, Topology
-
-
-class RouteKind(enum.Enum):
-    SAME_DEVICE = "same_device"
-    DIRECT = "direct"
-    RELAYED = "relayed"
 
 
 class ExecMode(enum.Enum):
@@ -26,67 +22,40 @@ class ExecMode(enum.Enum):
     DE = 2
     TE = 3
 
-    @property
-    def replica_count(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Route:
-    kind: RouteKind
-    src: str
-    dst: str
-    via: str | None = None
-
-
-def route(topology: Topology, src: str, dst: str) -> Route:
-    """Resolve how data moves from ``src`` to ``dst``.
-
-    Raises KeyError if the pair is not routable; a validly constructed
-    Topology guarantees that never happens.
-    """
-    if src == dst:
-        return Route(RouteKind.SAME_DEVICE, src, dst)
-    if (src, dst) in topology.channels:
-        return Route(RouteKind.DIRECT, src, dst)
-    via = topology.relays.get((src, dst))
-    if via is None:
-        raise KeyError(f"no route from {src} to {dst}")
-    return Route(RouteKind.RELAYED, src, dst, via)
-
 
 def comm_latency(topology: Topology, src: str, dst: str, bits: float) -> float:
-    """Transfer time in seconds for ``bits`` from src to dst.
-
-    Same device: 0.  Direct: bits / bandwidth.  Relayed: both legs paid
-    back to back.
-    """
-    r = route(topology, src, dst)
-    if r.kind is RouteKind.SAME_DEVICE:
-        return 0.0
-    if r.kind is RouteKind.DIRECT:
-        return bits / topology.channels[(src, dst)].bandwidth
-    first = topology.channels[(src, r.via)]
-    second = topology.channels[(r.via, dst)]
-    return bits / first.bandwidth + bits / second.bandwidth
+    """Transfer time in seconds for ``bits`` from src to dst: each leg's
+    bits / bandwidth, back to back (0 on one device)."""
+    seconds = 0.0
+    for leg in topology.legs[(src, dst)]:
+        seconds += bits / leg.bandwidth
+    return seconds
 
 
 def tx_energy(topology: Topology, src: str, dst: str, bits: float) -> float:
     """Energy the *sender* pays to push ``bits`` toward dst (its own leg only)."""
-    r = route(topology, src, dst)
-    if r.kind is RouteKind.SAME_DEVICE:
-        return 0.0
-    hop = dst if r.kind is RouteKind.DIRECT else r.via
-    return bits * topology.channels[(src, hop)].tx_energy
+    legs = topology.legs[(src, dst)]
+    return bits * legs[0].tx_energy if legs else 0.0
 
 
 def rx_energy(topology: Topology, src: str, dst: str, bits: float) -> float:
     """Energy the *receiver* pays to take in ``bits`` sent from src."""
-    r = route(topology, src, dst)
-    if r.kind is RouteKind.SAME_DEVICE:
-        return 0.0
-    hop = src if r.kind is RouteKind.DIRECT else r.via
-    return bits * topology.channels[(hop, dst)].rx_energy
+    legs = topology.legs[(src, dst)]
+    return bits * legs[-1].rx_energy if legs else 0.0
+
+
+def transfer_energy(topology: Topology, src: str, dst: str,
+                    bits: float) -> tuple[tuple[str, float], ...]:
+    """Every nonzero ``(device, joules)`` share of one transfer: the
+    sender's, the relay's (reception plus retransmission) and the
+    receiver's."""
+    legs = topology.legs[(src, dst)]
+    shares = [(src, tx_energy(topology, src, dst, bits))]
+    if len(legs) == 2:
+        first, second = legs
+        shares.append((first.dst, bits * (first.rx_energy + second.tx_energy)))
+    shares.append((dst, rx_energy(topology, src, dst, bits)))
+    return tuple((dev, joules) for dev, joules in shares if joules)
 
 
 def comp_energy(task: TaskSpec, device_id: str) -> float:
@@ -106,10 +75,3 @@ def exec_mode(vulnerability: float, policy: CriticalityPolicy) -> ExecMode:
     if vulnerability < vt_te:
         return ExecMode.DE
     return ExecMode.TE
-
-
-def reliability(vulnerability: float) -> float:
-    """Success probability of a single execution."""
-    if not 0.0 < vulnerability < 1.0:
-        raise ValueError(f"vulnerability {vulnerability} outside (0, 1)")
-    return 1.0 - vulnerability

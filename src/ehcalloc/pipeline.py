@@ -16,19 +16,17 @@ from functools import partial
 
 from . import oracle
 from .bilp import (
-    ArcVar,
     BilpModel,
     InfeasibleError,
     NormalizationBounds,
     ObjectiveWeights,
-    arc_energy_share,
     build_model,
     weighted_objective,
     normalization_bounds,
 )
 from .model import CriticalityPolicy, Topology, WorkflowGraph
-from .solver import Solution, SolverOptions, SolverStatus, solve_builtin
-from .transform import CandidateGraph, CandidateNode, build_eg, build_reg
+from .solver import Solution, SolverOptions, deadline_of, solve_builtin, time_left
+from .transform import CandidateGraph, CandidateNode, EgArc, build_eg, build_reg
 
 
 @dataclass
@@ -102,7 +100,7 @@ def assignment_from_picks(reg: CandidateGraph, model: BilpModel,
 
 
 def _device_usage(reg: CandidateGraph, cands: list[CandidateNode],
-                  arcs: list[ArcVar]) -> list[dict]:
+                  arcs: list[EgArc]) -> list[dict]:
     """Per-device budget usage of the chosen candidates and arcs, summed
     from ``0.0`` replica slot by replica slot, then arc by arc."""
     usage: dict[str, dict] = {}
@@ -121,9 +119,9 @@ def _device_usage(reg: CandidateGraph, cands: list[CandidateNode],
             row["memory_bytes"] += task.memory
             row["storage_bytes"] += task.storage
             row["energy_j"] += joules
-    for a in arcs:
-        for d in reg.topology.devices:
-            usage[d.id]["energy_j"] += arc_energy_share(reg, a, d.id)
+    for arc in arcs:
+        for dev, joules in arc.per_device_energy:
+            usage[dev]["energy_j"] += joules
     return list(usage.values())
 
 
@@ -169,7 +167,7 @@ def extract_plan(
     chosen_arcs = []
     for avar, arc in zip(model.catalog.arcs, reg.arcs):
         if x[avar.var] == 1:
-            chosen_arcs.append(avar)
+            chosen_arcs.append(arc)
             plan.arcs.append({
                 "src": arc.src_task, "dst": arc.dst_task,
                 "src_device": arc.src_dev, "dst_device": arc.dst_dev,
@@ -189,11 +187,13 @@ def solve_allocation(
 ) -> tuple[AllocationPlan, PipelineContext]:
     """Full pipeline for one weight vector.
 
-    Raises InfeasibleError if the model has no feasible assignment (the
+    The time limit in ``options`` bounds the whole call.  Raises
+    InfeasibleError if the model has no feasible assignment (the
     normalization solves detect that before the weighted solve runs).
     """
+    deadline = deadline_of(options)
     reg, model = prepare(topology, graph, policy)
-    return _solve_prepared(reg, model, weights, options, bounds)
+    return _solve_prepared(reg, model, weights, time_left(deadline), bounds)
 
 
 def _solve_prepared(
@@ -204,10 +204,11 @@ def _solve_prepared(
     bounds: NormalizationBounds | None,
 ) -> tuple[AllocationPlan, PipelineContext]:
     """:func:`solve_allocation` on the output of :func:`prepare`."""
+    deadline = deadline_of(options)
     if bounds is None:
-        bounds = normalization_bounds(reg, model, options)
+        bounds = normalization_bounds(reg, model, time_left(deadline))
     weighted = weighted_objective(reg, model, weights, bounds)
-    solution = solve_builtin(weighted, options)
+    solution = solve_builtin(weighted, time_left(deadline))
     ctx = PipelineContext(reg, model, bounds, weighted, solution)
     return extract_plan(reg, model, weights, bounds, solution), ctx
 
@@ -269,12 +270,15 @@ def sweep(
     """Solve across the weight grid w_rel = 0, 1/steps, ..., 1.
 
     Normalization bounds are computed once and shared by every point, so
-    the normalized objectives of all rows live on the same scale.
+    the normalized objectives of all rows live on the same scale.  The
+    time limit in ``options`` bounds the whole sweep: a point reached
+    after it ran out reports ``time_limit``.
     """
+    deadline = deadline_of(options)
     reg, model = prepare(topology, graph, policy)
-    bounds = normalization_bounds(reg, model, options)
+    bounds = normalization_bounds(reg, model, time_left(deadline))
     grid = [i / steps for i in range(steps + 1)]
-    point = partial(_sweep_point, reg, model, options, bounds)
+    point = partial(_sweep_point, reg, model, deadline, bounds)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         # each worker receives the prepared model once, not once per point
@@ -299,10 +303,10 @@ def _worker_point(w: float) -> dict:
     return _worker_point_fn(w)
 
 
-def _sweep_point(reg: CandidateGraph, model: BilpModel, options: SolverOptions | None,
+def _sweep_point(reg: CandidateGraph, model: BilpModel, deadline: float | None,
                  bounds: NormalizationBounds, w: float) -> dict:
     weights = ObjectiveWeights(w_rel=w, w_lat=1.0 - w)
-    plan, _ = _solve_prepared(reg, model, weights, options, bounds)
+    plan, _ = _solve_prepared(reg, model, weights, time_left(deadline), bounds)
     row = {
         "w_rel": w, "w_lat": 1.0 - w, "status": plan.status,
         "g": plan.g, "f_rel": plan.f_rel, "f_lat_s": plan.f_lat,
@@ -332,17 +336,19 @@ def baselines(
 
     All plans are normalized with the unrestricted bounds so their g
     values are comparable; a baseline whose restriction cannot be
-    satisfied is reported infeasible.
+    satisfied is reported infeasible.  The time limit in ``options``
+    bounds the whole call.
     """
+    deadline = deadline_of(options)
     reg, model = prepare(topology, graph, policy)
-    bounds = normalization_bounds(reg, model, options)
-    unrestricted, _ = _solve_prepared(reg, model, weights, options, bounds)
+    bounds = normalization_bounds(reg, model, time_left(deadline))
+    unrestricted, _ = _solve_prepared(reg, model, weights, time_left(deadline), bounds)
     per_device: dict[str, AllocationPlan] = {}
     for d in topology.devices:
         try:
             restricted = restrict_to_device(graph, d.id)
             plan, _ = solve_allocation(topology, restricted, policy, weights,
-                                       options, bounds)
+                                       time_left(deadline), bounds)
         except (InfeasibleError, ValueError):
             plan = AllocationPlan(status="infeasible",
                                   criticality_level=policy.level,

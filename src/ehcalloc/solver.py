@@ -84,6 +84,21 @@ class SolverOptions:
                              f"got {self.time_limit!r}")
 
 
+def deadline_of(options: SolverOptions | None) -> float | None:
+    """The ``time.perf_counter()`` instant at which the time limit of
+    ``options``, counted from now, runs out; None without a limit."""
+    if options is None or options.time_limit is None:
+        return None
+    return time.perf_counter() + options.time_limit
+
+
+def time_left(deadline: float | None) -> SolverOptions:
+    """Fresh options holding only the time left until ``deadline``."""
+    if deadline is None:
+        return SolverOptions()
+    return SolverOptions(time_limit=max(0.0, deadline - time.perf_counter()))
+
+
 @dataclass
 class Solution:
     status: SolverStatus
@@ -194,6 +209,8 @@ class _TaskChoiceSearch:
     """Branch-and-bound state; one instance per solve."""
 
     def __init__(self, model: BilpModel, options: SolverOptions) -> None:
+        # first, so that building the layout counts against the limit
+        self.deadline = deadline_of(options)
         self.model = model
         self.cat = cat = model.catalog
         self.obj = obj = model.objective
@@ -213,8 +230,6 @@ class _TaskChoiceSearch:
         self.best_vec: tuple[int, ...] | None = None
         self.max_pruned = -math.inf
         self.nodes = 0
-        self.deadline = (time.perf_counter() + options.time_limit
-                         if options.time_limit is not None else None)
 
     def _expired(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline

@@ -2,12 +2,13 @@
 
 Step one replicates every task across the devices it may run on and every
 task-graph arc across all compatible device pairs, pricing each arc with
-its transfer latency.  Step two expands each task-on-device
-node into explicit redundancy candidates: one for single execution, one
-per replica device for dual execution, and one per unordered replica pair
-for triple execution.  Each candidate carries its own end-to-end latency,
-per-replica energy bill and residual vulnerability, so the allocation
-problem downstream is linear in candidate picks.
+its transfer latency and per-device energy.  Step two expands each
+task-on-device node into explicit redundancy candidates: one for single
+execution, one per replica device for dual execution, and one per
+unordered replica pair for triple execution.  Each candidate carries its
+own end-to-end latency, per-replica energy bill and residual
+vulnerability, so the allocation problem downstream is linear in
+candidate picks.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .params import (
     comp_energy,
     exec_mode,
     rx_energy,
+    transfer_energy,
     tx_energy,
 )
 
@@ -34,6 +36,7 @@ class EgArc:
     dst_task: str
     dst_dev: str
     latency: float                # seconds, 0 when devices coincide
+    per_device_energy: tuple[tuple[str, float], ...]   # nonzero (device, joules)
 
 
 class ExpandedGraph:
@@ -56,8 +59,8 @@ class ExpandedGraph:
             bits = graph.task(src).output_size
             for k in self.devices_of[src]:
                 for l in self.devices_of[dst]:
-                    self.arcs.append(EgArc(src, k, dst, l,
-                                           latency=comm_latency(topology, k, l, bits)))
+                    self.arcs.append(EgArc(src, k, dst, l, comm_latency(topology, k, l, bits),
+                                           transfer_energy(topology, k, l, bits)))
 
     @property
     def node_count(self) -> int:

@@ -8,7 +8,6 @@ import ehcalloc as e
 from ehcalloc.bilp import (
     NormalizationBounds,
     ObjectiveWeights,
-    arc_energy_share,
     build_model,
     model_stats,
     normalization_bounds,
@@ -165,32 +164,32 @@ class TestConstraints:
         assert row.rhs == reg.topology.device("h").memory_budget
 
 
+def arc_shares(reg, src_dev: str, dst_dev: str) -> dict[str, float]:
+    """Per-device joules of the t1 -> t2 arc between two devices."""
+    arc = next(a for a in reg.arcs if (a.src_dev, a.dst_dev) == (src_dev, dst_dev))
+    return dict(arc.per_device_energy)
+
+
 class TestArcEnergyShare:
     def test_direct_arc_shares(self, reg_model):
-        reg, model = reg_model
-        arc = next(a for a in model.catalog.arcs
-                   if (a.src_dev, a.dst_dev) == ("h", "c"))
+        reg, _ = reg_model
+        shares = arc_shares(reg, "h", "c")
         # t1 ships 8 Mbit; h->c costs 2.50 / 1.25 uJ per bit
-        assert arc_energy_share(reg, arc, "h") == pytest.approx(8e6 * 2.5e-6)
-        assert arc_energy_share(reg, arc, "c") == pytest.approx(8e6 * 1.25e-6)
-        assert arc_energy_share(reg, arc, "e") == 0.0
+        assert shares["h"] == pytest.approx(8e6 * 2.5e-6)
+        assert shares["c"] == pytest.approx(8e6 * 1.25e-6)
+        assert "e" not in shares
 
     def test_relayed_arc_charges_the_relay(self, reg_model):
-        reg, model = reg_model
-        arc = next(a for a in model.catalog.arcs
-                   if (a.src_dev, a.dst_dev) == ("e", "c"))
+        reg, _ = reg_model
+        shares = arc_shares(reg, "e", "c")
         # h forwards: receives at 0.70, retransmits at 2.50 uJ/bit
-        assert arc_energy_share(reg, arc, "e") == pytest.approx(8e6 * 1.0e-6)
-        assert arc_energy_share(reg, arc, "h") == pytest.approx(
-            8e6 * (0.70e-6 + 2.5e-6))
-        assert arc_energy_share(reg, arc, "c") == pytest.approx(8e6 * 1.25e-6)
+        assert shares["e"] == pytest.approx(8e6 * 1.0e-6)
+        assert shares["h"] == pytest.approx(8e6 * (0.70e-6 + 2.5e-6))
+        assert shares["c"] == pytest.approx(8e6 * 1.25e-6)
 
     def test_same_device_arc_is_free(self, reg_model):
-        reg, model = reg_model
-        arc = next(a for a in model.catalog.arcs
-                   if (a.src_dev, a.dst_dev) == ("h", "h"))
-        for d in "ehc":
-            assert arc_energy_share(reg, arc, d) == 0.0
+        reg, _ = reg_model
+        assert arc_shares(reg, "h", "h") == {}
 
 
 class TestObjectives:
@@ -214,6 +213,12 @@ class TestObjectives:
             ObjectiveWeights(0.3, 0.6)
         with pytest.raises(ValueError):
             ObjectiveWeights(-0.1, 1.1)
+
+    @pytest.mark.parametrize("w_rel,w_lat", [(math.nan, math.nan), (math.nan, 0.5),
+                                             (0.5, math.nan)])
+    def test_nan_weights_are_rejected(self, w_rel, w_lat):
+        with pytest.raises(ValueError):
+            ObjectiveWeights(w_rel, w_lat)
 
     def test_normalization_matches_enumerated_extremes(self, reg_model):
         reg, model = reg_model

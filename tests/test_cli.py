@@ -154,6 +154,17 @@ class TestSweep:
         assert "divide 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--workers", "0"], "error: --workers must be at least 1"),
+        (["--workers", "-1"], "error: --workers must be at least 1"),
+        (["--step", "nan"], "error: --step must lie in (0, 1]"),
+    ], ids=["workers-0", "workers-minus-1", "step-nan"])
+    def test_rejects_bad_flags_without_writing(self, flags, message, workdir, capsys):
+        out = workdir / "flagged_sweep.csv"
+        assert run("sweep", *flags, "--out", str(out)) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
 
 class TestGenerate:
     def test_written_workflow_feeds_back_into_solve(self, workdir, capsys):
@@ -280,6 +291,22 @@ def test_nan_time_limit_in_a_scenario_exits_one_without_traceback(workdir):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_BAD_INPUT
     assert proc.stderr.startswith("error: ") and "time limit must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_nan_weight_exits_one_without_traceback(source, workdir):
+    # a NaN weight used to reach the search, which then never pruned
+    if source == "flag":
+        extra = ["--w-rel", "nan"]
+    else:
+        scenario = workdir / "nan_weight.json"
+        scenario.write_text('{"weights": {"w_rel": NaN}}')
+        extra = ["--scenario", str(scenario)]
+    proc = subprocess.run([sys.executable, "-m", "ehcalloc.cli", "solve", *extra],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr.startswith("error: ") and "weights" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -150,7 +150,6 @@ class TestWorkflowGraph:
         # a join receives every parent's full output
         assert g.input_size("t3") == 2e6
         assert g.input_size("t1") == 0.0
-        assert g.out_degree("t3") == 0
 
     def test_rejects_unknown_arc_endpoint(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import ehcalloc as e
+import ehcalloc.synthgen as sg
 from ehcalloc.bilp import (
     ObjectiveWeights,
     build_model,
@@ -15,6 +16,7 @@ from ehcalloc.bilp import (
 from ehcalloc.model import TaskSpec, WorkflowGraph
 from ehcalloc.oracle import (
     ENUMERATION_GUARD,
+    _arc_tables,
     brute_force,
     monte_carlo_reliability,
     oracle_bounds,
@@ -60,6 +62,23 @@ class TestRawObjectives:
         f_rel, _ = raw_objectives(reg, cands)
         product = math.prod(c.reliability for c in cands)
         assert math.exp(f_rel) == pytest.approx(product, rel=1e-12)
+
+
+class TestArcTables:
+    @pytest.mark.parametrize("instance", ["fixture", "mixed-40"])
+    def test_eg_arcs_price_transfers_as_the_oracle_does(self, topology, workflow,
+                                                        policy, instance):
+        graph = workflow if instance == "fixture" else sg.generate(
+            sg.GenSpec(task_count=40, structure="mixed", seed=1), tuple(topology.devices))
+        reg = e.build_reg(e.build_eg(graph, topology), policy)
+        # the oracle charges only devices with a finite energy budget
+        finite = {d.id for d in topology.devices if not d.energy_unbounded}
+        tables = dict(_arc_tables(reg))
+        for arc in reg.arcs:
+            latency, shares = tables[(arc.src_task, arc.dst_task)][(arc.src_dev, arc.dst_dev)]
+            assert arc.latency == latency
+            assert {d: j for d, j in arc.per_device_energy if d in finite} == shares
+        assert any(len(arc.per_device_energy) == 3 for arc in reg.arcs)
 
 
 class TestBruteForce:

@@ -1,19 +1,16 @@
-"""Routing, transfer pricing, execution modes, base reliability."""
+"""Routing, transfer pricing, execution modes."""
 
 import pytest
 
-from ehcalloc import build_eg, build_reg, default_policy, reference_topology
-from ehcalloc.bilp import ArcVar, arc_energy_share
+from ehcalloc import build_eg, reference_topology
 from ehcalloc.model import CriticalityPolicy, TaskSpec, WorkflowGraph
 from ehcalloc.params import (
     ExecMode,
-    RouteKind,
     comm_latency,
     comp_energy,
     exec_mode,
-    reliability,
-    route,
     rx_energy,
+    transfer_energy,
     tx_energy,
 )
 
@@ -34,24 +31,21 @@ def arc_energy_total(topo, src: str, dst: str, bits: float) -> float:
                         exec_time={d: 1.0 for d in "ehc"}, power={d: 1.0 for d in "ehc"},
                         vulnerability={d: 0.01 for d in "ehc"})
     graph = WorkflowGraph([task("t1"), task("t2")], [("t1", "t2")])
-    reg = build_reg(build_eg(graph, topo), default_policy())
-    arc = ArcVar(0, "t1", src, "t2", dst)
-    return sum(arc_energy_share(reg, arc, d.id) for d in topo.devices)
+    arc = next(a for a in build_eg(graph, topo).arcs if (a.src_dev, a.dst_dev) == (src, dst))
+    assert arc.per_device_energy == transfer_energy(topo, src, dst, bits)
+    return sum(joules for _dev, joules in arc.per_device_energy)
 
 
 class TestRoute:
     def test_same_device(self, topo):
-        assert route(topo, "h", "h").kind is RouteKind.SAME_DEVICE
+        assert topo.legs[("h", "h")] == ()
 
     def test_direct(self, topo):
-        r = route(topo, "e", "h")
-        assert r.kind is RouteKind.DIRECT and r.via is None
+        assert topo.legs[("e", "h")] == (topo.channels[("e", "h")],)
 
     def test_relayed(self, topo):
-        r = route(topo, "e", "c")
-        assert r.kind is RouteKind.RELAYED and r.via == "h"
-        r = route(topo, "c", "e")
-        assert r.kind is RouteKind.RELAYED and r.via == "h"
+        assert topo.legs[("e", "c")] == (topo.channels[("e", "h")], topo.channels[("h", "c")])
+        assert topo.legs[("c", "e")] == (topo.channels[("c", "h")], topo.channels[("h", "e")])
 
 
 class TestCommLatency:
@@ -111,18 +105,3 @@ class TestExecMode:
         assert exec_mode(vt_te - 1e-12, policy) is ExecMode.DE
         assert exec_mode(vt_te, policy) is ExecMode.TE
         assert exec_mode(0.29, policy) is ExecMode.TE
-
-    def test_replica_counts(self):
-        assert ExecMode.SE.replica_count == 1
-        assert ExecMode.DE.replica_count == 2
-        assert ExecMode.TE.replica_count == 3
-
-
-class TestReliability:
-    def test_complement(self):
-        assert reliability(0.035) == pytest.approx(0.965, rel=1e-15)
-
-    @pytest.mark.parametrize("v", [0.0, 1.0, -0.2, 1.5])
-    def test_rejects_out_of_range(self, v):
-        with pytest.raises(ValueError):
-            reliability(v)

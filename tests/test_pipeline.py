@@ -2,11 +2,13 @@
 
 import json
 import math
+import time
 
 import pytest
 
 import ehcalloc as e
-from ehcalloc.bilp import ObjectiveWeights, normalization_bounds
+import ehcalloc.synthgen as sg
+from ehcalloc.bilp import ObjectiveWeights, TimeLimitError, normalization_bounds
 from ehcalloc.oracle import monte_carlo_reliability, raw_objectives
 from ehcalloc.pipeline import (
     assignment_from_picks,
@@ -159,6 +161,19 @@ class TestSweep:
         serial = sweep(topology, workflow, policy, steps=2, workers=1)
         pooled = sweep(topology, workflow, policy, steps=2, workers=2)
         assert pooled.rows == serial.rows
+
+    def test_time_limit_bounds_the_whole_sweep(self, topology, policy):
+        # each of these 105 solves takes well under the limit, and all of
+        # them together well over it; statuses do not matter here
+        graph = sg.generate(sg.GenSpec(task_count=20, structure="mixed", seed=1),
+                            tuple(topology.devices))
+        limit = 0.3
+        start = time.perf_counter()
+        try:
+            sweep(topology, graph, policy, steps=100, options=e.SolverOptions(limit))
+        except TimeLimitError:
+            pass
+        assert time.perf_counter() - start <= 1.1 * limit + 0.25
 
 
 @pytest.fixture(scope="module")
