@@ -211,16 +211,12 @@ class BilpModel:
 
 
 def build_catalog(reg: CandidateGraph) -> VariableCatalog:
-    """Lay out all variables in the canonical order."""
-    n = 0
-    candidates: list[CandidateVar] = []
-    for cand in reg.candidates:
-        candidates.append(CandidateVar(n, cand.task, cand.primary, cand.replicas, cand.key))
-        n += 1
-    arcs: list[ArcVar] = []
-    for a in reg.arcs:
-        arcs.append(ArcVar(n, a.src_task, a.src_dev, a.dst_task, a.dst_dev))
-        n += 1
+    """Lay out all variables in the canonical order: candidates, then arcs."""
+    n_c = reg.candidate_count
+    candidates = [CandidateVar(i, c.task, c.primary, c.replicas, c.key)
+                  for i, c in enumerate(reg.candidates)]
+    arcs = [ArcVar(n_c + i, a.src_task, a.src_dev, a.dst_task, a.dst_dev)
+            for i, a in enumerate(reg.arcs)]
     return VariableCatalog(reg.graph.task_ids, candidates, arcs)
 
 

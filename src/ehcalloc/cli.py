@@ -24,7 +24,6 @@ from .bilp import (
     single_objective,
     weighted_objective,
 )
-from .model import validate_workflow
 from .solver import SolverOptions, export_mps, solve_builtin, verify
 
 EXIT_OK = 0
@@ -47,10 +46,6 @@ def _load_inputs(args):
     if getattr(args, "time_limit", None) is not None:
         # a fresh options object, so that its checks run on the flag's value
         scenario.solver = SolverOptions(time_limit=args.time_limit)
-    report = validate_workflow(graph, topology)
-    if not report.ok:
-        raise io.ConfigError("workflow validation failed:\n  " +
-                             "\n  ".join(report.violations))
     return topology, graph, scenario
 
 
@@ -174,6 +169,11 @@ def cmd_validate(args) -> int:
         plan = json.loads(Path(args.plan).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise io.ConfigError(f"cannot read plan {args.plan}: {exc}") from exc
+    try:
+        # the plan is judged at the weights it was solved for
+        weights = ObjectiveWeights(plan["weights"]["w_rel"], plan["weights"]["w_lat"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise io.ConfigError(f"plan {args.plan} has no valid weights: {exc!r}") from exc
 
     reg, model = pipeline.prepare(topology, graph, scenario.policy)
     key_to_idx = {c.key: i for i, c in enumerate(reg.candidates)}
@@ -222,8 +222,16 @@ def cmd_validate(args) -> int:
 
     space = oracle.space_size(reg)
     if space <= args.brute_limit:
-        bounds = normalization_bounds(reg, model, scenario.solver)
-        result = oracle.brute_force(reg, scenario.weights, bounds)
+        # enumerated, so that a wrong normalization solve shows
+        bounds = oracle.oracle_bounds(reg)
+        fresh, stored = bounds.to_json_dict(), plan.get("bounds")
+        agree = isinstance(stored, dict) and all(
+            isinstance(stored.get(k), (int, float)) and math.isclose(v, stored[k], rel_tol=1e-9)
+            for k, v in fresh.items())
+        print(f"{'ok  ' if agree else 'FAIL'} enumerated bounds {fresh} vs stored {stored}")
+        if not agree:
+            problems.append("bounds")
+        result = oracle.brute_force(reg, weights, bounds)
         g = plan.get("objective", {}).get("g")
         agree = (result.status == "optimal" and g is not None
                  and math.isclose(result.objective, g, rel_tol=1e-9, abs_tol=1e-9))

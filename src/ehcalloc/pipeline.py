@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from . import oracle
 from .bilp import (
     BilpModel,
-    InfeasibleError,
     NormalizationBounds,
     ObjectiveWeights,
     build_model,
@@ -144,10 +142,18 @@ def extract_plan(
     if solution.assignment is None:
         return plan
     x = solution.assignment
-    picks = model.catalog.picks(x)
-    cands = [reg.candidates[i] for i in picks]
-    f_rel, f_lat = oracle.raw_objectives(reg, cands)
-    plan.f_rel = f_rel
+    cands = [reg.candidates[i] for i in model.catalog.picks(x)]
+    chosen_arcs = [arc for avar, arc in zip(model.catalog.arcs, reg.arcs) if x[avar.var] == 1]
+    # one product of reliabilities, then one log; latency in task order,
+    # then in workflow-arc order (the order the oracle sums in)
+    r_total = 1.0
+    f_lat = 0.0
+    for cand in cands:
+        r_total *= cand.reliability
+        f_lat += cand.latency
+    for arc in chosen_arcs:
+        f_lat += arc.latency
+    plan.f_rel = f_rel = math.log(r_total)
     plan.f_lat = f_lat
     plan.reliability = math.exp(f_rel)
     plan.f_rel_norm = bounds.normalize_rel(f_rel)
@@ -164,15 +170,12 @@ def extract_plan(
             "latency_s": cand.latency,
             "reliability": cand.reliability,
         })
-    chosen_arcs = []
-    for avar, arc in zip(model.catalog.arcs, reg.arcs):
-        if x[avar.var] == 1:
-            chosen_arcs.append(arc)
-            plan.arcs.append({
-                "src": arc.src_task, "dst": arc.dst_task,
-                "src_device": arc.src_dev, "dst_device": arc.dst_dev,
-                "latency_s": arc.latency,
-            })
+    for arc in chosen_arcs:
+        plan.arcs.append({
+            "src": arc.src_task, "dst": arc.dst_task,
+            "src_device": arc.src_dev, "dst_device": arc.dst_dev,
+            "latency_s": arc.latency,
+        })
     plan.devices = _device_usage(reg, cands, chosen_arcs)
     return plan
 
@@ -349,7 +352,7 @@ def baselines(
             restricted = restrict_to_device(graph, d.id)
             plan, _ = solve_allocation(topology, restricted, policy, weights,
                                        time_left(deadline), bounds)
-        except (InfeasibleError, ValueError):
+        except ValueError:
             plan = AllocationPlan(status="infeasible",
                                   criticality_level=policy.level,
                                   w_rel=weights.w_rel, w_lat=weights.w_lat,

@@ -485,6 +485,10 @@ class _TaskChoiceSearch:
 
     def run(self) -> Solution:
         t0 = time.perf_counter()
+        if self._expired():
+            # nothing was searched, so nothing bounds the optimum
+            return Solution(SolverStatus.TIME_LIMIT, None, None, bound=math.inf,
+                            wall_time=time.perf_counter() - t0)
         self._install(self._multipliers())
         root_bound = self.future + self.model.objective_offset
         status = SolverStatus.OPTIMAL

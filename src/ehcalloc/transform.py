@@ -75,7 +75,7 @@ def build_eg(graph: WorkflowGraph, topology: Topology) -> ExpandedGraph:
     """Validate the workflow and expand it over the topology."""
     report = validate_workflow(graph, topology)
     if not report.ok:
-        raise ValueError("invalid workflow: " + "; ".join(report.violations))
+        raise ValueError("workflow validation failed:\n  " + "\n  ".join(report.violations))
     return ExpandedGraph(graph, topology)
 
 
@@ -93,11 +93,14 @@ class CandidateNode:
 
     task: str
     primary: str
-    mode: ExecMode
     replicas: tuple[str, ...]
     latency: float
     per_replica_energy: tuple[tuple[int, str, float], ...]   # (slot, device, joules)
     vulnerability: float
+
+    @property
+    def mode(self) -> ExecMode:
+        return ExecMode(1 + len(self.replicas))
 
     @property
     def reliability(self) -> float:
@@ -156,12 +159,11 @@ def candidate_replica_energy(
     k = primary
     dev = topology.device(k)
     out_bits = task.output_size
-    mode = ExecMode(1 + len(replicas))
 
     primary_joules = comp_energy(task, k)
-    if mode is ExecMode.DE:
+    if len(replicas) == 1:
         primary_joules += dev.compare_energy
-    elif mode is ExecMode.TE:
+    elif len(replicas) == 2:
         primary_joules += dev.vote_energy
     remotes = [r for r in replicas if r != k]
     for r in sorted(set(remotes), key=topology.device_index):
@@ -190,7 +192,7 @@ def candidate_vulnerability(task: TaskSpec, primary: str, replicas: tuple[str, .
 
 
 class CandidateGraph:
-    """Redundancy-expanded graph: candidates per placement plus the EG arcs."""
+    """Redundancy-expanded graph: candidates per task plus the EG arcs."""
 
     def __init__(self, eg: ExpandedGraph, policy: CriticalityPolicy) -> None:
         self.eg = eg
@@ -198,18 +200,14 @@ class CandidateGraph:
         self.topology = eg.topology
         self.graph = eg.graph
 
-        self.input_size: dict[str, float] = {
-            t: eg.graph.input_size(t) for t in eg.graph.task_ids
-        }
-        self.mode_of: dict[tuple[str, str], ExecMode] = {}
         self.candidates: list[CandidateNode] = []
-        self.candidates_of: dict[tuple[str, str], list[int]] = {}
+        #: per task, the positions of its candidates in :attr:`candidates`
+        self.by_task: dict[str, list[int]] = {t: [] for t in eg.graph.task_ids}
 
         topo = eg.topology
         for task_id, k in eg.nodes:
             task = eg.graph.task(task_id)
             mode = exec_mode(task.vulnerability[k], policy)
-            self.mode_of[(task_id, k)] = mode
             devs = eg.devices_of[task_id]
             if mode is ExecMode.SE:
                 replica_sets: list[tuple[str, ...]] = [()]
@@ -219,21 +217,17 @@ class CandidateGraph:
                 replica_sets = [(devs[a], devs[b])
                                 for a in range(len(devs))
                                 for b in range(a, len(devs))]
-            ids: list[int] = []
-            in_bits = self.input_size[task_id]
+            in_bits = eg.graph.input_size(task_id)
             for reps in replica_sets:
-                cand = CandidateNode(
+                self.by_task[task_id].append(len(self.candidates))
+                self.candidates.append(CandidateNode(
                     task=task_id,
                     primary=k,
-                    mode=mode,
                     replicas=reps,
                     latency=candidate_latency(topo, task, k, reps, in_bits),
                     per_replica_energy=candidate_replica_energy(topo, task, k, reps, in_bits),
                     vulnerability=candidate_vulnerability(task, k, reps),
-                )
-                ids.append(len(self.candidates))
-                self.candidates.append(cand)
-            self.candidates_of[(task_id, k)] = ids
+                ))
 
     @property
     def arcs(self) -> list[EgArc]:
@@ -248,10 +242,7 @@ class CandidateGraph:
         return sum(1 + len(c.replicas) for c in self.candidates)
 
     def candidates_for_task(self, task_id: str) -> list[int]:
-        out: list[int] = []
-        for dev in self.eg.devices_of[task_id]:
-            out.extend(self.candidates_of[(task_id, dev)])
-        return out
+        return list(self.by_task[task_id])
 
 
 def build_reg(eg: ExpandedGraph, policy: CriticalityPolicy) -> CandidateGraph:
@@ -260,25 +251,11 @@ def build_reg(eg: ExpandedGraph, policy: CriticalityPolicy) -> CandidateGraph:
 
 
 def eg_summary(eg: ExpandedGraph) -> dict:
-    """Size and degree statistics of an expanded graph, for debugging."""
-    out_deg: dict[tuple[str, str], int] = {n: 0 for n in eg.nodes}
-    in_deg: dict[tuple[str, str], int] = {n: 0 for n in eg.nodes}
-    for a in eg.arcs:
-        out_deg[(a.src_task, a.src_dev)] += 1
-        in_deg[(a.dst_task, a.dst_dev)] += 1
-
-    def histogram(deg: dict) -> dict[str, int]:
-        hist: dict[str, int] = {}
-        for v in deg.values():
-            hist[str(v)] = hist.get(str(v), 0) + 1
-        return dict(sorted(hist.items(), key=lambda kv: int(kv[0])))
-
+    """Size statistics of an expanded graph, for debugging."""
     return {
         "nodes": eg.node_count,
         "arcs": eg.arc_count,
         "devices_per_task": {t: len(d) for t, d in eg.devices_of.items()},
-        "out_degree_histogram": histogram(out_deg),
-        "in_degree_histogram": histogram(in_deg),
     }
 
 
@@ -292,8 +269,4 @@ def reg_summary(reg: CandidateGraph) -> dict:
         "arcs": len(reg.arcs),
         "replica_slots": reg.replica_slot_count,
         "candidates_per_mode": per_mode,
-        "candidates_per_task": {
-            t: len(reg.candidates_for_task(t)) for t in reg.graph.task_ids
-        },
     }
-

@@ -138,6 +138,58 @@ class TestValidate:
         assert "unknown candidate" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def serial_plan(workdir):
+    """A 4-task serial workflow and its plan solved at w_rel = 0.2, away
+    from validate's default weights; small enough to enumerate."""
+    wf, plan = workdir / "serial4.json", workdir / "serial4_plan.json"
+    assert run("generate", "--tasks", "4", "--structure", "serial", "--seed", "2",
+               "--out", str(wf)) == EXIT_OK
+    assert run("solve", "--workflow", str(wf), "--w-rel", "0.2", "--out", str(plan)) == EXIT_OK
+    return wf, plan
+
+
+class TestValidateExhaustively:
+    def test_judges_the_plan_at_its_own_weights(self, serial_plan, capsys):
+        wf, plan = serial_plan
+        assert run("validate", "--workflow", str(wf), "--plan", str(plan),
+                   "--samples", "20000") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "ok   enumerated bounds" in out and "ok   exhaustive optimum" in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("edit", ["g", "bound"])
+    def test_a_wrong_optimum_or_bound_fails(self, serial_plan, edit, workdir, capsys):
+        wf, plan = serial_plan
+        doc = json.loads(plan.read_text())
+        if edit == "g":
+            doc["objective"]["g"] += 1e-3
+        else:
+            doc["bounds"]["lat_max"] *= 1.001
+        bad = workdir / f"serial4_{edit}.json"
+        bad.write_text(json.dumps(doc))
+        assert run("validate", "--workflow", str(wf), "--plan", str(bad),
+                   "--samples", "20000") == EXIT_BAD_INPUT
+        line = "FAIL exhaustive optimum" if edit == "g" else "FAIL enumerated bounds"
+        assert line in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weights", [None, {"w_rel": 0.7, "w_lat": 0.7},
+                                         {"w_rel": "half", "w_lat": 0.5}],
+                             ids=["missing", "sum", "string"])
+    def test_a_plan_without_valid_weights_exits_one(self, serial_plan, weights,
+                                                     workdir, capsys):
+        wf, plan = serial_plan
+        doc = json.loads(plan.read_text())
+        if weights is None:
+            del doc["weights"]
+        else:
+            doc["weights"] = weights
+        bad = workdir / "serial4_weights.json"
+        bad.write_text(json.dumps(doc))
+        assert run("validate", "--workflow", str(wf), "--plan", str(bad)) == EXIT_BAD_INPUT
+        assert "has no valid weights" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_writes_csv_and_json_siblings(self, workdir, capsys):
         out = workdir / "sweep.csv"

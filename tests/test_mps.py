@@ -95,6 +95,32 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=r"bad\.mps:\d+: "):
             read_mps(bad)
 
+    def test_a_minimization_reads_back_as_the_same_maximization(self, weighted,
+                                                                round_trip, tmp_path):
+        path, _ = round_trip
+
+        def negate(value):
+            return value[1:] if value.startswith("-") else "-" + value
+
+        lines = []
+        for line in path.read_text().splitlines():
+            tokens = line.split()
+            if line == "    MAXIMIZE":
+                line = "    MINIMIZE"
+            elif len(tokens) == 3 and tokens[1] == "OBJ":   # a column's or the RHS entry
+                line = line[:line.rindex(tokens[2])] + negate(tokens[2])
+            lines.append(line)
+        flipped = tmp_path / "flipped.mps"
+        flipped.write_text("\n".join(lines) + "\n")
+        flipped.with_name("flipped.columns.json").write_text(
+            path.with_name(path.stem + ".columns.json").read_text())
+        assert "MINIMIZE" in flipped.read_text() and "RHS       OBJ       " in flipped.read_text()
+        clone = read_mps(flipped)
+        assert clone.objective == weighted.objective
+        assert clone.objective_offset == weighted.objective_offset
+        assert [(r.tag, r.sense, r.rhs, r.coeffs) for r in clone.constraints] == \
+            [(r.tag, r.sense, r.rhs, r.coeffs) for r in weighted.constraints]
+
     def test_catalog_survives(self, weighted, round_trip):
         _, clone = round_trip
         assert clone.catalog.names == weighted.catalog.names

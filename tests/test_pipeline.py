@@ -8,6 +8,7 @@ import pytest
 
 import ehcalloc as e
 import ehcalloc.synthgen as sg
+from ehcalloc import oracle
 from ehcalloc.bilp import ObjectiveWeights, TimeLimitError, normalization_bounds
 from ehcalloc.oracle import monte_carlo_reliability, raw_objectives
 from ehcalloc.pipeline import (
@@ -18,6 +19,7 @@ from ehcalloc.pipeline import (
     solve_allocation,
     sweep,
 )
+from ehcalloc.model import TaskSpec, WorkflowGraph
 from ehcalloc.solver import verify
 
 HALF = ObjectiveWeights(0.5, 0.5)
@@ -83,6 +85,17 @@ class TestSolveAllocation:
         flat = json.dumps(d)
         assert "wall_time" not in flat
         assert d["solver"]["nodes"] == plan.solver_nodes
+
+    def test_the_plan_sums_its_own_objectives(self, solved, topology, workflow, policy,
+                                              monkeypatch):
+        # the oracle is the plan's independent check, so the plan may not use it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plan read the oracle")
+
+        monkeypatch.setattr(oracle, "raw_objectives", refuse)
+        monkeypatch.setattr(oracle, "_arc_tables", refuse)
+        plan, _ = solve_allocation(topology, workflow, policy, HALF)
+        assert json.dumps(plan.to_json_dict()) == json.dumps(solved[0].to_json_dict())
 
     def test_repeat_runs_serialize_identically(self, topology, workflow, policy):
         a, _ = solve_allocation(topology, workflow, policy, HALF)
@@ -205,6 +218,19 @@ class TestBaselines:
                 want = pins.get(row["task"], dev)
                 assert row["primary"] == want
                 assert all(r == want for r in row["replicas"])
+
+    def test_a_restriction_some_task_cannot_take_is_infeasible(self, topology, policy):
+        # t1 may not run on the cloud, so there is no all-on-c plan
+        tasks = [TaskSpec(id=t, memory=1e6, storage=1e6, output_size=1e6,
+                          allowed_devices=devices,
+                          exec_time={d: 1.0 for d in devices},
+                          power={d: 2.0 for d in devices},
+                          vulnerability={d: 0.01 for d in devices})
+                 for t, devices in [("t1", ("e", "h")), ("t2", ("e", "h", "c"))]]
+        result = baselines(topology, WorkflowGraph(tasks, [("t1", "t2")]), policy, HALF)
+        status = {d: plan.status for d, plan in result["baselines"].items()}
+        assert status == {"e": "optimal", "h": "optimal", "c": "infeasible"}
+        assert result["baselines"]["c"].bounds == result["unrestricted"].bounds
 
     def test_restriction_keeps_existing_pins(self, topology):
         import ehcalloc.synthgen as sg

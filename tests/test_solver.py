@@ -105,6 +105,18 @@ class TestStatuses:
         assert full.status is SolverStatus.OPTIMAL
         assert cut.bound >= full.objective - 1e-12
 
+    def test_a_solve_past_its_deadline_builds_no_bound(self, workflow, topology, policy,
+                                                       monkeypatch):
+        _, weighted = build_weighted(workflow, topology, policy)
+
+        def refuse(self, lam):
+            raise AssertionError("a relaxation was built after the deadline")
+
+        monkeypatch.setattr(_TaskChoiceSearch, "_relax", refuse)
+        sol = solve_builtin(weighted, SolverOptions(time_limit=0.0))
+        assert sol.status is SolverStatus.TIME_LIMIT
+        assert sol.assignment is None and sol.nodes == 0 and sol.bound == math.inf
+
 
 class TestOptimality:
     @pytest.mark.parametrize("seed", range(6))
@@ -171,6 +183,40 @@ class TestOptimality:
         assert leaves[0] == (0, 1)
         assert sol.objective == 1.0 and list(sol.choices) == [0, 0]
         assert list(solve_builtin(model).choices) == [0, 0]
+
+    def test_missing_device_pairs_are_never_picked(self):
+        # t1 (on a, b, c) -> t2 (on a, b) lacks the pair b->b and every pair
+        # leaving c, as a model read back from an edited sidecar may; t1@c
+        # scores best, so the search tries it while t2 is still open
+        cands = [("t1", "a"), ("t1", "b"), ("t1", "c"), ("t2", "a"), ("t2", "b")]
+        cat = VariableCatalog(
+            ["t1", "t2"],
+            [CandidateVar(v, t, d, (), f"{t}@{d}") for v, (t, d) in enumerate(cands)],
+            [ArcVar(5 + v, "t1", k, "t2", l) for v, (k, l) in enumerate(["aa", "ab", "ba"])])
+        rows = [LinearConstraint({v: 1.0 for v in options}, "=", 1.0, f"choose_one[{t}]")
+                for t, options in zip(cat.task_order, cat.options)]
+        for side, (task, devices) in enumerate([("t1", "abc"), ("t2", "ab")]):
+            for dev in devices:
+                coeffs = {var: 1.0 for var in cat.ends[0][side].get(dev, {}).values()}
+                coeffs[cands.index((task, dev))] = -1.0
+                rows.append(LinearConstraint(coeffs, "=", 0.0, f"marginal[{task}@{dev}]"))
+        # a budget that rules out a->a
+        rows.append(LinearConstraint({0: 1.0, 3: 1.0}, "<=", 1.0, "budget"))
+        model = BilpModel(cat, rows, {2: 5.0, 4: 1.0, 5: 0.5, 7: 1.0})
+        scores = {}
+        for picks in itertools.product(*cat.options):
+            try:
+                x = cat.vector(picks)
+            except KeyError:            # an arc pair the model lacks
+                continue
+            if not verify(model, x):
+                scores[picks] = model.objective_value(x)
+        best = max(scores.values())
+        assert sorted(p for p, g in scores.items() if g == best) == [(0, 4), (1, 3)]
+        sol = solve_builtin(model)
+        assert sol.status is SolverStatus.OPTIMAL and sol.objective == best
+        picks = [options[k] for options, k in zip(cat.options, sol.choices)]
+        assert picks == [0, 4]
 
     def test_verify_flags_corrupted_assignments(self, workflow, topology, policy):
         _, weighted = build_weighted(workflow, topology, policy)

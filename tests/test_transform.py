@@ -11,9 +11,11 @@ import math
 
 import pytest
 
+import ehcalloc.synthgen as sg
 from ehcalloc import build_eg, build_reg, default_policy, inspection_workflow, reference_topology
 from ehcalloc.model import CriticalityPolicy, TaskSpec, WorkflowGraph
-from ehcalloc.params import ExecMode
+from ehcalloc.bilp import build_model
+from ehcalloc.params import ExecMode, exec_mode
 from ehcalloc.transform import (
     candidate_latency,
     candidate_replica_energy,
@@ -24,6 +26,15 @@ from ehcalloc.transform import (
 
 IN_BITS = 12.5e6     # parent output shipped to every foreign replica
 OUT_BITS = 20e6      # result shipped back per replica
+
+
+def placement_modes(reg):
+    """Each (task, primary) placement's mode, read off its candidates,
+    which must all agree on it."""
+    modes = {}
+    for cand in reg.candidates:
+        assert modes.setdefault((cand.task, cand.primary), cand.mode) is cand.mode
+    return modes
 
 
 @pytest.fixture(scope="module")
@@ -200,16 +211,16 @@ class TestExpandedGraph:
 class TestCandidateGraph:
     def test_mode_comes_from_vulnerability_thresholds(self, topo):
         # level 3 thresholds: 0.02 / 0.06
-        reg = build_reg(build_eg(two_task_graph(), topo), default_policy(3))
-        assert reg.mode_of[("t1", "e")] is ExecMode.SE     # 0.01 < 0.02
-        assert reg.mode_of[("t2", "h")] is ExecMode.DE     # 0.02 <= 0.04 < 0.06
-        assert reg.mode_of[("t2", "c")] is ExecMode.TE     # 0.07 >= 0.06
+        modes = placement_modes(build_reg(build_eg(two_task_graph(), topo), default_policy(3)))
+        assert modes[("t1", "e")] is ExecMode.SE     # 0.01 < 0.02
+        assert modes[("t2", "h")] is ExecMode.DE     # 0.02 <= 0.04 < 0.06
+        assert modes[("t2", "c")] is ExecMode.TE     # 0.07 >= 0.06
 
     def test_candidate_counts_per_mode(self, topo):
         reg = build_reg(build_eg(two_task_graph(), topo), default_policy(3))
         # t1: SE on e (1) + SE on h (1); t2 over {h, c}: DE on h pairs with
         # each allowed device (2), TE on c takes unordered replica pairs (3)
-        assert reg.mode_of[("t1", "h")] is ExecMode.SE
+        assert placement_modes(reg)[("t1", "h")] is ExecMode.SE
         t1 = [reg.candidates[i] for i in reg.candidates_for_task("t1")]
         t2 = [reg.candidates[i] for i in reg.candidates_for_task("t2")]
         assert [c.key for c in t1] == ["t1@e", "t1@h"]
@@ -240,6 +251,26 @@ class TestCandidateGraph:
         assert rs["candidates_per_mode"] == {"SE": 2, "DE": 2, "TE": 3}
 
 
+class TestCandidateFacts:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["fixture", "mixed-40"])
+    def test_modes_and_task_lists_agree_with_their_sources(self, topo, name, level):
+        graph = (inspection_workflow() if name == "fixture" else
+                 sg.generate(sg.GenSpec(task_count=40, structure="mixed", seed=1),
+                             tuple(topo.devices)))
+        policy = default_policy(level)
+        reg = build_reg(build_eg(graph, topo), policy)
+        for cand in reg.candidates:
+            vulnerability = reg.graph.task(cand.task).vulnerability[cand.primary]
+            assert cand.mode is exec_mode(vulnerability, policy)
+        options = build_model(reg).catalog.options
+        for k, t in enumerate(reg.graph.task_ids):
+            assert reg.candidates_for_task(t) == options[k]
+            # callers get their own list
+            reg.candidates_for_task(t).clear()
+            assert reg.candidates_for_task(t) == options[k]
+
+
 class TestWorstCaseGrowth:
     def test_all_te_three_devices(self, topo):
         # a task free on u=3 devices under forced TE yields 3 * 6 = 18
@@ -255,7 +286,7 @@ class TestWorstCaseGrowth:
         g = WorkflowGraph(tasks, [("t1", "t2"), ("t1", "t3"), ("t2", "t4"),
                                   ("t3", "t4")])
         reg = build_reg(build_eg(g, topo), default_policy(3))
-        assert all(m is ExecMode.TE for m in reg.mode_of.values())
+        assert all(m is ExecMode.TE for m in placement_modes(reg).values())
         assert len(reg.candidates) == 18 * 4
         assert len(reg.arcs) == 9 * 4
         assert reg.replica_slot_count == 3 * 18 * 4
