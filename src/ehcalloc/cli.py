@@ -174,14 +174,21 @@ def cmd_validate(args) -> int:
         weights = ObjectiveWeights(plan["weights"]["w_rel"], plan["weights"]["w_lat"])
     except (KeyError, TypeError, ValueError) as exc:
         raise io.ConfigError(f"plan {args.plan} has no valid weights: {exc!r}") from exc
+    tasks, objective = plan.get("tasks", []), plan.get("objective", {})
+    if not isinstance(tasks, list) or not all(isinstance(entry, dict) for entry in tasks):
+        print("FAIL plan tasks are not a list of objects")
+        return EXIT_BAD_INPUT
+    if not isinstance(objective, dict):
+        print("FAIL plan objective is not an object")
+        return EXIT_BAD_INPUT
 
     reg, model = pipeline.prepare(topology, graph, scenario.policy)
     key_to_idx = {c.key: i for i, c in enumerate(reg.candidates)}
     problems: list[str] = []
     picks: list[int] = []
-    for entry in plan.get("tasks", []):
+    for entry in tasks:
         key = entry.get("candidate")
-        if key not in key_to_idx:
+        if not isinstance(key, str) or key not in key_to_idx:
             problems.append(f"unknown candidate {key!r}")
             continue
         picks.append(key_to_idx[key])
@@ -203,9 +210,8 @@ def cmd_validate(args) -> int:
 
     cands = [reg.candidates[i] for i in picks]
     f_rel, f_lat = oracle.raw_objectives(reg, cands)
-    stored = plan.get("objective", {})
     for name, fresh, key in (("f_rel", f_rel, "f_rel"), ("f_lat", f_lat, "f_lat_s")):
-        old = stored.get(key)
+        old = objective.get(key)
         agree = old is not None and math.isclose(fresh, old, rel_tol=1e-9, abs_tol=1e-9)
         print(f"{'ok  ' if agree else 'FAIL'} {name} recomputed {fresh!r} vs stored {old!r}")
         if not agree:
@@ -232,7 +238,7 @@ def cmd_validate(args) -> int:
         if not agree:
             problems.append("bounds")
         result = oracle.brute_force(reg, weights, bounds)
-        g = plan.get("objective", {}).get("g")
+        g = objective.get("g")
         agree = (result.status == "optimal" and g is not None
                  and math.isclose(result.objective, g, rel_tol=1e-9, abs_tol=1e-9))
         print(f"{'ok  ' if agree else 'FAIL'} exhaustive optimum {result.objective!r} "

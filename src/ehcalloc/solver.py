@@ -31,6 +31,20 @@ multipliers, zero is optimal and the first diffusion is the bound.
 Feasibility, leaf values and :func:`verify` read only the original rows
 and coefficients.
 
+A second bound keeps one budget row exact instead of dualized: a
+multiple-choice knapsack over the tail of the search order (Sinha &
+Zoltners, Oper. Res. 27(3), 1979).  The tail row is the dualized row
+with the largest positive weight ``lam_r / rhs_r`` among those no arc
+variable charges.  Once per solve, a suffix table gives per level the
+best sum of the open tasks' terms, with that row's charge added back,
+whose row usage fits in a number of cells of a ``KNAPSACK_CELLS`` grid;
+weights are rounded down to whole cells, so the table stays an upper
+bound.  A node's bound is the smaller of the static bound and the
+static bound with the tail row's dualized term made exact and the open
+tasks' best terms read from the table at the cells left.  Both shrink
+down the tree, so their minimum does.  A solve whose multipliers are
+all zero builds no table.
+
 The search order is fixed once the bound is built: tasks with a single
 candidate first, so a pinned task that cannot fit fails at the root,
 then tasks by descending spread (best minus worst candidate term), and
@@ -61,8 +75,11 @@ import enum
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .bilp import BilpModel, LinearConstraint, VariableCatalog
 
@@ -119,6 +136,8 @@ class _TimeUp(Exception):
 DIFFUSION_SWEEPS = 10
 #: most bound evaluations Kelley's method spends on the multipliers
 KELLEY_CALLS = 30
+#: capacity cells of the knapsack tail table over its budget row
+KNAPSACK_CELLS = 4000
 
 
 def _tol(value: float) -> float:
@@ -151,6 +170,8 @@ class _Layout:
         for p, (i, j) in enumerate(cat.pairs):
             self.incident[i].append((p, 0, j))
             self.incident[j].append((p, 1, i))
+        #: the budget rows some arc variable has a coefficient in
+        self.arc_rows = {r for a in cat.arcs for r, _ in self.budget[a.var]}
         self.rhs = [row.rhs for row in rows]
         self.row_cap = [row.rhs + _tol(row.rhs) for row in rows]
         #: the rows the bound dualizes: a finite positive rhs and a coefficient
@@ -194,9 +215,11 @@ class _Relaxation:
     variable its term; ``task_max`` and ``arc_max`` (per arc side and
     device) are their best values, ``arc_bound`` per arc its best pair,
     and ``bound`` sums the best terms and the multipliers' constant.
+    ``lam`` keeps the multipliers, one per dualized row.
     """
 
-    def __init__(self, crobj, arobj, arc_max, constant) -> None:
+    def __init__(self, crobj, arobj, arc_max, constant, lam) -> None:
+        self.lam = lam
         self.crobj = crobj
         self.arobj = arobj
         self.arc_max = arc_max
@@ -299,7 +322,7 @@ class _TaskChoiceSearch:
                 {dev: max(arobj[var] for var in row.values()) for dev, row in end.items()}
                 for end in (src, dst)))
         constant = sum(weight[r] * lay.row_cap[r] for r in lay.dual_rows)
-        return _Relaxation(crobj, arobj, arc_max, constant)
+        return _Relaxation(crobj, arobj, arc_max, constant, list(lam))
 
     def _slope(self, relax: _Relaxation) -> list[float]:
         """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
@@ -359,7 +382,14 @@ class _TaskChoiceSearch:
     def _install(self, relax: _Relaxation) -> None:
         """Adopt a relaxation as the bound and fix the search order:
         single-candidate tasks first, then tasks by descending spread of
-        their candidate terms; per task, children best term first."""
+        their candidate terms; per task, children best term first.
+
+        Of the dualized rows with a positive multiplier and no arc
+        coefficient, the one with the largest weight ``lam_r / rhs_r``
+        becomes the tail row and gets a knapsack tail table; with no
+        such row there is none.  A row that charges arcs is left out:
+        the table drops the arcs' charge, which would make it no bound.
+        """
         self.relax = relax
         self.arc_bound = list(relax.arc_bound)
         self.future = relax.bound
@@ -370,6 +400,50 @@ class _TaskChoiceSearch:
                                  for k, ((primary, rows), term) in enumerate(zip(recs, terms))),
                                 key=lambda child: -child[3])
                          for recs, terms in zip(self.lay.cands, relax.crobj)]
+        lay = self.lay
+        weight = {r: lam / lay.rhs[r] for r, lam in zip(lay.dual_rows, relax.lam)
+                  if lam > 0.0 and r not in lay.arc_rows}
+        self.tail: list[array] | None = None
+        if weight:
+            self.tail_row = row = max(weight, key=weight.get)
+            self.tail_weight = weight[row]
+            self.tail_cap = lay.row_cap[row]
+            self.tail_cell = lay.row_cap[row] / KNAPSACK_CELLS
+            self.tail = self._tail_table(relax)
+
+    def _tail_table(self, relax: _Relaxation) -> list[array]:
+        """Per level d, an exact multiple-choice knapsack over the tail
+        row for the tasks ``order[d:]``, less their best terms.
+
+        Entry c of level d is the best sum, over those tasks, of one
+        candidate term each with the tail row's charge ``weight * coeff``
+        added back, among the picks whose weights fit in c cells of
+        ``tail_cell``, minus the tasks' ``task_max``; ``-inf`` if none
+        fits.  Weights are rounded down to whole cells, so a pick that
+        fits the row fits its cells and the entry bounds it (Sinha &
+        Zoltners, Oper. Res. 27(3), 1979; Kellerer, Pferschy & Pisinger,
+        Knapsack Problems, 2004, ch. 11).  Rows are ``array('d')``: the
+        search reads them one float at a time.
+        """
+        row, weight, cell = self.tail_row, self.tail_weight, self.tail_cell
+        size = KNAPSACK_CELLS + 1
+        table = np.zeros(size)
+        levels = [array("d", table.tobytes())]
+        for t in reversed(self.order):
+            # per distinct cell weight, the task's best term
+            best: dict[int, float] = {}
+            for (_, rows), term in zip(self.lay.cands[t], relax.crobj[t]):
+                coeff = next((c for r, c in rows if r == row), 0.0)
+                cells = math.floor(coeff / cell)
+                if cells < size:
+                    best[cells] = max(best.get(cells, -math.inf), term + weight * coeff)
+            picked = np.full(size, -math.inf)
+            for cells, value in best.items():
+                np.maximum(picked[cells:], table[:size - cells] + value, out=picked[cells:])
+            table = picked - relax.task_max[t]
+            levels.append(array("d", table.tobytes()))
+        levels.reverse()
+        return levels
 
     # -- incremental choice application -------------------------------------
 
@@ -468,11 +542,22 @@ class _TaskChoiceSearch:
             self._accept_leaf()
             return
         t = self.order[level]
+        # the tail table of the tasks still open below this level
+        tail = self.tail[level + 1] if self.tail is not None else None
         for child in self.children[t]:
             token = self._apply(t, child)
             if token is None:
                 continue
             bound = self.rpartial + self.future + self.model.objective_offset
+            if tail is not None:
+                # the knapsack bound: the static bound with the tail row's
+                # dualized term, weight * (usage - row_cap), kept exact, and
+                # the open tasks' best terms replaced by the table's entry at
+                # the cells left; a millionth of a cell absorbs float error
+                # in the floors, so a pick that fits the row still fits
+                slack = self.tail_cap - self.usage[self.tail_row]
+                bound = min(bound, bound - self.tail_weight * slack
+                            + tail[int(slack / self.tail_cell + 1e-6)])
             if bound > parent_bound + _tol(parent_bound):
                 raise RuntimeError("relaxation bound increased down the tree")
             # the bound and the leaf values sum different terms, so only a

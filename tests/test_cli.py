@@ -137,6 +137,31 @@ class TestValidate:
         assert run("validate", "--plan", str(bad)) == EXIT_BAD_INPUT
         assert "unknown candidate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, value, line", [
+        ("tasks", [1], "FAIL plan tasks are not a list of objects"),
+        ("tasks", "t1@e", "FAIL plan tasks are not a list of objects"),
+        ("tasks", {"t1": "t1@e"}, "FAIL plan tasks are not a list of objects"),
+        ("objective", [0.5], "FAIL plan objective is not an object"),
+        ("objective", 0.5, "FAIL plan objective is not an object"),
+    ], ids=["task-number", "tasks-string", "tasks-object", "objective-list",
+            "objective-number"])
+    def test_a_malformed_plan_fails_without_a_traceback(self, plan_file, workdir, capsys,
+                                                       field, value, line):
+        doc = json.loads(plan_file.read_text())
+        doc[field] = value
+        bad = workdir / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        assert run("validate", "--plan", str(bad)) == EXIT_BAD_INPUT
+        assert line in capsys.readouterr().out
+
+    def test_a_candidate_that_is_not_a_string_is_unknown(self, plan_file, workdir, capsys):
+        doc = json.loads(plan_file.read_text())
+        doc["tasks"][0]["candidate"] = ["t1@e"]
+        bad = workdir / "unhashable.json"
+        bad.write_text(json.dumps(doc))
+        assert run("validate", "--plan", str(bad)) == EXIT_BAD_INPUT
+        assert "unknown candidate ['t1@e']" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def serial_plan(workdir):

@@ -225,6 +225,25 @@ class TestAgainstHighs:
         assert sol.objective == pytest.approx(external, rel=1e-9)
 
 
+    @pytest.mark.parametrize("structure, n, kind", [
+        ("serial", 40, "rel_min"), ("serial", 40, "lat_max"),
+        ("parallel", 40, "rel_min"), ("parallel", 40, "lat_max"),
+        ("mixed", 60, "lat_max"),
+    ])
+    def test_worst_case_solves_match_highs(self, topology, policy, structure, n, kind):
+        # the worst-case normalization solves, where the budgets bind and
+        # the knapsack tail table does its work
+        spec = sg.GenSpec(task_count=n, structure=structure, seed=1)
+        graph = sg.generate(spec, tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        aux = single_objective(reg, model, kind)
+        status, optimum = scipy_milp(aux)
+        assert status == 0
+        sol = solve_builtin(aux, SolverOptions(time_limit=30.0))
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.objective == pytest.approx(optimum, rel=1e-9, abs=1e-9)
+
+
 class TestReadSolutionErrors:
     def test_near_integer_values_snap(self, weighted, tmp_path):
         name = weighted.catalog.names[0]

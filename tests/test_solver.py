@@ -29,6 +29,7 @@ from ehcalloc.model import Device, TaskSpec, Topology, WorkflowGraph
 from ehcalloc.oracle import brute_force, oracle_bounds
 from ehcalloc.pipeline import assignment_from_picks
 from ehcalloc.solver import (
+    KNAPSACK_CELLS,
     SolverOptions,
     SolverStatus,
     _kelley_master,
@@ -172,14 +173,7 @@ class TestOptimality:
         scores = {picks: model.objective_value(cat.vector(picks))
                   for picks in itertools.product(*cat.options)}
         assert sorted(p for p, g in scores.items() if g == 1.0) == [(0, 2), (0, 3), (1, 3)]
-        leaves = []
-
-        class Tracing(_TaskChoiceSearch):
-            def _accept_leaf(self):
-                leaves.append(tuple(self.chosen))
-                super()._accept_leaf()
-
-        sol = Tracing(model, SolverOptions()).run()
+        _, leaves, sol = leaves_and_solution(_TaskChoiceSearch, model)
         assert leaves[0] == (0, 1)
         assert sol.objective == 1.0 and list(sol.choices) == [0, 0]
         assert list(solve_builtin(model).choices) == [0, 0]
@@ -232,12 +226,24 @@ class TestOptimality:
         frac[flip] = 0.5
         assert any("not binary" in v for v in verify(weighted, frac))
 
-    def test_tight_budgets_keep_the_brute_force_optimum(self, topology):
-        # seeds with tight budgets exercise the multipliers and the undo paths
+    def test_tight_budgets_keep_the_brute_force_optimum(self, topology, monkeypatch):
+        # seeds with tight budgets exercise the multipliers, the knapsack
+        # tail table and the undo paths
+        tables = []
+        build = _TaskChoiceSearch._tail_table
+
+        def counted(self, relax):
+            tables.append(self.tail_row)
+            return build(self, relax)
+
+        monkeypatch.setattr(_TaskChoiceSearch, "_tail_table", counted)
         for seed in (1, 3, 5):
             topo, graph, policy = small_instance(topology, seed)
             reg, model = e.prepare(topo, graph, policy)
             bounds = normalization_bounds(reg, model, None)
+            extremes = oracle_bounds(reg)
+            assert bounds.rel_min == pytest.approx(extremes.rel_min, abs=1e-9)
+            assert bounds.lat_max == pytest.approx(extremes.lat_max, abs=1e-9)
             for w_rel in (0.0, 1.0):
                 weights = ObjectiveWeights(w_rel, 1.0 - w_rel)
                 weighted = weighted_objective(reg, model, weights, bounds)
@@ -245,6 +251,66 @@ class TestOptimality:
                 ref = brute_force(reg, weights, bounds)
                 assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
                 assert list(sol.choices) == list(ref.choices)
+        # not vacuous: the worst-latency solves of seeds 1 and 3 and their
+        # w_rel = 1 solves each build a table
+        assert len(tables) >= 4
+
+
+def knapsack_model(items, rhs, arcs=(), arc_size=0.0):
+    """Tasks t0, t1, ... with candidates ``(device, value, size)`` and one
+    budget row ``memory`` of the sizes, limited to ``rhs``.  Each workflow
+    arc in ``arcs`` gets every device pair, and its pair b->b costs
+    ``arc_size`` on the budget row."""
+    tasks = [f"t{i}" for i in range(len(items))]
+    cands, objective, row = [], {}, {}
+    for t, options in zip(tasks, items):
+        for dev, value, size in options:
+            v = len(cands)
+            cands.append(CandidateVar(v, t, dev, (), f"{t}@{dev}"))
+            objective[v], row[v] = value, size
+    arc_vars = []
+    for i, j in arcs:
+        devices = [sorted({dev for dev, _, _ in items[x]}) for x in (i, j)]
+        for k, l in itertools.product(*devices):
+            v = len(cands) + len(arc_vars)
+            arc_vars.append(ArcVar(v, tasks[i], k, tasks[j], l))
+            if k == l == "b":
+                row[v] = arc_size
+    cat = VariableCatalog(tasks, cands, arc_vars)
+    return BilpModel(cat, [LinearConstraint(row, "<=", rhs, "memory")], objective)
+
+
+def enumerated_optima(model):
+    """The best objective over every pick vector that fits, and the
+    vectors that reach it."""
+    cat = model.catalog
+    scores = {picks: model.objective_value(cat.vector(picks))
+              for picks in itertools.product(*cat.options)
+              if not verify(model, cat.vector(picks))}
+    best = max(scores.values())
+    return best, sorted(picks for picks, g in scores.items() if g == best)
+
+
+class Untabled(_TaskChoiceSearch):
+    """The search with the static bound alone."""
+
+    def _install(self, relax):
+        super()._install(relax)
+        self.tail = None
+
+
+def leaves_and_solution(search_class, model):
+    """A search of ``model`` by ``search_class``, the leaves it reached in
+    order, and its solution."""
+    leaves = []
+
+    class Tracing(search_class):
+        def _accept_leaf(self):
+            leaves.append(tuple(self.chosen))
+            super()._accept_leaf()
+
+    search = Tracing(model, SolverOptions())
+    return search, leaves, search.run()
 
 
 def root_bounds(model):
@@ -335,6 +401,86 @@ class TestReparametrizedBound:
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.objective == pytest.approx(optimum, abs=1e-9)
         assert [opts[k] for opts, k in zip(cat.options, sol.choices)] == list(best)
+
+
+class TestKnapsackTail:
+    def test_table_prunes_what_the_static_bound_keeps(self):
+        # three tasks, one 0.6-sized pick each worth 6, 5 and 4 against a
+        # budget of 1: only one fits, but the dualized bound prices
+        # 1 / 0.6 of them, so with t0 light it still promises more than 6
+        model = knapsack_model([[("a", 0.0, 0.0), ("b", value, 0.6)] for value in (6.0, 5.0, 4.0)],
+                               1.0)
+        best, optima = enumerated_optima(model)
+        assert (best, optima) == (6.0, [(1, 2, 4)])
+        search, leaves, sol = leaves_and_solution(_TaskChoiceSearch, model)
+        static, static_leaves, static_sol = leaves_and_solution(Untabled, model)
+        assert search.relax.lam[0] > 0.0 and search.tail is not None
+        assert len(search.tail) == 4 and all(len(row) == KNAPSACK_CELLS + 1 for row in search.tail)
+        for s in (sol, static_sol):
+            assert s.status is SolverStatus.OPTIMAL
+            assert s.objective == best and list(s.choices) == [1, 0, 0]
+        # the static bound keeps the subtree with t0 light and finds its
+        # three leaves; the table prunes it at its root
+        assert leaves == [(1, 0, 0)]
+        assert (0, 0, 0) in static_leaves and len(static_leaves) == 4
+        assert sol.nodes < static_sol.nodes
+        assert sol.bound >= best
+
+    def test_lex_smallest_tie_wins_with_a_table(self):
+        # t0@b + t1@a and t0@a + t1@b both score 5.5 exactly and only one
+        # b fits; the search takes t0@b first, so it reaches (1, 0) before
+        # the lexicographically smaller (0, 1), which the table must not
+        # prune, since its bound there ties the incumbent
+        model = knapsack_model([[("a", -1.0, 0.0), ("b", 6.0, 0.6)],
+                                [("a", -0.5, 0.0), ("b", 6.5, 0.7)]], 1.0)
+        best, optima = enumerated_optima(model)
+        assert (best, optima) == (5.5, [(0, 3), (1, 2)])
+        search, leaves, sol = leaves_and_solution(_TaskChoiceSearch, model)
+        assert search.tail is not None
+        assert leaves[0] == (1, 0)
+        assert sol.objective == 5.5 and list(sol.choices) == [0, 1]
+
+    def test_a_row_that_charges_arcs_gets_no_table(self):
+        # the same knapsack over t0 -> t1, where the pair b->b also costs
+        # memory: the row is dualized, but a table over the candidates
+        # alone would drop the arc's charge and could cut the optimum
+        model = knapsack_model([[("a", 0.0, 0.0), ("b", 6.0, 0.6)],
+                                [("a", 0.0, 0.0), ("b", 5.0, 0.6)]],
+                               1.0, arcs=[(0, 1)], arc_size=0.1)
+        best, optima = enumerated_optima(model)
+        search, _, sol = leaves_and_solution(_TaskChoiceSearch, model)
+        assert search.relax.lam[0] > 0.0
+        assert search.tail is None
+        assert sol.objective == best and [opts[k] for opts, k in
+                                          zip(model.catalog.options, sol.choices)] == list(optima[0])
+
+    def test_fixture_solves_build_no_table(self, topology, workflow, policy, monkeypatch):
+        # every budget fits at zero multipliers on the bundled fixture, so
+        # no solve of a solve or a sweep builds a table, and each keeps the
+        # node count it had with the static bound alone
+        seen = []
+        run = _TaskChoiceSearch.run
+
+        def recorded(self):
+            sol = run(self)
+            seen.append((self.tail, sol.nodes))
+            return sol
+
+        monkeypatch.setattr(_TaskChoiceSearch, "run", recorded)
+        e.solve_allocation(topology, workflow, policy, HALF)
+        e.sweep(topology, workflow, policy, steps=20)
+        assert len(seen) == 5 + 4 + 21
+        assert seen == [(None, 153)] * len(seen)
+
+    @pytest.mark.parametrize("n, most", [(30, 15_000), (40, 36_000)])
+    def test_worst_latency_node_counts(self, topology, policy, n, most):
+        # half the nodes the static bound alone needed: 30,754 and 72,559
+        graph = sg.generate(sg.GenSpec(task_count=n, structure="mixed", seed=1),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        sol = solve_builtin(model.with_objective(objective_latency(reg, model.catalog)))
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.nodes <= most
 
 
 class TestKelleyMaster:
