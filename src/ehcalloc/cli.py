@@ -228,8 +228,9 @@ def cmd_validate(args) -> int:
 
     space = oracle.space_size(reg)
     if space <= args.brute_limit:
-        # enumerated, so that a wrong normalization solve shows
-        bounds = oracle.oracle_bounds(reg)
+        # enumerated once, so that a wrong normalization solve shows
+        points = list(oracle.feasible_points(reg))
+        bounds = oracle.oracle_bounds(reg, points=points)
         fresh, stored = bounds.to_json_dict(), plan.get("bounds")
         agree = isinstance(stored, dict) and all(
             isinstance(stored.get(k), (int, float)) and math.isclose(v, stored[k], rel_tol=1e-9)
@@ -237,7 +238,7 @@ def cmd_validate(args) -> int:
         print(f"{'ok  ' if agree else 'FAIL'} enumerated bounds {fresh} vs stored {stored}")
         if not agree:
             problems.append("bounds")
-        result = oracle.brute_force(reg, weights, bounds)
+        result = oracle.brute_force(reg, weights, bounds, points=points)
         g = objective.get("g")
         agree = (result.status == "optimal" and g is not None
                  and math.isclose(result.objective, g, rel_tol=1e-9, abs_tol=1e-9))

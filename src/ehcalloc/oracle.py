@@ -122,7 +122,7 @@ def raw_objectives(reg: CandidateGraph, cands, arc_tables=None) -> tuple[float, 
     return math.log(r_total), f_lat
 
 
-def _feasible_points(reg: CandidateGraph, guard: int):
+def feasible_points(reg: CandidateGraph, guard: int = ENUMERATION_GUARD):
     """Yield ``(vector, f_rel, f_lat)`` for every feasible candidate-index
     vector, in lexicographic order."""
     size = space_size(reg)
@@ -144,16 +144,20 @@ def brute_force(
     weights: ObjectiveWeights,
     bounds: NormalizationBounds,
     guard: int = ENUMERATION_GUARD,
+    points=None,
 ) -> OracleResult:
     """Exhaustive search for the best feasible assignment.
 
     Ties go to the lexicographically smallest candidate-index vector,
-    the same rule the branch-and-bound uses.
+    the same rule the branch-and-bound uses.  ``points``, a list of what
+    :func:`feasible_points` yields, spares a second enumeration.
     """
+    if points is None:
+        points = feasible_points(reg, guard)
     best_g = -math.inf
     best: tuple | None = None
     feasible_count = 0
-    for vec, f_rel, f_lat in _feasible_points(reg, guard):
+    for vec, f_rel, f_lat in points:
         feasible_count += 1
         g = (weights.w_rel * bounds.normalize_rel(f_rel)
              - weights.w_lat * bounds.normalize_lat(f_lat))
@@ -169,12 +173,15 @@ def brute_force(
                         feasible_count, enumerated)
 
 
-def oracle_bounds(reg: CandidateGraph, guard: int = ENUMERATION_GUARD) -> NormalizationBounds:
+def oracle_bounds(reg: CandidateGraph, guard: int = ENUMERATION_GUARD,
+                  points=None) -> NormalizationBounds:
     """Normalization bounds by enumeration, for checking the solver's four
-    auxiliary solves."""
+    auxiliary solves; ``points`` as in :func:`brute_force`."""
+    if points is None:
+        points = feasible_points(reg, guard)
     rel_lo = lat_lo = math.inf
     rel_hi = lat_hi = -math.inf
-    for _vec, f_rel, f_lat in _feasible_points(reg, guard):
+    for _vec, f_rel, f_lat in points:
         rel_lo, rel_hi = min(rel_lo, f_rel), max(rel_hi, f_rel)
         lat_lo, lat_hi = min(lat_lo, f_lat), max(lat_hi, f_lat)
     if math.isinf(rel_lo):

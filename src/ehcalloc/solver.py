@@ -700,45 +700,43 @@ def export_mps(model: BilpModel, path: str | Path) -> Path:
     """Write the model as MPS (maximization, all-binary via BV bounds).
 
     Column and row names are short and opaque; the sidecar
-    ``<stem>.columns.json`` maps them back to task/device/slot semantics
-    and carries the objective constant and row tags.  Values are printed
-    with 17 significant digits so a round trip preserves the optimum.
+    ``<stem>.columns.json``, one line of JSON with sorted keys, maps them
+    back to task/device/slot semantics and carries the objective constant
+    and row tags.  Values are printed with 17 significant digits so a
+    round trip preserves the optimum.
     """
     path = Path(path)
     cat = model.catalog
     lines: list[str] = ["NAME          EHCALLOC", "OBJSENSE", "    MAXIMIZE", "ROWS",
                         " N  OBJ"]
-    row_names: list[str] = []
-    for i, row in enumerate(model.constraints):
-        rn = f"R{i}"
-        row_names.append(rn)
-        lines.append(f" {'L' if row.sense == '<=' else 'E'}  {rn}")
+    row_names = [f"R{i}" for i in range(len(model.constraints))]
+    lines += [f" {'L' if row.sense == '<=' else 'E'}  {rn}"
+              for rn, row in zip(row_names, model.constraints)]
 
-    by_var: list[list[tuple[str, float]]] = [[] for _ in range(cat.n_vars)]
+    # each nonzero becomes its COLUMNS line at once, filed under its column
+    heads = [f"    {name:<10}" for name in cat.names]
+    by_var: list[list[str]] = [[] for _ in heads]
     for v, c in model.objective.items():
         if c:
-            by_var[v].append(("OBJ", c))
+            by_var[v].append(f"{heads[v]}OBJ       {c:.17g}")
     for rn, row in zip(row_names, model.constraints):
+        padded = f"{rn:<10}"
         for v, c in row.coeffs.items():
             if c:
-                by_var[v].append((rn, c))
+                by_var[v].append(f"{heads[v]}{padded}{c:.17g}")
 
     lines.append("COLUMNS")
-    for v in range(cat.n_vars):
-        col = cat.names[v]
-        for rn, c in by_var[v]:
-            lines.append(f"    {col:<10}{rn:<10}{c:.17g}")
+    for entries in by_var:
+        lines += entries
     lines.append("RHS")
     if model.objective_offset:
         lines.append(f"    RHS       OBJ       {-model.objective_offset:.17g}")
-    for rn, row in zip(row_names, model.constraints):
-        if row.rhs:
-            lines.append(f"    RHS       {rn:<10}{row.rhs:.17g}")
+    lines += [f"    RHS       {rn:<10}{row.rhs:.17g}"
+              for rn, row in zip(row_names, model.constraints) if row.rhs]
     lines.append("BOUNDS")
-    for v in range(cat.n_vars):
-        lines.append(f" BV BND       {cat.names[v]}")
-    lines.append("ENDATA")
-    path.write_text("\n".join(lines) + "\n")
+    lines += [f" BV BND       {name}" for name in cat.names]
+    lines += ["ENDATA", ""]                 # "" ends the file with a newline
+    path.write_text("\n".join(lines))
 
     sidecar = {
         "catalog": cat.to_json_dict(),
@@ -747,8 +745,8 @@ def export_mps(model: BilpModel, path: str | Path) -> Path:
         "metadata": {k: v for k, v in model.metadata.items()
                      if isinstance(v, (str, int, float, list, tuple, dict, type(None)))},
     }
-    _sidecar_path(path).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    # no indent: only then does json use its C encoder
+    _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
     return path
 
 
@@ -756,9 +754,14 @@ def read_mps(path: str | Path) -> BilpModel:
     """Rebuild a model from an MPS file and its sidecar ``<stem>.columns.json``.
 
     The sidecar is required: MPS alone cannot say which columns are
-    candidates of which task, and the solver needs that structure.  What
-    a model cannot hold is refused, not dropped: a ``G`` row, a
-    ``RANGES`` entry and any bound other than ``BV``.
+    candidates of which task, and the solver needs that structure.  The
+    objective is the one ``N`` row; its sense is ``MAX``/``MAXIMIZE`` or
+    ``MIN``/``MINIMIZE``, on the ``OBJSENSE`` line or the next.  What a
+    model cannot hold or the file does not declare is refused with
+    ``path:lineno:``, not dropped: any other sense, a ``G`` row, a second
+    ``N`` row, a row declared twice, a ``RANGES`` entry, any bound other
+    than ``BV``, a column the sidecar does not name, an entry on an
+    undeclared row, and a line whose names and values do not pair up.
     """
     path = Path(path)
     sidecar_path = _sidecar_path(path)
@@ -770,62 +773,86 @@ def read_mps(path: str | Path) -> BilpModel:
 
     section = None
     maximize = True
+    obj_name = None
     row_sense: dict[str, str] = {}
-    row_order: list[str] = []
     row_coeffs: dict[str, dict[int, float]] = {}
     obj: dict[int, float] = {}
     rhs: dict[str, float] = {}
     obj_rhs = 0.0
 
+    def pairs(tokens: list[str], lineno: int) -> list[tuple[str, str]]:
+        if len(tokens) % 2 == 0:
+            raise ValueError(f"{path}:{lineno}: expected a name and then row/value "
+                             f"pairs, got {len(tokens)} fields")
+        return list(zip(tokens[1::2], tokens[2::2]))
+
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if raw[0] not in " \t":
-            head = raw.split()[0]
-            if head in {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES",
-                        "BOUNDS", "ENDATA"}:
-                section = head
-                continue
         tokens = raw.split()
-        if section == "OBJSENSE":
-            maximize = tokens[0].upper() == "MAXIMIZE"
-        elif section == "ROWS":
-            sense, rn = tokens
-            if sense == "N":
+        if section == "COLUMNS" and len(tokens) == 3:
+            # the line export_mps writes: one entry on a constraint row; no
+            # column name is a section name or starts a comment
+            v, coeffs = var_of.get(tokens[0]), row_coeffs.get(tokens[1])
+            if v is not None and coeffs is not None:
+                coeffs[v] = float(tokens[2])
                 continue
-            if sense not in ("L", "E"):
-                raise ValueError(f"{path}:{lineno}: row type {sense!r} of {rn}; "
-                                 f"only L and E rows are supported")
-            row_sense[rn] = "<=" if sense == "L" else "="
-            row_order.append(rn)
-            row_coeffs[rn] = {}
-        elif section == "COLUMNS":
-            col = tokens[0]
-            if col not in var_of:
-                raise ValueError(f"unknown column {col!r} in {path}")
-            v = var_of[col]
-            for rn, val in zip(tokens[1::2], tokens[2::2]):
-                if rn == "OBJ":
+        if not tokens or tokens[0][0] == "*":
+            continue
+        head = tokens[0]
+        if raw[0] not in " \t" and head in {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS",
+                                             "RANGES", "BOUNDS", "ENDATA"}:
+            section = head
+            if head != "OBJSENSE" or len(tokens) == 1:
+                continue
+            head = tokens[1]                    # the sense on the section's line
+        if section == "COLUMNS":
+            v = var_of.get(head)
+            if v is None:
+                raise ValueError(f"{path}:{lineno}: unknown column {head!r}")
+            for rn, val in pairs(tokens, lineno):
+                if rn == obj_name:
                     obj[v] = float(val)
-                else:
+                elif rn in row_coeffs:
                     row_coeffs[rn][v] = float(val)
-        elif section == "RHS":
-            for rn, val in zip(tokens[1::2], tokens[2::2]):
-                if rn == "OBJ":
-                    obj_rhs = float(val)
                 else:
+                    raise ValueError(f"{path}:{lineno}: column {head} on undeclared row {rn!r}")
+        elif section == "BOUNDS":
+            if head != "BV":
+                raise ValueError(f"{path}:{lineno}: bound type {head!r}; "
+                                 f"only BV bounds are supported")
+        elif section == "RHS":
+            for rn, val in pairs(tokens, lineno):
+                if rn == obj_name:
+                    obj_rhs = float(val)
+                elif rn in row_coeffs:
                     rhs[rn] = float(val)
+                else:
+                    raise ValueError(f"{path}:{lineno}: right-hand side of undeclared row {rn!r}")
+        elif section == "ROWS":
+            if len(tokens) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'type name', got {raw.strip()!r}")
+            sense, rn = tokens
+            if rn in row_coeffs or rn == obj_name:
+                raise ValueError(f"{path}:{lineno}: row {rn!r} declared twice")
+            if sense == "N" and obj_name is None:
+                obj_name = rn
+            elif sense in ("L", "E"):
+                row_sense[rn] = "<=" if sense == "L" else "="
+                row_coeffs[rn] = {}
+            else:
+                raise ValueError(f"{path}:{lineno}: row type {sense!r} of {rn}; "
+                                 f"only one N row and L and E rows are supported")
+        elif section == "OBJSENSE":
+            if head.upper() not in ("MAX", "MAXIMIZE", "MIN", "MINIMIZE"):
+                raise ValueError(f"{path}:{lineno}: objective sense {head!r}; "
+                                 f"expected MAX, MAXIMIZE, MIN or MINIMIZE")
+            maximize = head.upper().startswith("MAX")
         elif section == "RANGES":
             raise ValueError(f"{path}:{lineno}: RANGES are not supported")
-        elif section == "BOUNDS" and tokens[0] != "BV":
-            raise ValueError(f"{path}:{lineno}: bound type {tokens[0]!r}; "
-                             f"only BV bounds are supported")
 
     tags = sidecar.get("rows", {})
     constraints = [
-        LinearConstraint(row_coeffs[rn], row_sense[rn], rhs.get(rn, 0.0),
-                         tags.get(rn, rn))
-        for rn in row_order
+        LinearConstraint(coeffs, row_sense[rn], rhs.get(rn, 0.0), tags.get(rn, rn))
+        for rn, coeffs in row_coeffs.items()
     ]
     offset = -obj_rhs
     if not maximize:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import ehcalloc as e
+from ehcalloc import oracle
 from ehcalloc.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
@@ -182,6 +183,22 @@ class TestValidateExhaustively:
         out = capsys.readouterr().out
         assert "ok   enumerated bounds" in out and "ok   exhaustive optimum" in out
         assert "FAIL" not in out
+
+    def test_enumerates_the_space_once(self, serial_plan, monkeypatch, capsys):
+        # the enumerated bounds and the exhaustive optimum share one pass
+        wf, plan = serial_plan
+        passes = []
+        enumerate_all = oracle.feasible_points
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return enumerate_all(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "feasible_points", counted)
+        assert run("validate", "--workflow", str(wf), "--plan", str(plan),
+                   "--samples", "20000") == EXIT_OK
+        assert len(passes) == 1
+        assert "ok   exhaustive optimum" in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit", ["g", "bound"])
     def test_a_wrong_optimum_or_bound_fails(self, serial_plan, edit, workdir, capsys):

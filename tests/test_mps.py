@@ -1,7 +1,9 @@
 """MPS interchange: write, read back, solve externally, import solutions."""
 
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -42,6 +44,27 @@ def round_trip(weighted, tmp_path_factory):
     return path, read_mps(path)
 
 
+def same_model(clone, model):
+    """Catalog, rows and objective equal, value for value; the file leaves
+    out zero objective coefficients."""
+    assert clone.catalog.names == model.catalog.names
+    assert clone.objective == {v: c for v, c in model.objective.items() if c}
+    assert clone.objective_offset == model.objective_offset
+    assert len(clone.constraints) == len(model.constraints)
+    for mine, theirs in zip(model.constraints, clone.constraints):
+        assert (theirs.tag, theirs.sense, theirs.rhs) == (mine.tag, mine.sense, mine.rhs)
+        assert theirs.coeffs == mine.coeffs          # exact: %.17g survives
+
+
+def edited_copy(path, tmp_path, name, text):
+    """``text`` written as ``<name>.mps`` next to a copy of ``path``'s sidecar."""
+    out = tmp_path / f"{name}.mps"
+    out.write_text(text)
+    out.with_name(f"{name}.columns.json").write_text(
+        path.with_name(path.stem + ".columns.json").read_text())
+    return out
+
+
 class TestRoundTrip:
     def test_sidecar_written_next_to_the_file(self, round_trip):
         path, _ = round_trip
@@ -80,19 +103,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown column 'S1'"):
             read_mps(old)
 
-    @pytest.mark.parametrize("edit", [
-        (" L  R", " G  R"),
-        ("BOUNDS\n", "RANGES\n    RNG       R0        1\nBOUNDS\n"),
-        (" BV BND       C0\n", " FX BND       C0        1\n"),
-    ], ids=["G-row", "ranges", "FX-bound"])
-    def test_what_the_model_cannot_hold_is_refused(self, round_trip, tmp_path, edit):
-        # each of these used to be read as >= (then verified as =) or dropped
+    @pytest.mark.parametrize("before, after, expected", [
+        (" L  R", " G  R", "row type 'G'"),
+        ("BOUNDS\n", "RANGES\n    RNG       R0        1\nBOUNDS\n", "RANGES are not supported"),
+        (" BV BND       C0\n", " FX BND       C0        1\n", "bound type 'FX'"),
+        ("COLUMNS\n", "COLUMNS\n    C0        R99999    1\n", "undeclared row 'R99999'"),
+        ("RHS\n", "RHS\n    RHS       R99999    1\n", "undeclared row 'R99999'"),
+        (" N  OBJ\n", " N  OBJ\n L  R99999  extra\n", "expected 'type name'"),
+        (" N  OBJ\n", " N  OBJ\n N  FREE\n", "row type 'N' of FREE"),
+        (" N  OBJ\n", " N  OBJ\n L  R0\n", "row 'R0' declared twice"),
+        ("COLUMNS\n", "COLUMNS\n    X1        R0        1\n", "unknown column 'X1'"),
+        ("COLUMNS\n", "COLUMNS\n    C0        R0        1         R1\n", "4 fields"),
+        ("RHS\n", "RHS\n    R0        1\n", "2 fields"),
+        ("    MAXIMIZE\n", "    UP\n", "objective sense 'UP'"),
+    ], ids=["G-row", "ranges", "FX-bound", "column-on-undeclared-row",
+            "rhs-on-undeclared-row", "rows-extra-token", "second-N-row",
+            "row-declared-twice", "unknown-column", "unpaired-column", "unpaired-rhs",
+            "unknown-sense"])
+    def test_what_the_model_cannot_hold_is_refused(self, round_trip, tmp_path,
+                                                   before, after, expected):
+        # each of these used to be read as >= (then verified as =), dropped,
+        # or end in a KeyError, an unpacking error or a message without
+        # its line
         path, _ = round_trip
-        bad = tmp_path / "bad.mps"
-        bad.write_text(path.read_text().replace(*edit, 1))
-        bad.with_name("bad.columns.json").write_text(
-            path.with_name(path.stem + ".columns.json").read_text())
-        with pytest.raises(ValueError, match=r"bad\.mps:\d+: "):
+        bad = edited_copy(path, tmp_path, "bad", path.read_text().replace(before, after, 1))
+        with pytest.raises(ValueError, match=r"bad\.mps:\d+: .*" + re.escape(expected)):
             read_mps(bad)
 
     def test_a_minimization_reads_back_as_the_same_maximization(self, weighted,
@@ -121,6 +156,19 @@ class TestRoundTrip:
         assert [(r.tag, r.sense, r.rhs, r.coeffs) for r in clone.constraints] == \
             [(r.tag, r.sense, r.rhs, r.coeffs) for r in weighted.constraints]
 
+    @pytest.mark.parametrize("sense, sign", [
+        ("OBJSENSE\n    MAX\n", 1), ("OBJSENSE MAXIMIZE\n", 1),
+        ("OBJSENSE\n    min\n", -1), ("OBJSENSE    MIN\n", -1),
+    ], ids=["MAX", "MAXIMIZE-on-one-line", "min", "MIN-on-one-line"])
+    def test_objective_sense_spellings(self, weighted, round_trip, tmp_path, sense, sign):
+        # "MAX" used to read as a minimization, and a sense on the
+        # OBJSENSE line itself was dropped
+        path, _ = round_trip
+        text = path.read_text().replace("OBJSENSE\n    MAXIMIZE\n", sense, 1)
+        clone = read_mps(edited_copy(path, tmp_path, "sense", text))
+        assert clone.objective == {v: sign * c for v, c in weighted.objective.items() if c}
+        assert clone.objective_offset == sign * weighted.objective_offset
+
     def test_catalog_survives(self, weighted, round_trip):
         _, clone = round_trip
         assert clone.catalog.names == weighted.catalog.names
@@ -145,6 +193,92 @@ class TestRoundTrip:
         mine, theirs = solve_builtin(weighted), solve_builtin(clone)
         assert mine.objective == theirs.objective   # identical arithmetic path
         assert mine.assignment == theirs.assignment
+
+    def test_the_objective_row_is_the_declared_n_row(self, weighted, round_trip, tmp_path):
+        path, _ = round_trip
+        # the N row, the objective's COLUMNS entries and its RHS entry
+        text = "".join(line.replace(" OBJ ", " COST ") if "OBJ" in line.split()[1:] else line
+                       for line in path.read_text().replace(" N  OBJ\n", " N  COST\n")
+                       .splitlines(keepends=True))
+        assert " N  COST\n" in text and " OBJ" not in text
+        same_model(read_mps(edited_copy(path, tmp_path, "cost", text)), weighted)
+
+    def test_general_layout_reads_back_the_same_model(self, weighted, round_trip, tmp_path):
+        # comments, blank lines, tab indents and two row/value pairs per
+        # COLUMNS and RHS line, as other writers emit them
+        path, _ = round_trip
+        lines = path.read_text().splitlines()
+        columns, rhs, bounds = (lines.index(s) for s in ("COLUMNS", "RHS", "BOUNDS"))
+
+        def paired(entries):
+            out, k = [], 0
+            while k < len(entries):
+                fields = entries[k].split()
+                if k + 1 < len(entries) and entries[k + 1].split()[0] == fields[0]:
+                    k += 1
+                    fields += entries[k].split()[1:]
+                out.append("\t".join(["", *fields]) if len(out) % 3 == 2
+                           else "    " + "  ".join(fields))
+                k += 1
+            return out
+
+        text = "\n".join(
+            ["* written by another tool", ""] + lines[:columns + 1]
+            + ["  * the matrix, column by column", "   "]
+            + paired(lines[columns + 1:rhs]) + [lines[rhs]]
+            + paired(lines[rhs + 1:bounds]) + ["", "*"] + lines[bounds:]) + "\n"
+        body = text.splitlines()
+        widths = {len(line.split()) for line in body[body.index("COLUMNS"):body.index("BOUNDS")]}
+        assert {3, 5} <= widths and "\n\t" in text
+        same_model(read_mps(edited_copy(path, tmp_path, "general", text)), weighted)
+
+
+#: sha256 and size of the MPS file of ``single_objective(reg, model,
+#: "lat_max")`` at policy level 3 on the reference topology; the writer
+#: must keep these bytes whatever PYTHONHASHSEED is
+MPS_PINS = {
+    "fixture": ("af182f1645654e324ca5fe3d87b8018c985eb0dd1b10524df53fe4c70ec6be12", 66_112),
+    "mixed-100": ("2b60b321379f434f0b635094595f952c0236efb71e0a53e1cd9a8529b2ac12c7", 610_228),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MPS_PINS))
+def pinned(request, topology, tmp_path_factory):
+    if request.param == "fixture":
+        graph = e.inspection_workflow()
+    else:
+        graph = sg.generate(sg.GenSpec(task_count=100, structure="mixed", seed=1),
+                            tuple(topology.devices))
+    reg, model = e.prepare(topology, graph, e.default_policy(3))
+    aux = single_objective(reg, model, "lat_max")
+    path = export_mps(aux, tmp_path_factory.mktemp("pinned") / f"{request.param}.mps")
+    return request.param, aux, path
+
+
+class TestPinnedArtifacts:
+    def test_mps_bytes_are_pinned(self, pinned):
+        name, _, path = pinned
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == MPS_PINS[name]
+
+    def test_sidecar_is_one_line_of_the_model_facts(self, pinned):
+        _, aux, path = pinned
+        text = path.with_name(path.stem + ".columns.json").read_text()
+        sidecar = json.loads(text)
+        assert sidecar == {
+            "catalog": aux.catalog.to_json_dict(),
+            "rows": {f"R{i}": row.tag for i, row in enumerate(aux.constraints)},
+            "objective_offset": aux.objective_offset,
+            "metadata": {"objective_kind": "lat_max", "sign": 1.0},
+        }
+        assert text == json.dumps(sidecar, sort_keys=True) + "\n"
+
+    def test_read_back_is_bit_exact(self, pinned):
+        _, aux, path = pinned
+        clone = read_mps(path)
+        same_model(clone, aux)
+        assert clone.catalog.task_order == aux.catalog.task_order
+        assert clone.metadata == {**aux.metadata, "source": str(path)}
 
 
 class TestExternalSolve:
