@@ -20,7 +20,14 @@ steps before the search.
 * A few sweeps of max-sum diffusion (Werner, TPAMI 2007) then move mass
   from each workflow arc's device-pair terms into the candidates of its
   endpoint tasks, grouped by primary device.  Every complete pick keeps
-  its score, but the relaxation gets much tighter.
+  its score, but the relaxation gets much tighter.  The sweeps visit the
+  groups in task order (Gauss-Seidel), but run as dependency waves over
+  flat numpy arrays: a group reads only its neighbours' messages and
+  writes only its own, so each task's groups go into the wave after the
+  neighbour updates the task-order loop would have read, pipelined
+  across sweeps, and one wave updates all its groups at once.  Every sum
+  is added term by term in the loop's order, so the bound is the loop's,
+  float for float.
 
 The multipliers come from Kelley's cutting-plane method (J. SIAM 8(4),
 1960) on the Lagrangian dual.  Its oracle is the diffusion bound; the
@@ -59,7 +66,8 @@ with each variable's ``(row, coeff)`` pairs, and per task its candidates
 and its incident workflow arcs, each with the side the task sits on.
 Per arc side the catalog gives the arc variables by device pair; the
 diffusion messages, the per-device arc bounds and the lookup of an arc
-between two fixed picks all index that one side layout.
+between two fixed picks all index that one side layout.  The same index
+holds the diffusion's flat arrays and its wave schedule.
 
 Because the bound and the leaf values sum different terms, they are
 never compared for equality: a subtree is pruned only when its bound
@@ -187,21 +195,135 @@ class _Layout:
         #: tasks with a single candidate; the search fixes them first, so a
         #: pinned task that cannot fit fails at the root
         self.forced = {t for t, recs in enumerate(self.cands) if len(recs) == 1}
-        #: per task, its candidates' primary devices in first-seen order
-        self.devices = [list(dict.fromkeys(primary for primary, _ in recs))
-                        for recs in self.cands]
-        #: diffusion groups, in task order: a task, one of its primary
-        #: devices, its candidates there, and per incident arc side the
-        #: arc's (other device, arc variable) pairs through that device
-        self.groups: list[tuple[int, str, list[int], list[tuple[int, int, list]]]] = []
-        for t, (recs, devices) in enumerate(zip(self.cands, self.devices)):
-            for dev in devices:
-                incident = [(p, s, list(cat.ends[p][s].get(dev, {}).items()))
-                            for p, s, _ in self.incident[t]]
+        self._index_diffusion(cat, rows)
+
+    def _index_diffusion(self, cat: VariableCatalog, rows: list[LinearConstraint]) -> None:
+        """The flat index arrays :meth:`_TaskChoiceSearch._relax` reads.
+
+        Messages live in one float array with a slot per arc side and
+        device, laid out like ``cat.ends``, plus a last pad slot that
+        stays 0.0.  Candidates are numbered flat, task by task, and arc
+        variables in ``cat.ends`` order.  Ragged lists become padded
+        arrays with the terms first, so that a sum or maximum runs over
+        axis 0: a padded term reads ``-inf`` under a maximum and ``0.0``
+        under a sum, so padding changes no float.
+        """
+        slot: dict[tuple[int, int, str], int] = {}
+        for p, ends in enumerate(cat.ends):
+            for s, end in enumerate(ends):
+                for dev in end:
+                    slot[(p, s, dev)] = len(slot)
+        self.n_slots = pad = len(slot)
+        #: arc variables in cat.ends order, with their source and destination slots
+        self.arc_vars = [var for src, _ in cat.ends for row in src.values() for var in row.values()]
+        arc_pos = {var: i for i, var in enumerate(self.arc_vars)}
+        n_arcs = len(self.arc_vars)
+        ends_of = [(slot[(p, 0, k)], slot[(p, 1, l)])
+                   for p, (src, _) in enumerate(cat.ends) for k, row in src.items() for l in row]
+        self.arc_src = np.array([a for a, _ in ends_of], dtype=np.intp)
+        self.arc_dst = np.array([b for _, b in ends_of], dtype=np.intp)
+        #: per slot, its arc variables' positions; position n_arcs reads -inf
+        self.slot_arcs = _columns([[arc_pos[var] for var in row.values()]
+                                  for ends in cat.ends for end in ends for row in end.values()],
+                                 n_arcs)
+        #: per arc side, its devices: the keys of the arc_max dicts
+        self.slot_keys = [tuple(end) for ends in cat.ends for end in ends]
+
+        #: per task, the flat position of its first candidate; then their count
+        self.first = [0]
+        for positions in cat.options:
+            self.first.append(self.first[-1] + len(positions))
+        # per dualized row, its coefficients on the candidates and on the arc
+        # variables, 0.0 where it has none: a budget pair's product is never
+        # -0.0, so adding the 0.0 products changes no sum
+        dense = np.zeros((len(self.dual_rows), cat.n_vars))
+        for k, r in enumerate(self.dual_rows):
+            dense[k, list(rows[r].coeffs)] = list(rows[r].coeffs.values())
+        self.dual_cands = dense[:, [cat.candidates[i].var for positions in cat.options
+                                    for i in positions]]
+        self.dual_arcs = dense[:, self.arc_vars]
+        # per task and primary device: the slots its candidates' gains sum,
+        # one per incident arc side in incident order, and its diffusion
+        # group, which writes those slots: its candidates there and per
+        # arc side the arc's (arc variable, other side's slot) pairs
+        gain, members, mine, terms, task_of = [], [], [], [], []
+        for t, (recs, incident) in enumerate(zip(self.cands, self.incident)):
+            own = {}
+            for dev in dict.fromkeys(primary for primary, _ in recs):
+                own[dev] = [slot.get((p, s, dev), pad) for p, s, _ in incident]
+                pairs = [[(arc_pos[var], slot[(p, 1 - s, o)])
+                          for o, var in cat.ends[p][s].get(dev, {}).items()]
+                         for p, s, _ in incident]
                 # a group with no device pair on some arc can never be picked
-                if incident and all(terms for _, _, terms in incident):
-                    members = [k for k, rec in enumerate(recs) if rec[0] == dev]
-                    self.groups.append((t, dev, members, incident))
+                if incident and all(pairs):
+                    members.append([self.first[t] + k for k, rec in enumerate(recs)
+                                    if rec[0] == dev])
+                    mine.append(own[dev])
+                    terms.append(pairs)
+                    task_of.append(t)
+            gain += [own[primary] for primary, _ in recs]
+        #: per candidate, the slots its gain sums
+        self.cand_gain = _columns(gain, pad)
+        #: per group, its candidates' flat positions; position first[-1] reads -inf
+        self.group_members = _columns(members, self.first[-1])
+
+        # the waves: task t's groups in sweep k after every neighbour u < t
+        # in sweep k, and after t itself and every neighbour u > t in sweep
+        # k - 1; a wave's groups read and write disjoint slots, so updating
+        # them together equals updating them one by one in task order
+        grouped = set(task_of)
+        neighbours = [[u for _, _, u in incident if u in grouped] for incident in self.incident]
+        done = [-1] * len(self.cands)
+        schedule: list[list[int]] = []
+        for _ in range(DIFFUSION_SWEEPS):
+            latest = list(done)
+            for t in sorted(grouped):
+                done[t] = 1 + max([latest[t]] + [done[u] if u < t else latest[u]
+                                                  for u in neighbours[t]])
+            schedule += [[] for _ in range(1 + max(done, default=-1) - len(schedule))]
+            for g, t in enumerate(task_of):
+                schedule[done[t]].append(g)
+        # per group, padded to the widest group: the slots it writes, [arcs,
+        # groups], and the arc variables and other-side slots of its
+        # marginals, [pairs, arcs, groups].  A padded arc reads 0.0 from
+        # arc position n_arcs + 1, so its marginal adds nothing; a padded
+        # pair of a real arc reads -inf from position n_arcs.
+        width = [len(row) for row in mine]
+        depth = [max(map(len, row)) for row in terms]
+        writes = _columns(mine, pad)
+        wide, deep = writes.shape[0], max(depth, default=0)
+        arcs, others = np.array(
+            [[pairs + [(n_arcs, pad)] * (deep - len(pairs)) for pairs in row]
+             + [[(n_arcs + 1, pad)] * deep] * (wide - len(row)) for row in terms],
+            dtype=np.intp).reshape(len(terms), wide, deep, 2).T
+        #: per wave: its groups, the slots they write, the arc variables
+        #: and other-side slots of their marginals, and their divisors, one
+        #: plus their arc counts; each cut to the wave's widest group
+        divisor = 1.0 + np.array(width, dtype=float)
+        self.waves: list[tuple] = []
+        for gids in schedule:
+            d, w, ids = max(depth[g] for g in gids), max(width[g] for g in gids), np.array(gids)
+            self.waves.append((ids, np.take(writes[:w], ids, axis=1),
+                               np.take(arcs[:d, :w], ids, axis=2),
+                               np.take(others[:d, :w], ids, axis=2), divisor[ids]))
+
+
+def _termsum(terms: np.ndarray) -> np.ndarray:
+    """The sum over axis 0 of ``terms``, added term by term in order as
+    Python's ``sum`` adds them: ``np.sum`` may add them pairwise, which
+    can round differently."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
+
+
+def _columns(rows: list[list], fill, dtype=np.intp) -> np.ndarray:
+    """A ragged list of lists as one array with the terms first: entry
+    ``[k, i]`` is ``rows[i][k]``, or ``fill`` past the end of that row."""
+    width = max(map(len, rows), default=0)
+    return np.ascontiguousarray(np.array([row + [fill] * (width - len(row)) for row in rows],
+                                         dtype=dtype).reshape(len(rows), width).T)
 
 
 def _layout(model: BilpModel) -> _Layout:
@@ -242,6 +364,9 @@ class _TaskChoiceSearch:
         # per task, its candidates' objective terms
         self.cobj = [[obj.get(cat.candidates[i].var, 0.0) for i in positions]
                      for positions in cat.options]
+        # the same terms flat, and the arc variables' in the layout's order
+        self.cflat = np.array([value for values in self.cobj for value in values], dtype=float)
+        self.aflat = np.array([obj.get(var, 0.0) for var in lay.arc_vars], dtype=float)
 
         # mutable search state; the bounds are set by run()
         self.fixed_dev: list[str | None] = [None] * self.n_tasks
@@ -275,54 +400,53 @@ class _TaskChoiceSearch:
         exactly what it loses on its arcs, so its score is unchanged.
         Each sweep visits every group of the layout and sets its messages
         so that the group's best candidate and its best device pair on
-        each incident arc score the same.  Every sweep leaves a valid
-        reparametrization, so diffusion simply stops early when the
-        deadline passes.
+        each incident arc score the same.  The sweeps run as the layout's
+        waves, each a few array operations over all its groups.  Every
+        wave leaves a valid reparametrization, so diffusion simply stops
+        early when the deadline passes; it is checked once per sweep's
+        worth of waves.
         """
-        cat, lay, obj = self.cat, self.lay, self.obj
+        lay = self.lay
         weight = [0.0] * len(lay.rhs)
-        for r, value in zip(lay.dual_rows, lam):
+        # each term's charge, added row by row in row order; a row with a
+        # zero multiplier would add only 0.0
+        ccharge, acharge = np.zeros(len(self.cflat)), np.zeros(len(self.aflat))
+        for k, (r, value) in enumerate(zip(lay.dual_rows, lam)):
             weight[r] = value / lay.rhs[r]
-        cval = [[value - sum(weight[r] * coeff for r, coeff in rows)
-                 for value, (_, rows) in zip(values, recs)]
-                for values, recs in zip(self.cobj, lay.cands)]
-        aval = {a.var: obj.get(a.var, 0.0) - sum(weight[r] * coeff for r, coeff in lay.budget[a.var])
-                for a in cat.arcs}
+            if value:
+                ccharge += weight[r] * lay.dual_cands[k]
+                acharge += weight[r] * lay.dual_arcs[k]
+        # the candidates' and arc variables' dualized terms; a -inf after
+        # each for padded maxima, and a 0.0 after the arcs' for padded sums
+        cval = np.append(self.cflat - ccharge, -math.inf)
+        aval = np.append(self.aflat - acharge, (-math.inf, 0.0))
+        base = np.maximum.reduce(cval[lay.group_members], initial=-math.inf)
 
-        # msgs[p][s][dev]: mass moved from arc p into its side-s task on
-        # device dev, laid out like cat.ends
-        msgs = [tuple({dev: 0.0 for dev in end} for end in ends) for ends in cat.ends]
-        groups = [(dev, max(cval[t][k] for k in members),
-                   [(msgs[p][s], msgs[p][1 - s], [(o, aval[var]) for o, var in terms])
-                    for p, s, terms in incident])
-                  for t, dev, members, incident in lay.groups]
-        for _ in range(DIFFUSION_SWEEPS):
-            if self._expired():
+        # msgs[slot]: mass moved from an arc side into its task on one
+        # device; the last slot is padding and reads 0.0
+        msgs = np.zeros(lay.n_slots + 1)
+        pad = lay.n_slots
+        every = -(-len(lay.waves) // DIFFUSION_SWEEPS)
+        for w, (gids, mine, arcs, others, divisor) in enumerate(lay.waves):
+            if w % every == 0 and self._expired():
                 break
-            for dev, base, incident in groups:
-                marginals = [max(val - other[o] for o, val in terms) - mine[dev]
-                             for mine, other, terms in incident]
-                u = base + sum(mine[dev] for mine, _, _ in incident)
-                avg = (u + sum(marginals)) / (1 + len(marginals))
-                for (mine, _, _), m in zip(incident, marginals):
-                    mine[dev] += m - avg
+            held = msgs[mine]
+            marginals = np.maximum.reduce(aval[arcs] - msgs[others]) - held
+            u = base[gids] + _termsum(held)
+            avg = (u + _termsum(marginals)) / divisor
+            msgs[mine] = held + (marginals - avg)
+            msgs[pad] = 0.0
 
-        # per task and primary device, the mass its arcs moved in
-        gains = [{dev: sum(msgs[p][s].get(dev, 0.0) for p, s, _ in incident) for dev in devices}
-                 for devices, incident in zip(lay.devices, lay.incident)]
-        crobj = [[value + gain[primary] for value, (primary, _) in zip(values, recs)]
-                 for values, recs, gain in zip(cval, lay.cands, gains)]
-        arobj: dict[int, float] = {}
-        arc_max = []
-        for (src, dst), (m_src, m_dst) in zip(cat.ends, msgs):
-            for k, row in src.items():
-                for l, var in row.items():
-                    arobj[var] = aval[var] - m_src[k] - m_dst[l]
-            arc_max.append(tuple(
-                {dev: max(arobj[var] for var in row.values()) for dev, row in end.items()}
-                for end in (src, dst)))
+        # per candidate, the mass its arcs moved into its primary device
+        crobj = (cval[:-1] + _termsum(msgs[lay.cand_gain])).tolist()
+        arc_terms = aval[:-2] - msgs[lay.arc_src] - msgs[lay.arc_dst]
+        by_slot = iter(np.maximum.reduce(np.append(arc_terms, -math.inf)[lay.slot_arcs],
+                                         initial=-math.inf).tolist())
+        sides = [dict(zip(keys, by_slot)) for keys in lay.slot_keys]
         constant = sum(weight[r] * lay.row_cap[r] for r in lay.dual_rows)
-        return _Relaxation(crobj, arobj, arc_max, constant, list(lam))
+        return _Relaxation([crobj[a:b] for a, b in zip(lay.first, lay.first[1:])],
+                           dict(zip(lay.arc_vars, arc_terms.tolist())),
+                           list(zip(sides[::2], sides[1::2])), constant, list(lam))
 
     def _slope(self, relax: _Relaxation) -> list[float]:
         """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
@@ -750,6 +874,10 @@ def export_mps(model: BilpModel, path: str | Path) -> Path:
     return path
 
 
+_MPS_SECTIONS = frozenset({"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
+                           "ENDATA"})
+
+
 def read_mps(path: str | Path) -> BilpModel:
     """Rebuild a model from an MPS file and its sidecar ``<stem>.columns.json``.
 
@@ -761,7 +889,8 @@ def read_mps(path: str | Path) -> BilpModel:
     ``path:lineno:``, not dropped: any other sense, a ``G`` row, a second
     ``N`` row, a row declared twice, a ``RANGES`` entry, any bound other
     than ``BV``, a column the sidecar does not name, an entry on an
-    undeclared row, and a line whose names and values do not pair up.
+    undeclared row, a second entry of a column on one row, and a line
+    whose names and values do not pair up.
     """
     path = Path(path)
     sidecar_path = _sidecar_path(path)
@@ -779,6 +908,11 @@ def read_mps(path: str | Path) -> BilpModel:
     obj: dict[int, float] = {}
     rhs: dict[str, float] = {}
     obj_rhs = 0.0
+    # COLUMNS entries read: the fast path's lines are counted by line
+    # numbers, the rest one by one, so the fast path does no counting
+    entries = 0
+    columns_at = 0
+    slow_lines = 0
 
     def pairs(tokens: list[str], lineno: int) -> list[tuple[str, str]]:
         if len(tokens) % 2 == 0:
@@ -786,21 +920,27 @@ def read_mps(path: str | Path) -> BilpModel:
                              f"pairs, got {len(tokens)} fields")
         return list(zip(tokens[1::2], tokens[2::2]))
 
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    lines = path.read_text().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if section == "COLUMNS" and len(tokens) == 3:
-            # the line export_mps writes: one entry on a constraint row; no
-            # column name is a section name or starts a comment
-            v, coeffs = var_of.get(tokens[0]), row_coeffs.get(tokens[1])
-            if v is not None and coeffs is not None:
-                coeffs[v] = float(tokens[2])
-                continue
+        if section == "COLUMNS":
+            if len(tokens) == 3:
+                # the line export_mps writes: one entry on a constraint row;
+                # no column name is a section name or starts a comment
+                v, coeffs = var_of.get(tokens[0]), row_coeffs.get(tokens[1])
+                if v is not None and coeffs is not None:
+                    coeffs[v] = float(tokens[2])
+                    continue
+            slow_lines += 1
         if not tokens or tokens[0][0] == "*":
             continue
         head = tokens[0]
-        if raw[0] not in " \t" and head in {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS",
-                                             "RANGES", "BOUNDS", "ENDATA"}:
+        if raw[0] not in " \t" and head in _MPS_SECTIONS:
+            if section == "COLUMNS":
+                # every line since the COLUMNS line that took the fast path
+                entries += lineno - columns_at - slow_lines
             section = head
+            columns_at, slow_lines = lineno, 0
             if head != "OBJSENSE" or len(tokens) == 1:
                 continue
             head = tokens[1]                    # the sense on the section's line
@@ -808,6 +948,7 @@ def read_mps(path: str | Path) -> BilpModel:
             v = var_of.get(head)
             if v is None:
                 raise ValueError(f"{path}:{lineno}: unknown column {head!r}")
+            entries += len(tokens) // 2
             for rn, val in pairs(tokens, lineno):
                 if rn == obj_name:
                     obj[v] = float(val)
@@ -849,6 +990,11 @@ def read_mps(path: str | Path) -> BilpModel:
         elif section == "RANGES":
             raise ValueError(f"{path}:{lineno}: RANGES are not supported")
 
+    if section == "COLUMNS":
+        entries += len(lines) - columns_at - slow_lines
+    if entries != len(obj) + sum(map(len, row_coeffs.values())):
+        _refuse_second_entry(path, lines)
+
     tags = sidecar.get("rows", {})
     constraints = [
         LinearConstraint(coeffs, row_sense[rn], rhs.get(rn, 0.0), tags.get(rn, rn))
@@ -861,6 +1007,25 @@ def read_mps(path: str | Path) -> BilpModel:
     metadata = dict(sidecar.get("metadata", {}))
     metadata["source"] = str(path)
     return BilpModel(catalog, constraints, obj, offset, metadata)
+
+
+def _refuse_second_entry(path: Path, lines: list[str]) -> None:
+    """Raise for the first COLUMNS entry of a column on a row it already
+    has an entry on; :func:`read_mps` has read the file without error."""
+    section = None
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "*":
+            continue
+        if raw[0] not in " \t" and tokens[0] in _MPS_SECTIONS:
+            section = tokens[0]
+        elif section == "COLUMNS":
+            for rn in tokens[1::2]:
+                if (tokens[0], rn) in seen:
+                    raise ValueError(f"{path}:{lineno}: column {tokens[0]} has a second "
+                                     f"entry on row {rn!r}")
+                seen.add((tokens[0], rn))
 
 
 def read_solution(path: str | Path, model: BilpModel) -> list[int]:

@@ -103,6 +103,33 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown column 'S1'"):
             read_mps(old)
 
+    def test_a_second_entry_on_a_row_is_refused_at_its_line(self, tmp_path):
+        # the second of two entries for one column and row used to replace
+        # the first without a word: C0 read back with coefficient 5.0
+        dup = tmp_path / "dup.mps"
+        dup.write_text("\n".join([
+            "NAME          EHCALLOC", "OBJSENSE", "    MAXIMIZE", "ROWS", " N  OBJ",
+            " E  R0", "COLUMNS",
+            "    C0        R0        1", "    C0        R0        5",
+            "RHS", "    RHS       R0        1",
+            "BOUNDS", " BV BND       C0", "ENDATA"]) + "\n")
+        dup.with_name("dup.columns.json").write_text(json.dumps({
+            "catalog": {
+                "task_order": ["t1"],
+                "candidates": [{"var": 0, "task": "t1", "primary": "e",
+                                "replicas": [], "key": "t1@e"}],
+                "arcs": [],
+            },
+            "rows": {"R0": "choose_one[t1]"},
+            "objective_offset": 0.0,
+            "metadata": {},
+        }))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{dup}:9: column C0 has a second entry on row 'R0'")):
+            read_mps(dup)
+        dup.write_text(dup.read_text().replace("    C0        R0        5\n", ""))
+        assert read_mps(dup).constraints[0].coeffs == {0: 1.0}
+
     @pytest.mark.parametrize("before, after, expected", [
         (" L  R", " G  R", "row type 'G'"),
         ("BOUNDS\n", "RANGES\n    RNG       R0        1\nBOUNDS\n", "RANGES are not supported"),
@@ -116,10 +143,17 @@ class TestRoundTrip:
         ("COLUMNS\n", "COLUMNS\n    C0        R0        1         R1\n", "4 fields"),
         ("RHS\n", "RHS\n    R0        1\n", "2 fields"),
         ("    MAXIMIZE\n", "    UP\n", "objective sense 'UP'"),
+        ("COLUMNS\n", "COLUMNS\n    C0        R0        7\n",
+         "column C0 has a second entry on row 'R0'"),
+        ("COLUMNS\n", "COLUMNS\n    C0        OBJ       7\n",
+         "column C0 has a second entry on row 'OBJ'"),
+        ("COLUMNS\n", "COLUMNS\n* a comment\n\n    C0        R1        7   R1   8\n",
+         "column C0 has a second entry on row 'R1'"),
     ], ids=["G-row", "ranges", "FX-bound", "column-on-undeclared-row",
             "rhs-on-undeclared-row", "rows-extra-token", "second-N-row",
             "row-declared-twice", "unknown-column", "unpaired-column", "unpaired-rhs",
-            "unknown-sense"])
+            "unknown-sense", "second-entry-on-a-row", "second-objective-entry",
+            "second-entry-on-one-line"])
     def test_what_the_model_cannot_hold_is_refused(self, round_trip, tmp_path,
                                                    before, after, expected):
         # each of these used to be read as >= (then verified as =), dropped,
