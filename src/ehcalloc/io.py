@@ -10,6 +10,7 @@ means mains power, i.e. no energy row for that device.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,69 +66,82 @@ def _map_take(obj: dict, base: str, units: dict[str, float] | None, where: str) 
     return {str(k): float(v) * factor for k, v in obj[hits[0]].items()}
 
 
-def load_system(path: str | Path) -> Topology:
+def _read_json(path: str | Path):
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:              # bad JSON, or bytes that are no UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    devices = []
-    for d in data.get("devices", []):
-        where = f"device {d.get('id', '?')}"
-        devices.append(Device(
-            id=str(d["id"]),
-            memory_budget=_take(d, "memory", _BYTES, where),
-            storage_budget=_take(d, "storage", _BYTES, where),
-            energy_budget=_take(d, "energy_budget", _ENERGY, where, unbounded_ok=True),
-            compare_time=_take(d, "compare_time", _TIME, where),
-            vote_time=_take(d, "vote_time", _TIME, where),
-            compare_power=_take(d, "compare_power", _POWER, where),
-            vote_power=_take(d, "vote_power", _POWER, where),
-            idle_power=_take(d, "idle_power", _POWER, where),
-            max_power=_take(d, "max_power", _POWER, where),
-        ))
-    channels = []
-    for ch in data.get("channels", []):
-        where = f"channel {ch.get('src', '?')}->{ch.get('dst', '?')}"
-        channels.append(Channel(
-            src=str(ch["src"]), dst=str(ch["dst"]),
-            bandwidth=_take(ch, "bandwidth", _RATE, where),
-            tx_energy=_take(ch, "tx_energy", _PER_BIT, where),
-            rx_energy=_take(ch, "rx_energy", _PER_BIT, where),
-        ))
-    relays = {(str(r["src"]), str(r["dst"])): str(r["via"])
-              for r in data.get("relays", [])}
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """What malformed content of the file at ``path`` raises, as one
+    ConfigError that names the file."""
     try:
-        return Topology(devices, channels, relays)
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (IndexError, TypeError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"{path}: malformed content: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_system(path: str | Path) -> Topology:
+    data = _read_json(path)
+    with _reading(path):
+        devices = []
+        for d in data.get("devices", []):
+            where = f"device {d.get('id', '?')}"
+            devices.append(Device(
+                id=str(d["id"]),
+                memory_budget=_take(d, "memory", _BYTES, where),
+                storage_budget=_take(d, "storage", _BYTES, where),
+                energy_budget=_take(d, "energy_budget", _ENERGY, where, unbounded_ok=True),
+                compare_time=_take(d, "compare_time", _TIME, where),
+                vote_time=_take(d, "vote_time", _TIME, where),
+                compare_power=_take(d, "compare_power", _POWER, where),
+                vote_power=_take(d, "vote_power", _POWER, where),
+                idle_power=_take(d, "idle_power", _POWER, where),
+                max_power=_take(d, "max_power", _POWER, where),
+            ))
+        channels = []
+        for ch in data.get("channels", []):
+            where = f"channel {ch.get('src', '?')}->{ch.get('dst', '?')}"
+            channels.append(Channel(
+                src=str(ch["src"]), dst=str(ch["dst"]),
+                bandwidth=_take(ch, "bandwidth", _RATE, where),
+                tx_energy=_take(ch, "tx_energy", _PER_BIT, where),
+                rx_energy=_take(ch, "rx_energy", _PER_BIT, where),
+            ))
+        relays = {(str(r["src"]), str(r["dst"])): str(r["via"])
+                  for r in data.get("relays", [])}
+        return Topology(devices, channels, relays)
 
 
 def load_workflow(path: str | Path) -> WorkflowGraph:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    tasks = []
-    for t in data.get("tasks", []):
-        where = f"task {t.get('id', '?')}"
-        try:
-            tasks.append(TaskSpec(
-                id=str(t["id"]),
-                memory=_take(t, "memory", _BYTES, where),
-                storage=_take(t, "storage", _BYTES, where),
-                output_size=_take(t, "output", _BITS, where),
-                allowed_devices=tuple(t["allowed_devices"]),
-                exec_time=_map_take(t, "exec_time", _TIME, where),
-                power=_map_take(t, "power", _POWER, where),
-                vulnerability=_map_take(t, "vulnerability", None, where),
-            ))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}: {where}: {exc}") from exc
-    arcs = [(str(a[0]), str(a[1])) for a in data.get("arcs", [])]
-    try:
+    data = _read_json(path)
+    with _reading(path):
+        tasks = []
+        for t in data.get("tasks", []):
+            where = f"task {t.get('id', '?')}"
+            try:
+                tasks.append(TaskSpec(
+                    id=str(t["id"]),
+                    memory=_take(t, "memory", _BYTES, where),
+                    storage=_take(t, "storage", _BYTES, where),
+                    output_size=_take(t, "output", _BITS, where),
+                    allowed_devices=tuple(t["allowed_devices"]),
+                    exec_time=_map_take(t, "exec_time", _TIME, where),
+                    power=_map_take(t, "power", _POWER, where),
+                    vulnerability=_map_take(t, "vulnerability", None, where),
+                ))
+            except KeyError as exc:
+                raise ConfigError(f"{where}: missing key {exc}") from exc
+        arcs = [(str(a[0]), str(a[1])) for a in data.get("arcs", [])]
         return WorkflowGraph(tasks, arcs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -138,12 +152,9 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    crit = data.get("criticality", {})
-    try:
+    data = _read_json(path)
+    with _reading(path):
+        crit = data.get("criticality", {})
         policy = CriticalityPolicy(
             level=int(crit.get("level", 3)),
             max_level=int(crit.get("max_level", 3)),
@@ -153,24 +164,17 @@ def load_scenario(path: str | Path) -> Scenario:
         w = data.get("weights", {})
         w_rel = float(w.get("w_rel", 0.5))
         weights = ObjectiveWeights(w_rel=w_rel, w_lat=float(w.get("w_lat", 1.0 - w_rel)))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    s = data.get("solver", {})
-    mode = s.get("mode", "builtin")
-    if mode != "builtin":
-        raise ConfigError(f"{path}: unknown solver mode {mode!r}")
-    # a positive gap would let an unproven result be labelled optimal
-    gap = s.get("absolute_gap", 0)
-    if gap != 0:
-        raise ConfigError(f"{path}: absolute_gap must be 0, got {gap!r}")
-    try:
-        options = SolverOptions(
-            time_limit=(None if s.get("time_limit_s") is None
-                        else float(s["time_limit_s"])),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return Scenario(policy, weights, options)
+        s = data.get("solver", {})
+        mode = s.get("mode", "builtin")
+        if mode != "builtin":
+            raise ConfigError(f"unknown solver mode {mode!r}")
+        # a positive gap would let an unproven result be labelled optimal
+        gap = s.get("absolute_gap", 0)
+        if gap != 0:
+            raise ConfigError(f"absolute_gap must be 0, got {gap!r}")
+        limit = s.get("time_limit_s")
+        options = SolverOptions(time_limit=None if limit is None else float(limit))
+        return Scenario(policy, weights, options)
 
 
 # -- dumps (canonical units, stable ordering) --------------------------------

@@ -4,7 +4,8 @@ The built-in solver is a deterministic branch-and-bound over the one
 real degree of freedom the model has: which redundancy candidate each
 task picks.  The arc variables are implied by that choice, so the
 search fixes one task per level and prunes monotone budget rows
-incrementally.
+incrementally.  Each node saves its partial sums, budget usage and arc
+bounds once, and every child restarts from that saved state.
 
 The bound is a separable relaxation of a dualized, reparametrized
 objective: each open task takes its best candidate, each open arc its
@@ -376,6 +377,8 @@ class _TaskChoiceSearch:
         self.rpartial = 0.0
         self.best_g = -math.inf
         self.best_vec: tuple[int, ...] | None = None
+        # a bound below this prunes; set per incumbent by _accept_leaf
+        self.prune_below = -math.inf
         self.max_pruned = -math.inf
         self.nodes = 0
 
@@ -569,78 +572,49 @@ class _TaskChoiceSearch:
         levels.reverse()
         return levels
 
-    # -- incremental choice application -------------------------------------
+    # -- incremental choice application, restarted from each node's state ----
 
-    def _apply(self, t: int, child: tuple) -> tuple | None:
-        """Fix task ``t`` to candidate ``child``; returns an undo token,
-        or None (after self-undoing) if the partial choice is infeasible."""
+    def _apply(self, t: int, child: tuple) -> bool:
+        """Fix task ``t`` to candidate ``child``; False as soon as the
+        partial choice cannot fit.  Either way the search state is left
+        as the child made it: :meth:`_dfs` restores the node's saved state
+        after every child."""
         # checked from the first node on, so a deadline that passed while
         # the bound was built stops the search at once
         if self.nodes % 256 == 0 and self._expired():
             raise _TimeUp
         self.nodes += 1
         k, dev, rows, term = child
-        relax, usage, cap = self.relax, self.usage, self.lay.row_cap
-        old_rpartial = self.rpartial
-        old_future = self.future
-        touched_rows: list[tuple[int, float]] = []
-        touched_arcs: list[tuple[int, float]] = []
-
-        feasible = True
-        for rpos, coeff in rows:
-            touched_rows.append((rpos, usage[rpos]))
-            usage[rpos] += coeff
-            if usage[rpos] > cap[rpos]:
-                feasible = False
-        self.rpartial += term
-        self.future -= relax.task_max[t]
+        relax, usage, cap, arc_bound = self.relax, self.usage, self.lay.row_cap, self.arc_bound
         self.fixed_dev[t] = dev
         self.chosen[t] = k
+        for rpos, coeff in rows:
+            usage[rpos] += coeff
+            if usage[rpos] > cap[rpos]:
+                return False
+        self.rpartial += term
+        self.future -= relax.task_max[t]
 
-        if feasible:
-            for p, s, other in self.lay.incident[t]:
-                touched_arcs.append((p, self.arc_bound[p]))
-                if self.fixed_dev[other] is None:
-                    newb = relax.arc_max[p][s].get(dev, -math.inf)
-                    self.future += newb - self.arc_bound[p]
-                    self.arc_bound[p] = newb
-                    if newb == -math.inf:
-                        feasible = False
-                        break
-                    continue
-                self.future -= self.arc_bound[p]
-                self.arc_bound[p] = 0.0
-                var = self.cat.ends[p][s].get(dev, {}).get(self.fixed_dev[other])
-                if var is None:
-                    feasible = False
-                    break
-                self.arc_var[p] = var
-                self.rpartial += relax.arobj[var]
-                for rpos, coeff in self.lay.budget[var]:
-                    touched_rows.append((rpos, usage[rpos]))
-                    usage[rpos] += coeff
-                    if usage[rpos] > cap[rpos]:
-                        feasible = False
-                if not feasible:
-                    break
-
-        token = (t, old_rpartial, old_future, touched_rows, touched_arcs)
-        if not feasible:
-            self._undo(token)
-            return None
-        return token
-
-    def _undo(self, token: tuple) -> None:
-        t, old_rpartial, old_future, touched_rows, touched_arcs = token
-        # restore saved values exactly; no float drift across siblings
-        self.rpartial = old_rpartial
-        self.future = old_future
-        for rpos, old in reversed(touched_rows):
-            self.usage[rpos] = old
-        for p, old in reversed(touched_arcs):
-            self.arc_bound[p] = old
-        self.fixed_dev[t] = None
-        self.chosen[t] = -1
+        for p, s, other in self.lay.incident[t]:
+            if self.fixed_dev[other] is None:
+                newb = relax.arc_max[p][s].get(dev, -math.inf)
+                if newb == -math.inf:
+                    return False
+                self.future += newb - arc_bound[p]
+                arc_bound[p] = newb
+                continue
+            self.future -= arc_bound[p]
+            arc_bound[p] = 0.0
+            var = self.cat.ends[p][s].get(dev, {}).get(self.fixed_dev[other])
+            if var is None:
+                return False
+            self.arc_var[p] = var
+            self.rpartial += relax.arobj[var]
+            for rpos, coeff in self.lay.budget[var]:
+                usage[rpos] += coeff
+                if usage[rpos] > cap[rpos]:
+                    return False
+        return True
 
     # -- search --------------------------------------------------------------
 
@@ -660,6 +634,9 @@ class _TaskChoiceSearch:
         if g > self.best_g or (g == self.best_g and vec < self.best_vec):
             self.best_g = g
             self.best_vec = vec
+            # the bound and the leaf values sum different terms, so only a
+            # clear miss is pruned; near-ties are explored, never dropped
+            self.prune_below = g - _tol(g)
 
     def _dfs(self, level: int, parent_bound: float = math.inf) -> None:
         if level == self.n_tasks:
@@ -668,29 +645,33 @@ class _TaskChoiceSearch:
         t = self.order[level]
         # the tail table of the tasks still open below this level
         tail = self.tail[level + 1] if self.tail is not None else None
+        ceiling = parent_bound + _tol(parent_bound)
+        # every child starts from this node's state, restored exactly
+        rpartial, future, usage, arc_bound = (self.rpartial, self.future,
+                                              self.usage[:], self.arc_bound[:])
         for child in self.children[t]:
-            token = self._apply(t, child)
-            if token is None:
-                continue
-            bound = self.rpartial + self.future + self.model.objective_offset
-            if tail is not None:
-                # the knapsack bound: the static bound with the tail row's
-                # dualized term, weight * (usage - row_cap), kept exact, and
-                # the open tasks' best terms replaced by the table's entry at
-                # the cells left; a millionth of a cell absorbs float error
-                # in the floors, so a pick that fits the row still fits
-                slack = self.tail_cap - self.usage[self.tail_row]
-                bound = min(bound, bound - self.tail_weight * slack
-                            + tail[int(slack / self.tail_cell + 1e-6)])
-            if bound > parent_bound + _tol(parent_bound):
-                raise RuntimeError("relaxation bound increased down the tree")
-            # the bound and the leaf values sum different terms, so only a
-            # clear miss is pruned; near-ties are explored, never dropped
-            if bound < self.best_g - _tol(self.best_g):
-                self.max_pruned = max(self.max_pruned, bound)
-            else:
-                self._dfs(level + 1, bound)
-            self._undo(token)
+            if self._apply(t, child):
+                bound = self.rpartial + self.future + self.model.objective_offset
+                if tail is not None:
+                    # the knapsack bound: the static bound with the tail row's
+                    # dualized term, weight * (usage - row_cap), kept exact, and
+                    # the open tasks' best terms replaced by the table's entry at
+                    # the cells left; a millionth of a cell absorbs float error
+                    # in the floors, so a pick that fits the row still fits
+                    slack = self.tail_cap - self.usage[self.tail_row]
+                    bound = min(bound, bound - self.tail_weight * slack
+                                + tail[int(slack / self.tail_cell + 1e-6)])
+                if bound > ceiling:
+                    raise RuntimeError("relaxation bound increased down the tree")
+                if bound < self.prune_below:
+                    self.max_pruned = max(self.max_pruned, bound)
+                else:
+                    self._dfs(level + 1, bound)
+            self.rpartial, self.future = rpartial, future
+            self.usage[:] = usage
+            self.arc_bound[:] = arc_bound
+        self.fixed_dev[t] = None
+        self.chosen[t] = -1
 
     def run(self) -> Solution:
         t0 = time.perf_counter()
@@ -908,11 +889,6 @@ def read_mps(path: str | Path) -> BilpModel:
     obj: dict[int, float] = {}
     rhs: dict[str, float] = {}
     obj_rhs = 0.0
-    # COLUMNS entries read: the fast path's lines are counted by line
-    # numbers, the rest one by one, so the fast path does no counting
-    entries = 0
-    columns_at = 0
-    slow_lines = 0
 
     def pairs(tokens: list[str], lineno: int) -> list[tuple[str, str]]:
         if len(tokens) % 2 == 0:
@@ -920,27 +896,21 @@ def read_mps(path: str | Path) -> BilpModel:
                              f"pairs, got {len(tokens)} fields")
         return list(zip(tokens[1::2], tokens[2::2]))
 
-    lines = path.read_text().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         tokens = raw.split()
         if section == "COLUMNS":
             if len(tokens) == 3:
                 # the line export_mps writes: one entry on a constraint row;
                 # no column name is a section name or starts a comment
                 v, coeffs = var_of.get(tokens[0]), row_coeffs.get(tokens[1])
-                if v is not None and coeffs is not None:
+                if v is not None and coeffs is not None and v not in coeffs:
                     coeffs[v] = float(tokens[2])
                     continue
-            slow_lines += 1
         if not tokens or tokens[0][0] == "*":
             continue
         head = tokens[0]
         if raw[0] not in " \t" and head in _MPS_SECTIONS:
-            if section == "COLUMNS":
-                # every line since the COLUMNS line that took the fast path
-                entries += lineno - columns_at - slow_lines
             section = head
-            columns_at, slow_lines = lineno, 0
             if head != "OBJSENSE" or len(tokens) == 1:
                 continue
             head = tokens[1]                    # the sense on the section's line
@@ -948,14 +918,14 @@ def read_mps(path: str | Path) -> BilpModel:
             v = var_of.get(head)
             if v is None:
                 raise ValueError(f"{path}:{lineno}: unknown column {head!r}")
-            entries += len(tokens) // 2
             for rn, val in pairs(tokens, lineno):
-                if rn == obj_name:
-                    obj[v] = float(val)
-                elif rn in row_coeffs:
-                    row_coeffs[rn][v] = float(val)
-                else:
+                coeffs = obj if rn == obj_name else row_coeffs.get(rn)
+                if coeffs is None:
                     raise ValueError(f"{path}:{lineno}: column {head} on undeclared row {rn!r}")
+                if v in coeffs:
+                    raise ValueError(f"{path}:{lineno}: column {head} has a second "
+                                     f"entry on row {rn!r}")
+                coeffs[v] = float(val)
         elif section == "BOUNDS":
             if head != "BV":
                 raise ValueError(f"{path}:{lineno}: bound type {head!r}; "
@@ -990,11 +960,6 @@ def read_mps(path: str | Path) -> BilpModel:
         elif section == "RANGES":
             raise ValueError(f"{path}:{lineno}: RANGES are not supported")
 
-    if section == "COLUMNS":
-        entries += len(lines) - columns_at - slow_lines
-    if entries != len(obj) + sum(map(len, row_coeffs.values())):
-        _refuse_second_entry(path, lines)
-
     tags = sidecar.get("rows", {})
     constraints = [
         LinearConstraint(coeffs, row_sense[rn], rhs.get(rn, 0.0), tags.get(rn, rn))
@@ -1007,25 +972,6 @@ def read_mps(path: str | Path) -> BilpModel:
     metadata = dict(sidecar.get("metadata", {}))
     metadata["source"] = str(path)
     return BilpModel(catalog, constraints, obj, offset, metadata)
-
-
-def _refuse_second_entry(path: Path, lines: list[str]) -> None:
-    """Raise for the first COLUMNS entry of a column on a row it already
-    has an entry on; :func:`read_mps` has read the file without error."""
-    section = None
-    seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "*":
-            continue
-        if raw[0] not in " \t" and tokens[0] in _MPS_SECTIONS:
-            section = tokens[0]
-        elif section == "COLUMNS":
-            for rn in tokens[1::2]:
-                if (tokens[0], rn) in seen:
-                    raise ValueError(f"{path}:{lineno}: column {tokens[0]} has a second "
-                                     f"entry on row {rn!r}")
-                seen.add((tokens[0], rn))
 
 
 def read_solution(path: str | Path, model: BilpModel) -> list[int]:
@@ -1048,8 +994,9 @@ def read_solution(path: str | Path, model: BilpModel) -> list[int]:
         if name not in var_of:
             raise ValueError(f"{path}:{lineno}: unknown variable {name!r}")
         val = float(sval)
-        nearest = round(val)
-        if nearest not in (0, 1) or abs(val - nearest) > 1e-6:
+        bit = int(abs(val - 1.0) <= 1e-6)
+        # written so that inf and nan fail too
+        if not abs(val - bit) <= 1e-6:
             raise ValueError(f"{path}:{lineno}: value {val!r} is not binary within 1e-06")
-        x[var_of[name]] = int(nearest)
+        x[var_of[name]] = bit
     return x

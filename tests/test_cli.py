@@ -363,6 +363,44 @@ class TestBadInput:
         assert "validation failed" in capsys.readouterr().err
 
 
+#: per malformed config file: the flag that reads it, and its content made
+#: from the fixture's system and workflow payloads
+MALFORMED = {
+    "device-without-id": ("--system", lambda system, workflow: {**system, "devices": [
+        {k: v for k, v in d.items() if k != "id"} for d in system["devices"]]}),
+    "system-list": ("--system", lambda system, workflow: [system]),
+    "workflow-list": ("--workflow", lambda system, workflow: [workflow]),
+    "scenario-list": ("--scenario", lambda system, workflow: []),
+    "one-ended-arc": ("--workflow", lambda system, workflow: {**workflow, "arcs": [["a"]]}),
+    "null-weight": ("--scenario", lambda system, workflow: {"weights": {"w_rel": None}}),
+    "list-time-limit": ("--scenario", lambda system, workflow: {"solver": {"time_limit_s": [1]}}),
+    "infinite-level": ("--scenario", lambda system, workflow: {"criticality": {"level": math.inf}}),
+}
+
+
+class TestMalformedConfig:
+    @pytest.fixture(scope="class")
+    def payloads(self, workdir, topology, workflow):
+        sys_file, wf_file = workdir / "payload_sys.json", workdir / "payload_wf.json"
+        dump_system(topology, sys_file)
+        dump_workflow(workflow, wf_file)
+        return json.loads(sys_file.read_text()), json.loads(wf_file.read_text())
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_exits_one_naming_the_file(self, case, payloads, workdir, capsys):
+        flag, make = MALFORMED[case]
+        path = workdir / f"malformed_{case}.json"
+        path.write_text(json.dumps(make(*payloads)))
+        assert run("solve", flag, str(path)) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count(str(path)) == 1
+
+    def test_a_directory_exits_one(self, workdir, capsys):
+        assert run("solve", "--system", str(workdir)) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count(str(workdir)) == 1
+
+
 def test_nan_in_a_workflow_file_exits_one_without_traceback(workdir):
     task = e.inspection_workflow().tasks[3]
     bad = e.WorkflowGraph([dataclasses.replace(task, exec_time={

@@ -423,6 +423,8 @@ class TestReadSolutionErrors:
         ("NOSUCH 1", "unknown variable"),
         ("C0 0.25", "not binary"),
         ("C0 1 2", "expected 'name value'"),
+        ("C0 inf", r"bad\.sol:1: value inf is not binary"),
+        ("C0 nan", r"bad\.sol:1: value nan is not binary"),
     ])
     def test_malformed_lines_are_rejected(self, weighted, tmp_path, line, msg):
         name = weighted.catalog.names[0]

@@ -228,7 +228,7 @@ class TestOptimality:
 
     def test_tight_budgets_keep_the_brute_force_optimum(self, topology, monkeypatch):
         # seeds with tight budgets exercise the multipliers, the knapsack
-        # tail table and the undo paths
+        # tail table and children that budget rows refuse
         tables = []
         build = _TaskChoiceSearch._tail_table
 
@@ -541,3 +541,39 @@ class TestSearchOrder:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestSearchLeavesNoTrace:
+    """Each node saves its state once and restores it after every child,
+    so a finished search is back in the root's state, float for float."""
+
+    class Refusing(_TaskChoiceSearch):
+        """The search, counting the children a budget row refuses."""
+
+        refused = 0
+
+        def _apply(self, t, child):
+            fits = super()._apply(t, child)
+            if not fits and any(u > c for u, c in zip(self.usage, self.lay.row_cap)):
+                self.refused += 1
+            return fits
+
+    def finished(self, model):
+        search = self.Refusing(model, SolverOptions())
+        assert search.run().status is SolverStatus.OPTIMAL
+        assert search.usage == [0.0] * len(search.usage)
+        assert search.fixed_dev == [None] * search.n_tasks
+        assert search.chosen == [-1] * search.n_tasks
+        assert search.rpartial == 0.0 and search.future == search.relax.bound
+        assert search.arc_bound == search.relax.arc_bound
+        return search
+
+    def test_on_the_fixture(self, topology, workflow, policy):
+        self.finished(build_weighted(workflow, topology, policy)[1])
+
+    def test_when_budget_rows_refuse_children(self, topology):
+        # the worst-latency solve of seed 1 has tight budgets and a tail table
+        topo, graph, policy = small_instance(topology, 1)
+        reg, model = e.prepare(topo, graph, policy)
+        search = self.finished(model.with_objective(objective_latency(reg, model.catalog)))
+        assert search.tail is not None and search.refused > 0
