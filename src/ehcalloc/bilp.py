@@ -323,6 +323,14 @@ class NormalizationBounds:
     lat_min: float
     lat_max: float
 
+    def __post_init__(self) -> None:
+        for name, value in self.to_json_dict().items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ValueError(f"bound {name} must be a finite number, got {value!r}")
+        if self.rel_min > self.rel_max or self.lat_min > self.lat_max:
+            raise ValueError(f"bounds have a minimum above their maximum: {self.to_json_dict()}")
+
     @property
     def rel_span(self) -> float:
         return self.rel_max - self.rel_min

@@ -163,6 +163,12 @@ def cmd_baseline(args) -> int:
     return _STATUS_EXIT[un.status]
 
 
+def _agrees(fresh: float, stored, abs_tol: float = 1e-9) -> bool:
+    """Whether ``stored`` is a real number close to ``fresh``."""
+    return (isinstance(stored, (int, float)) and not isinstance(stored, bool)
+            and math.isclose(fresh, stored, rel_tol=1e-9, abs_tol=abs_tol))
+
+
 def cmd_validate(args) -> int:
     topology, graph, scenario = _load_inputs(args)
     try:
@@ -185,46 +191,40 @@ def cmd_validate(args) -> int:
     reg, model = pipeline.prepare(topology, graph, scenario.policy)
     key_to_idx = {c.key: i for i, c in enumerate(reg.candidates)}
     problems: list[str] = []
+
+    def report(agree: bool, check: str) -> None:
+        print(f"{'ok  ' if agree else 'FAIL'} {check}")
+        if not agree:
+            problems.append(check)
+
     picks: list[int] = []
     for entry in tasks:
         key = entry.get("candidate")
-        if not isinstance(key, str) or key not in key_to_idx:
-            problems.append(f"unknown candidate {key!r}")
-            continue
-        picks.append(key_to_idx[key])
+        if isinstance(key, str) and key in key_to_idx:
+            picks.append(key_to_idx[key])
+        else:
+            report(False, f"unknown candidate {key!r}")
     if problems:
-        for p in problems:
-            print(f"FAIL {p}")
         return EXIT_BAD_INPUT
     if len(picks) != len(graph.tasks):
         print(f"FAIL plan covers {len(picks)} of {len(graph.tasks)} tasks")
         return EXIT_BAD_INPUT
 
-    x = pipeline.assignment_from_picks(reg, model, picks)
-    issues = verify(model, x)
-    print(f"{'ok  ' if not issues else 'FAIL'} constraint check "
-          f"({len(model.constraints)} rows)")
+    issues = verify(model, pipeline.assignment_from_picks(reg, model, picks))
+    report(not issues, f"constraint check ({len(model.constraints)} rows)")
     for msg in issues:
         print(f"  {msg}")
-        problems.append(msg)
 
-    cands = [reg.candidates[i] for i in picks]
-    f_rel, f_lat = oracle.raw_objectives(reg, cands)
+    f_rel, f_lat = oracle.raw_objectives(reg, [reg.candidates[i] for i in picks])
     for name, fresh, key in (("f_rel", f_rel, "f_rel"), ("f_lat", f_lat, "f_lat_s")):
         old = objective.get(key)
-        agree = old is not None and math.isclose(fresh, old, rel_tol=1e-9, abs_tol=1e-9)
-        print(f"{'ok  ' if agree else 'FAIL'} {name} recomputed {fresh!r} vs stored {old!r}")
-        if not agree:
-            problems.append(name)
+        report(_agrees(fresh, old), f"{name} recomputed {fresh!r} vs stored {old!r}")
 
     freq, stderr = oracle.monte_carlo_reliability(reg, picks, args.samples, args.seed)
     expected = math.exp(f_rel)
     margin = 3.0 * stderr
-    agree = abs(freq - expected) <= max(margin, 1e-12)
-    print(f"{'ok  ' if agree else 'FAIL'} simulated reliability {freq} vs {expected} "
-          f"(+/- {margin}, {args.samples} samples)")
-    if not agree:
-        problems.append("monte carlo")
+    report(abs(freq - expected) <= max(margin, 1e-12),
+           f"simulated reliability {freq} vs {expected} (+/- {margin}, {args.samples} samples)")
 
     space = oracle.space_size(reg)
     if space <= args.brute_limit:
@@ -232,20 +232,13 @@ def cmd_validate(args) -> int:
         points = list(oracle.feasible_points(reg))
         bounds = oracle.oracle_bounds(reg, points=points)
         fresh, stored = bounds.to_json_dict(), plan.get("bounds")
-        agree = isinstance(stored, dict) and all(
-            isinstance(stored.get(k), (int, float)) and math.isclose(v, stored[k], rel_tol=1e-9)
-            for k, v in fresh.items())
-        print(f"{'ok  ' if agree else 'FAIL'} enumerated bounds {fresh} vs stored {stored}")
-        if not agree:
-            problems.append("bounds")
+        report(isinstance(stored, dict)
+               and all(_agrees(v, stored.get(k), abs_tol=0.0) for k, v in fresh.items()),
+               f"enumerated bounds {fresh} vs stored {stored}")
         result = oracle.brute_force(reg, weights, bounds, points=points)
         g = objective.get("g")
-        agree = (result.status == "optimal" and g is not None
-                 and math.isclose(result.objective, g, rel_tol=1e-9, abs_tol=1e-9))
-        print(f"{'ok  ' if agree else 'FAIL'} exhaustive optimum {result.objective!r} "
-              f"vs plan g {g!r}")
-        if not agree:
-            problems.append("brute force")
+        report(result.status == "optimal" and _agrees(result.objective, g),
+               f"exhaustive optimum {result.objective!r} vs plan g {g!r}")
     else:
         print(f"skip exhaustive check ({space} assignments > {args.brute_limit})")
 
@@ -263,7 +256,7 @@ def cmd_export_mps(args) -> int:
                 bounds = NormalizationBounds(
                     rel_min=raw["rel_min"], rel_max=raw["rel_max"],
                     lat_min=raw["lat_min"], lat_max=raw["lat_max"])
-            except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (OSError, KeyError, TypeError, ValueError) as exc:
                 raise io.ConfigError(f"cannot read bounds {args.bounds}: {exc}") from exc
         else:
             bounds = normalization_bounds(reg, model, scenario.solver)

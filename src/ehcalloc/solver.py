@@ -4,8 +4,8 @@ The built-in solver is a deterministic branch-and-bound over the one
 real degree of freedom the model has: which redundancy candidate each
 task picks.  The arc variables are implied by that choice, so the
 search fixes one task per level and prunes monotone budget rows
-incrementally.  Each node saves its partial sums, budget usage and arc
-bounds once, and every child restarts from that saved state.
+incrementally.  Each node saves its two partial sums and its budget
+usage once, and every child restarts from that saved state.
 
 The bound is a separable relaxation of a dualized, reparametrized
 objective: each open task takes its best candidate, each open arc its
@@ -193,9 +193,6 @@ class _Layout:
                 raise ValueError(f"task {t} has no candidates")
             self.cands.append([(cat.candidates[i].primary, self.budget[cat.candidates[i].var])
                                for i in positions])
-        #: tasks with a single candidate; the search fixes them first, so a
-        #: pinned task that cannot fit fails at the root
-        self.forced = {t for t, recs in enumerate(self.cands) if len(recs) == 1}
         self._index_diffusion(cat, rows)
 
     def _index_diffusion(self, cat: VariableCatalog, rows: list[LinearConstraint]) -> None:
@@ -370,7 +367,6 @@ class _TaskChoiceSearch:
         self.aflat = np.array([obj.get(var, 0.0) for var in lay.arc_vars], dtype=float)
 
         # mutable search state; the bounds are set by run()
-        self.fixed_dev: list[str | None] = [None] * self.n_tasks
         self.chosen: list[int] = [-1] * self.n_tasks
         self.arc_var = [-1] * len(cat.pairs)
         self.usage = [0.0] * len(lay.rhs)
@@ -509,7 +505,8 @@ class _TaskChoiceSearch:
     def _install(self, relax: _Relaxation) -> None:
         """Adopt a relaxation as the bound and fix the search order:
         single-candidate tasks first, then tasks by descending spread of
-        their candidate terms; per task, children best term first.
+        their candidate terms; per task, children best term first.  The
+        order fixes which arcs each task opens and which it closes.
 
         Of the dualized rows with a positive multiplier and no arc
         coefficient, the one with the largest weight ``lam_r / rhs_r``
@@ -518,11 +515,13 @@ class _TaskChoiceSearch:
         the table drops the arcs' charge, which would make it no bound.
         """
         self.relax = relax
-        self.arc_bound = list(relax.arc_bound)
         self.future = relax.bound
         spread = [max(terms) - min(terms) for terms in relax.crobj]
         self.order = sorted(range(self.n_tasks),
-                            key=lambda t: (t not in self.lay.forced, -spread[t]))
+                            key=lambda t: (len(self.lay.cands[t]) > 1, -spread[t]))
+        rank = {t: d for d, t in enumerate(self.order)}
+        self.arcs = [[(p, s, other, rank[other] > rank[t]) for p, s, other in incident]
+                     for t, incident in enumerate(self.lay.incident)]
         self.children = [sorted(((k, primary, rows, term)
                                  for k, ((primary, rows), term) in enumerate(zip(recs, terms))),
                                 key=lambda child: -child[3])
@@ -576,17 +575,17 @@ class _TaskChoiceSearch:
 
     def _apply(self, t: int, child: tuple) -> bool:
         """Fix task ``t`` to candidate ``child``; False as soon as the
-        partial choice cannot fit.  Either way the search state is left
-        as the child made it: :meth:`_dfs` restores the node's saved state
-        after every child."""
+        partial choice cannot fit.  Opening an arc bounds it by its best
+        pair on ``dev``'s side; closing one swaps the opener's bound for
+        the arc's term.  The state is left as the child made it: :meth:`_dfs`
+        restores the node's saved state after every child."""
         # checked from the first node on, so a deadline that passed while
         # the bound was built stops the search at once
         if self.nodes % 256 == 0 and self._expired():
             raise _TimeUp
         self.nodes += 1
         k, dev, rows, term = child
-        relax, usage, cap, arc_bound = self.relax, self.usage, self.lay.row_cap, self.arc_bound
-        self.fixed_dev[t] = dev
+        relax, usage, cap = self.relax, self.usage, self.lay.row_cap
         self.chosen[t] = k
         for rpos, coeff in rows:
             usage[rpos] += coeff
@@ -595,17 +594,16 @@ class _TaskChoiceSearch:
         self.rpartial += term
         self.future -= relax.task_max[t]
 
-        for p, s, other in self.lay.incident[t]:
-            if self.fixed_dev[other] is None:
+        for p, s, other, opens in self.arcs[t]:
+            if opens:
                 newb = relax.arc_max[p][s].get(dev, -math.inf)
                 if newb == -math.inf:
                     return False
-                self.future += newb - arc_bound[p]
-                arc_bound[p] = newb
+                self.future += newb - relax.arc_bound[p]
                 continue
-            self.future -= arc_bound[p]
-            arc_bound[p] = 0.0
-            var = self.cat.ends[p][s].get(dev, {}).get(self.fixed_dev[other])
+            other_dev = self.lay.cands[other][self.chosen[other]][0]
+            self.future -= relax.arc_max[p][1 - s][other_dev]
+            var = self.cat.ends[p][s].get(dev, {}).get(other_dev)
             if var is None:
                 return False
             self.arc_var[p] = var
@@ -647,8 +645,7 @@ class _TaskChoiceSearch:
         tail = self.tail[level + 1] if self.tail is not None else None
         ceiling = parent_bound + _tol(parent_bound)
         # every child starts from this node's state, restored exactly
-        rpartial, future, usage, arc_bound = (self.rpartial, self.future,
-                                              self.usage[:], self.arc_bound[:])
+        rpartial, future, usage = self.rpartial, self.future, self.usage[:]
         for child in self.children[t]:
             if self._apply(t, child):
                 bound = self.rpartial + self.future + self.model.objective_offset
@@ -669,8 +666,6 @@ class _TaskChoiceSearch:
                     self._dfs(level + 1, bound)
             self.rpartial, self.future = rpartial, future
             self.usage[:] = usage
-            self.arc_bound[:] = arc_bound
-        self.fixed_dev[t] = None
         self.chosen[t] = -1
 
     def run(self) -> Solution:
@@ -688,16 +683,12 @@ class _TaskChoiceSearch:
             status = SolverStatus.TIME_LIMIT
 
         wall = time.perf_counter() - t0
+        timed_out = status is SolverStatus.TIME_LIMIT
         if self.best_vec is None:
-            final = (SolverStatus.INFEASIBLE if status is SolverStatus.OPTIMAL
-                     else SolverStatus.TIME_LIMIT)
-            return Solution(final, None, None,
-                            bound=root_bound if final is SolverStatus.TIME_LIMIT else None,
+            return Solution(status if timed_out else SolverStatus.INFEASIBLE, None, None,
+                            bound=root_bound if timed_out else None,
                             nodes=self.nodes, wall_time=wall)
-        if status is SolverStatus.TIME_LIMIT:
-            bound = root_bound
-        else:
-            bound = max(self.best_g, self.max_pruned)
+        bound = root_bound if timed_out else max(self.best_g, self.max_pruned)
         picks = [positions[pos] for positions, pos in zip(self.cat.options, self.best_vec)]
         return Solution(status, self.best_g, self.cat.vector(picks),
                         bound=bound, nodes=self.nodes, wall_time=wall,
@@ -786,10 +777,11 @@ def verify(model: BilpModel, assignment: list[int]) -> list[str]:
             issues.append(f"variable {model.catalog.names[i]} is {v!r}, not binary")
     for row in model.constraints:
         lhs = row.lhs(assignment)
+        # written so that a NaN lhs or rhs fails
         if row.sense == "<=":
-            if lhs > row.rhs + _tol(row.rhs):
+            if not lhs <= row.rhs + _tol(row.rhs):
                 issues.append(f"{row.tag}: {lhs!r} exceeds {row.rhs!r}")
-        elif abs(lhs - row.rhs) > _tol(row.rhs):
+        elif not abs(lhs - row.rhs) <= _tol(row.rhs):
             issues.append(f"{row.tag}: {lhs!r} != {row.rhs!r}")
     return issues
 
@@ -818,15 +810,16 @@ def export_mps(model: BilpModel, path: str | Path) -> Path:
     lines += [f" {'L' if row.sense == '<=' else 'E'}  {rn}"
               for rn, row in zip(row_names, model.constraints)]
 
+    # the objective is written as one more row, the first, whose rhs
+    # carries the constant's negation
+    named = [("OBJ", model.objective, -model.objective_offset)] + [
+        (rn, row.coeffs, row.rhs) for rn, row in zip(row_names, model.constraints)]
     # each nonzero becomes its COLUMNS line at once, filed under its column
     heads = [f"    {name:<10}" for name in cat.names]
     by_var: list[list[str]] = [[] for _ in heads]
-    for v, c in model.objective.items():
-        if c:
-            by_var[v].append(f"{heads[v]}OBJ       {c:.17g}")
-    for rn, row in zip(row_names, model.constraints):
+    for rn, coeffs, _ in named:
         padded = f"{rn:<10}"
-        for v, c in row.coeffs.items():
+        for v, c in coeffs.items():
             if c:
                 by_var[v].append(f"{heads[v]}{padded}{c:.17g}")
 
@@ -834,10 +827,7 @@ def export_mps(model: BilpModel, path: str | Path) -> Path:
     for entries in by_var:
         lines += entries
     lines.append("RHS")
-    if model.objective_offset:
-        lines.append(f"    RHS       OBJ       {-model.objective_offset:.17g}")
-    lines += [f"    RHS       {rn:<10}{row.rhs:.17g}"
-              for rn, row in zip(row_names, model.constraints) if row.rhs]
+    lines += [f"    RHS       {rn:<10}{rhs:.17g}" for rn, _, rhs in named if rhs]
     lines.append("BOUNDS")
     lines += [f" BV BND       {name}" for name in cat.names]
     lines += ["ENDATA", ""]                 # "" ends the file with a newline
@@ -870,8 +860,9 @@ def read_mps(path: str | Path) -> BilpModel:
     ``path:lineno:``, not dropped: any other sense, a ``G`` row, a second
     ``N`` row, a row declared twice, a ``RANGES`` entry, any bound other
     than ``BV``, a column the sidecar does not name, an entry on an
-    undeclared row, a second entry of a column on one row, and a line
-    whose names and values do not pair up.
+    undeclared row, a second entry of a column on one row, a line whose
+    names and values do not pair up, and a value that is not a finite
+    number.
     """
     path = Path(path)
     sidecar_path = _sidecar_path(path)
@@ -888,13 +879,21 @@ def read_mps(path: str | Path) -> BilpModel:
     row_coeffs: dict[str, dict[int, float]] = {}
     obj: dict[int, float] = {}
     rhs: dict[str, float] = {}
-    obj_rhs = 0.0
 
-    def pairs(tokens: list[str], lineno: int) -> list[tuple[str, str]]:
+    def pairs(tokens: list[str], lineno: int) -> list[tuple[str, float]]:
         if len(tokens) % 2 == 0:
             raise ValueError(f"{path}:{lineno}: expected a name and then row/value "
                              f"pairs, got {len(tokens)} fields")
-        return list(zip(tokens[1::2], tokens[2::2]))
+        return [(name, number(text, lineno)) for name, text in zip(tokens[1::2], tokens[2::2])]
+
+    def number(text: str, lineno: int) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not abs(value) < math.inf:
+            raise ValueError(f"{path}:{lineno}: value {text!r} is not a finite number")
+        return value
 
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         tokens = raw.split()
@@ -904,7 +903,7 @@ def read_mps(path: str | Path) -> BilpModel:
                 # no column name is a section name or starts a comment
                 v, coeffs = var_of.get(tokens[0]), row_coeffs.get(tokens[1])
                 if v is not None and coeffs is not None and v not in coeffs:
-                    coeffs[v] = float(tokens[2])
+                    coeffs[v] = number(tokens[2], lineno)
                     continue
         if not tokens or tokens[0][0] == "*":
             continue
@@ -925,19 +924,16 @@ def read_mps(path: str | Path) -> BilpModel:
                 if v in coeffs:
                     raise ValueError(f"{path}:{lineno}: column {head} has a second "
                                      f"entry on row {rn!r}")
-                coeffs[v] = float(val)
+                coeffs[v] = val
         elif section == "BOUNDS":
             if head != "BV":
                 raise ValueError(f"{path}:{lineno}: bound type {head!r}; "
                                  f"only BV bounds are supported")
         elif section == "RHS":
             for rn, val in pairs(tokens, lineno):
-                if rn == obj_name:
-                    obj_rhs = float(val)
-                elif rn in row_coeffs:
-                    rhs[rn] = float(val)
-                else:
+                if rn != obj_name and rn not in row_coeffs:
                     raise ValueError(f"{path}:{lineno}: right-hand side of undeclared row {rn!r}")
+                rhs[rn] = val
         elif section == "ROWS":
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'type name', got {raw.strip()!r}")
@@ -965,10 +961,9 @@ def read_mps(path: str | Path) -> BilpModel:
         LinearConstraint(coeffs, row_sense[rn], rhs.get(rn, 0.0), tags.get(rn, rn))
         for rn, coeffs in row_coeffs.items()
     ]
-    offset = -obj_rhs
+    offset = -rhs.get(obj_name, 0.0)
     if not maximize:
-        obj = {v: -c for v, c in obj.items()}
-        offset = -offset
+        obj, offset = {v: -c for v, c in obj.items()}, -offset
     metadata = dict(sidecar.get("metadata", {}))
     metadata["source"] = str(path)
     return BilpModel(catalog, constraints, obj, offset, metadata)
@@ -993,7 +988,10 @@ def read_solution(path: str | Path, model: BilpModel) -> list[int]:
         name, sval = parts
         if name not in var_of:
             raise ValueError(f"{path}:{lineno}: unknown variable {name!r}")
-        val = float(sval)
+        try:
+            val = float(sval)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: value {sval!r} is not a number") from None
         bit = int(abs(val - 1.0) <= 1e-6)
         # written so that inf and nan fail too
         if not abs(val - bit) <= 1e-6:

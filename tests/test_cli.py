@@ -144,8 +144,9 @@ class TestValidate:
         ("tasks", {"t1": "t1@e"}, "FAIL plan tasks are not a list of objects"),
         ("objective", [0.5], "FAIL plan objective is not an object"),
         ("objective", 0.5, "FAIL plan objective is not an object"),
+        ("objective", {"f_rel": "x"}, "FAIL f_rel recomputed"),
     ], ids=["task-number", "tasks-string", "tasks-object", "objective-list",
-            "objective-number"])
+            "objective-number", "f_rel-string"])
     def test_a_malformed_plan_fails_without_a_traceback(self, plan_file, workdir, capsys,
                                                        field, value, line):
         doc = json.loads(plan_file.read_text())
@@ -335,11 +336,23 @@ class TestExportMps:
         assert sidecar["metadata"]["objective_kind"] == "rel-max"
 
     def test_malformed_bounds_file_exits_one(self, workdir, capsys):
-        bad = workdir / "bad_bounds.json"
-        bad.write_text("{\"rel_min\": -1}")
-        assert run("export-mps", "--bounds", str(bad),
-                   "--out", str(workdir / "x.mps")) == EXIT_BAD_INPUT
-        assert "cannot read bounds" in capsys.readouterr().err
+        # a string used to end in a TypeError traceback, and NaN in an
+        # MPS file full of nan values and exit 0
+        bad, out = workdir / "bad_bounds.json", workdir / "bad_bounds.mps"
+        for text, reason in [
+            ('{"rel_min": -1}', "'rel_max'"),
+            ('{"rel_min": "x", "rel_max": 0, "lat_min": 1, "lat_max": 2}',
+             "rel_min must be a finite number, got 'x'"),
+            ('{"rel_min": NaN, "rel_max": 0, "lat_min": 1, "lat_max": 2}',
+             "rel_min must be a finite number, got nan"),
+            ('{"rel_min": -1, "rel_max": 0, "lat_min": 3, "lat_max": 2}',
+             "a minimum above their maximum"),
+        ]:
+            bad.write_text(text)
+            assert run("export-mps", "--bounds", str(bad), "--out", str(out)) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert "cannot read bounds" in err and reason in err
+            assert not out.exists()
 
 
 class TestBadInput:

@@ -149,11 +149,22 @@ class TestRoundTrip:
          "column C0 has a second entry on row 'OBJ'"),
         ("COLUMNS\n", "COLUMNS\n* a comment\n\n    C0        R1        7   R1   8\n",
          "column C0 has a second entry on row 'R1'"),
+        ("COLUMNS\n", "COLUMNS\n    C0        R0        abc\n",
+         "value 'abc' is not a finite number"),
+        ("COLUMNS\n", "COLUMNS\n    C0        R0        nan\n",
+         "value 'nan' is not a finite number"),
+        ("COLUMNS\n", "COLUMNS\n    C0        OBJ       1   R0   inf\n",
+         "value 'inf' is not a finite number"),
+        ("RHS\n", "RHS\n    RHS       R0        -inf\n",
+         "value '-inf' is not a finite number"),
+        ("RHS\n", "RHS\n    RHS       OBJ       abc\n",
+         "value 'abc' is not a finite number"),
     ], ids=["G-row", "ranges", "FX-bound", "column-on-undeclared-row",
             "rhs-on-undeclared-row", "rows-extra-token", "second-N-row",
             "row-declared-twice", "unknown-column", "unpaired-column", "unpaired-rhs",
             "unknown-sense", "second-entry-on-a-row", "second-objective-entry",
-            "second-entry-on-one-line"])
+            "second-entry-on-one-line", "column-value-abc", "column-value-nan",
+            "column-value-inf", "rhs-value-minus-inf", "objective-rhs-abc"])
     def test_what_the_model_cannot_hold_is_refused(self, round_trip, tmp_path,
                                                    before, after, expected):
         # each of these used to be read as >= (then verified as =), dropped,
@@ -425,6 +436,7 @@ class TestReadSolutionErrors:
         ("C0 1 2", "expected 'name value'"),
         ("C0 inf", r"bad\.sol:1: value inf is not binary"),
         ("C0 nan", r"bad\.sol:1: value nan is not binary"),
+        ("C0 abc", r"bad\.sol:1: value 'abc' is not a number"),
     ])
     def test_malformed_lines_are_rejected(self, weighted, tmp_path, line, msg):
         name = weighted.catalog.names[0]
