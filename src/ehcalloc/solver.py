@@ -43,15 +43,14 @@ A second bound keeps one budget row exact instead of dualized: a
 multiple-choice knapsack over the tail of the search order (Sinha &
 Zoltners, Oper. Res. 27(3), 1979).  The tail row is the dualized row
 with the largest positive weight ``lam_r / rhs_r`` among those no arc
-variable charges.  Once per solve, a suffix table gives per level the
-best sum of the open tasks' terms, with that row's charge added back,
-whose row usage fits in a number of cells of a ``KNAPSACK_CELLS`` grid;
-weights are rounded down to whole cells, so the table stays an upper
-bound.  A node's bound is the smaller of the static bound and the
-static bound with the tail row's dualized term made exact and the open
-tasks' best terms read from the table at the cells left.  Both shrink
-down the tree, so their minimum does.  A solve whose multipliers are
-all zero builds no table.
+variable charges.  Once per solve, a suffix table lists per level the
+Pareto steps of the open tasks' picks: exact usage of that row against
+the best sum of their terms, with the row's charge added back.  A
+node's bound is the smaller of the static bound and the static bound
+with the tail row's dualized term made exact and the open tasks' best
+terms read from the table at the capacity left.  Both shrink down the
+tree, so their minimum does.  A solve whose multipliers are all zero
+builds no table.
 
 The search order is fixed once the bound is built: tasks with a single
 candidate first, so a pinned task that cannot fit fails at the root,
@@ -85,6 +84,7 @@ import json
 import math
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,8 +145,6 @@ class _TimeUp(Exception):
 DIFFUSION_SWEEPS = 10
 #: most bound evaluations Kelley's method spends on the multipliers
 KELLEY_CALLS = 30
-#: capacity cells of the knapsack tail table over its budget row
-KNAPSACK_CELLS = 4000
 
 
 def _tol(value: float) -> float:
@@ -508,11 +506,10 @@ class _TaskChoiceSearch:
         their candidate terms; per task, children best term first.  The
         order fixes which arcs each task opens and which it closes.
 
-        Of the dualized rows with a positive multiplier and no arc
-        coefficient, the one with the largest weight ``lam_r / rhs_r``
-        becomes the tail row and gets a knapsack tail table; with no
-        such row there is none.  A row that charges arcs is left out:
-        the table drops the arcs' charge, which would make it no bound.
+        The tail row, of the dualized rows that charge no arc the one
+        with the largest positive ``lam_r / rhs_r``, gets the table of
+        :meth:`_tail_table`; with no such row there is none.  The table
+        drops arcs' charges, so a row that has some would give no bound.
         """
         self.relax = relax
         self.future = relax.bound
@@ -529,47 +526,48 @@ class _TaskChoiceSearch:
         lay = self.lay
         weight = {r: lam / lay.rhs[r] for r, lam in zip(lay.dual_rows, relax.lam)
                   if lam > 0.0 and r not in lay.arc_rows}
-        self.tail: list[array] | None = None
+        self.tail: list[tuple[array, array]] | None = None
         if weight:
             self.tail_row = row = max(weight, key=weight.get)
             self.tail_weight = weight[row]
             self.tail_cap = lay.row_cap[row]
-            self.tail_cell = lay.row_cap[row] / KNAPSACK_CELLS
+            self.tail_tol = _tol(self.tail_cap)
             self.tail = self._tail_table(relax)
 
-    def _tail_table(self, relax: _Relaxation) -> list[array]:
-        """Per level d, an exact multiple-choice knapsack over the tail
-        row for the tasks ``order[d:]``, less their best terms.
-
-        Entry c of level d is the best sum, over those tasks, of one
-        candidate term each with the tail row's charge ``weight * coeff``
-        added back, among the picks whose weights fit in c cells of
-        ``tail_cell``, minus the tasks' ``task_max``; ``-inf`` if none
-        fits.  Weights are rounded down to whole cells, so a pick that
-        fits the row fits its cells and the entry bounds it (Sinha &
-        Zoltners, Oper. Res. 27(3), 1979; Kellerer, Pferschy & Pisinger,
-        Knapsack Problems, 2004, ch. 11).  Rows are ``array('d')``: the
-        search reads them one float at a time.
+    def _tail_table(self, relax: _Relaxation) -> list[tuple[array, array]]:
+        """Per level d, the Pareto steps of an exact multiple-choice
+        knapsack over the tail row for the tasks ``order[d:]`` (Kellerer,
+        Pferschy & Pisinger, Knapsack Problems, 2004, ch. 11): per pick
+        no other beats on both, its row usage, up to ``tail_cap`` plus the
+        row tolerance, and the sum of its terms with the row's charge
+        ``weight * coeff`` added back, less the tasks' ``task_max``.  A
+        level is ``(weights, values)`` by rising weight, values led by
+        ``-inf``: ``values[bisect_right(weights, room)]`` is the best value
+        of a pick using at most ``room``.  Level d merges, per coefficient
+        of task ``order[d]``, level d + 1 shifted by it and its best term.
         """
-        row, weight, cell = self.tail_row, self.tail_weight, self.tail_cell
-        size = KNAPSACK_CELLS + 1
-        table = np.zeros(size)
-        levels = [array("d", table.tobytes())]
+        row, weight, heaviest = self.tail_row, self.tail_weight, self.tail_cap + self.tail_tol
+        steps = [(np.zeros(1), np.zeros(1))]
         for t in reversed(self.order):
-            # per distinct cell weight, the task's best term
-            best: dict[int, float] = {}
+            weights, values = steps[-1]
+            # per distinct coefficient, the task's best term with its charge
+            best: dict[float, float] = {}
             for (_, rows), term in zip(self.lay.cands[t], relax.crobj[t]):
                 coeff = next((c for r, c in rows if r == row), 0.0)
-                cells = math.floor(coeff / cell)
-                if cells < size:
-                    best[cells] = max(best.get(cells, -math.inf), term + weight * coeff)
-            picked = np.full(size, -math.inf)
-            for cells, value in best.items():
-                np.maximum(picked[cells:], table[:size - cells] + value, out=picked[cells:])
-            table = picked - relax.task_max[t]
-            levels.append(array("d", table.tobytes()))
-        levels.reverse()
-        return levels
+                best[coeff] = max(best.get(coeff, -math.inf), term + weight * coeff)
+            # the shifted copies by weight; a step stays if it fits and beats
+            # every lighter one, and of equal weights the last, the best
+            shifted = np.concatenate([weights + coeff for coeff in best])
+            gained = np.concatenate([values + (v - relax.task_max[t]) for v in best.values()])
+            by = np.argsort(shifted, kind="stable")
+            shifted, gained = shifted[by], gained[by]
+            lighter = np.append(-math.inf, np.maximum.accumulate(gained)[:-1])
+            keep = (shifted <= heaviest) & (gained > lighter)
+            weights, values = shifted[keep], gained[keep]
+            last = np.diff(weights, append=math.inf) > 0.0
+            steps.append((weights[last], values[last]))
+        return [(array("d", w.tobytes()), array("d", np.append(-math.inf, v).tobytes()))
+                for w, v in reversed(steps)]
 
     # -- incremental choice application, restarted from each node's state ----
 
@@ -642,22 +640,21 @@ class _TaskChoiceSearch:
             return
         t = self.order[level]
         # the tail table of the tasks still open below this level
-        tail = self.tail[level + 1] if self.tail is not None else None
+        weights, values = self.tail[level + 1] if self.tail is not None else (None, None)
         ceiling = parent_bound + _tol(parent_bound)
         # every child starts from this node's state, restored exactly
         rpartial, future, usage = self.rpartial, self.future, self.usage[:]
         for child in self.children[t]:
             if self._apply(t, child):
                 bound = self.rpartial + self.future + self.model.objective_offset
-                if tail is not None:
+                if values is not None:
                     # the knapsack bound: the static bound with the tail row's
                     # dualized term, weight * (usage - row_cap), kept exact, and
-                    # the open tasks' best terms replaced by the table's entry at
-                    # the cells left; a millionth of a cell absorbs float error
-                    # in the floors, so a pick that fits the row still fits
+                    # the open tasks' best terms replaced by the best step within the
+                    # slack; the row tolerance covers the table's other addition order
                     slack = self.tail_cap - self.usage[self.tail_row]
                     bound = min(bound, bound - self.tail_weight * slack
-                                + tail[int(slack / self.tail_cell + 1e-6)])
+                                + values[bisect_right(weights, slack + self.tail_tol)])
                 if bound > ceiling:
                     raise RuntimeError("relaxation bound increased down the tree")
                 if bound < self.prune_below:
@@ -860,9 +857,9 @@ def read_mps(path: str | Path) -> BilpModel:
     ``path:lineno:``, not dropped: any other sense, a ``G`` row, a second
     ``N`` row, a row declared twice, a ``RANGES`` entry, any bound other
     than ``BV``, a column the sidecar does not name, an entry on an
-    undeclared row, a second entry of a column on one row, a line whose
-    names and values do not pair up, and a value that is not a finite
-    number.
+    undeclared row, a second entry of a column on one row, a second
+    right-hand side of a row, a line whose names and values do not pair
+    up, and a value that is not a finite number.
     """
     path = Path(path)
     sidecar_path = _sidecar_path(path)
@@ -933,6 +930,8 @@ def read_mps(path: str | Path) -> BilpModel:
             for rn, val in pairs(tokens, lineno):
                 if rn != obj_name and rn not in row_coeffs:
                     raise ValueError(f"{path}:{lineno}: right-hand side of undeclared row {rn!r}")
+                if rn in rhs:
+                    raise ValueError(f"{path}:{lineno}: row {rn!r} has a second right-hand side")
                 rhs[rn] = val
         elif section == "ROWS":
             if len(tokens) != 2:

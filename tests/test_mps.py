@@ -159,12 +159,15 @@ class TestRoundTrip:
          "value '-inf' is not a finite number"),
         ("RHS\n", "RHS\n    RHS       OBJ       abc\n",
          "value 'abc' is not a finite number"),
+        ("    RHS       R0        1\n", "    RHS       R0        1\n    RHS       R0        999\n",
+         "row 'R0' has a second right-hand side"),
     ], ids=["G-row", "ranges", "FX-bound", "column-on-undeclared-row",
             "rhs-on-undeclared-row", "rows-extra-token", "second-N-row",
             "row-declared-twice", "unknown-column", "unpaired-column", "unpaired-rhs",
             "unknown-sense", "second-entry-on-a-row", "second-objective-entry",
             "second-entry-on-one-line", "column-value-abc", "column-value-nan",
-            "column-value-inf", "rhs-value-minus-inf", "objective-rhs-abc"])
+            "column-value-inf", "rhs-value-minus-inf", "objective-rhs-abc",
+            "second-rhs-of-a-row"])
     def test_what_the_model_cannot_hold_is_refused(self, round_trip, tmp_path,
                                                    before, after, expected):
         # each of these used to be read as >= (then verified as =), dropped,
@@ -407,7 +410,7 @@ class TestAgainstHighs:
     @pytest.mark.parametrize("structure, n, kind", [
         ("serial", 40, "rel_min"), ("serial", 40, "lat_max"),
         ("parallel", 40, "rel_min"), ("parallel", 40, "lat_max"),
-        ("mixed", 60, "lat_max"),
+        ("mixed", 60, "lat_max"), ("parallel", 100, "lat_max"),
     ])
     def test_worst_case_solves_match_highs(self, topology, policy, structure, n, kind):
         # the worst-case normalization solves, where the budgets bind and

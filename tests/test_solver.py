@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,11 @@ from ehcalloc.model import Device, TaskSpec, Topology, WorkflowGraph
 from ehcalloc.oracle import brute_force, oracle_bounds
 from ehcalloc.pipeline import assignment_from_picks
 from ehcalloc.solver import (
-    KNAPSACK_CELLS,
     SolverOptions,
     SolverStatus,
     _kelley_master,
     _TaskChoiceSearch,
+    _tol,
     solve_builtin,
     verify,
 )
@@ -428,7 +429,15 @@ class TestKnapsackTail:
         search, leaves, sol = leaves_and_solution(_TaskChoiceSearch, model)
         static, static_leaves, static_sol = leaves_and_solution(Untabled, model)
         assert search.relax.lam[0] > 0.0 and search.tail is not None
-        assert len(search.tail) == 4 and all(len(row) == KNAPSACK_CELLS + 1 for row in search.tail)
+        # one level per open task plus one, each a list of steps whose
+        # weights rise, whose values strictly rise after their leading
+        # -inf, and which fit the row
+        assert len(search.tail) == search.n_tasks + 1 == 4
+        for weights, values in search.tail:
+            assert len(values) == len(weights) + 1
+            assert list(weights) == sorted(weights)
+            assert all(a < b for a, b in zip(values, values[1:]))
+            assert all(w <= search.tail_cap + _tol(search.tail_cap) for w in weights)
         for s in (sol, static_sol):
             assert s.status is SolverStatus.OPTIMAL
             assert s.objective == best and list(s.choices) == [1, 0, 0]
@@ -485,15 +494,35 @@ class TestKnapsackTail:
         assert len(seen) == 5 + 4 + 21
         assert seen == [(None, 153)] * len(seen)
 
-    @pytest.mark.parametrize("n, most", [(30, 15_000), (40, 36_000)])
+    @pytest.mark.parametrize("n, most", [(30, 2_500), (40, 5_000), (60, 15_000)])
     def test_worst_latency_node_counts(self, topology, policy, n, most):
-        # half the nodes the static bound alone needed: 30,754 and 72,559
-        graph = sg.generate(sg.GenSpec(task_count=n, structure="mixed", seed=1),
-                            tuple(topology.devices))
-        reg, model = e.prepare(topology, graph, policy)
-        sol = solve_builtin(model.with_objective(objective_latency(reg, model.catalog)))
+        # with exact weights in the table the search needs 1,985, 3,847
+        # and 12,346 nodes
+        sol = solve_builtin(worst_latency(topology, policy, n))
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.nodes <= most
+
+    def test_root_bound_lies_between_the_optimum_and_the_static_bound(self, topology, policy):
+        # the tabled root bound is the static bound with the tail row's
+        # dualized term made exact at the full capacity; on mixed n=40 it
+        # reads 937.93 against a static 938.59 and an optimum of 937.12,
+        # and a table that rounded weights could read above the static one
+        search = _TaskChoiceSearch(worst_latency(topology, policy, 40), SolverOptions())
+        sol = search.run()
+        assert sol.status is SolverStatus.OPTIMAL and search.tail is not None
+        static = search.relax.bound + search.model.objective_offset
+        weights, values = search.tail[0]
+        entry = values[bisect_right(weights, search.tail_cap + _tol(search.tail_cap))]
+        tabled = static + entry - search.tail_weight * search.tail_cap
+        assert sol.objective <= tabled < static
+
+
+def worst_latency(topology, policy, n):
+    """The worst-latency model of the seed-1 mixed workflow with ``n`` tasks."""
+    graph = sg.generate(sg.GenSpec(task_count=n, structure="mixed", seed=1),
+                        tuple(topology.devices))
+    reg, model = e.prepare(topology, graph, policy)
+    return model.with_objective(objective_latency(reg, model.catalog))
 
 
 class TestKelleyMaster:
