@@ -23,7 +23,14 @@ from .bilp import (
     normalization_bounds,
 )
 from .model import CriticalityPolicy, Topology, WorkflowGraph
-from .solver import Solution, SolverOptions, deadline_of, solve_builtin, time_left
+from .solver import (
+    Solution,
+    SolverOptions,
+    deadline_of,
+    root_relaxations,
+    solve_builtin,
+    time_left,
+)
 from .transform import CandidateGraph, CandidateNode, EgArc, build_eg, build_reg
 
 
@@ -281,44 +288,54 @@ def sweep(
     reg, model = prepare(topology, graph, policy)
     bounds = normalization_bounds(reg, model, time_left(deadline))
     grid = [i / steps for i in range(steps + 1)]
-    point = partial(_sweep_point, reg, model, deadline, bounds)
+    points = partial(_sweep_points, reg, model, deadline, bounds)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        # each worker receives the prepared model once, not once per point
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_point,
-                                 initargs=(point,)) as pool:
-            rows = list(pool.map(_worker_point, grid))
+        # each worker receives the prepared model once and one run of the grid
+        size = -(-len(grid) // workers)
+        chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_points,
+                                 initargs=(points,)) as pool:
+            rows = [row for chunk in pool.map(_worker_points, chunks) for row in chunk]
     else:
-        rows = [point(w) for w in grid]
+        rows = points(grid)
     return SweepResult([d.id for d in topology.devices], rows)
 
 
-#: a sweep worker process's grid-point function, set by its pool initializer
-_worker_point_fn = None
+#: a sweep worker process's grid function, set by its pool initializer
+_worker_points_fn = None
 
 
-def _set_worker_point(point) -> None:
-    global _worker_point_fn
-    _worker_point_fn = point
+def _set_worker_points(points) -> None:
+    global _worker_points_fn
+    _worker_points_fn = points
 
 
-def _worker_point(w: float) -> dict:
-    return _worker_point_fn(w)
+def _worker_points(grid: list[float]) -> list[dict]:
+    return _worker_points_fn(grid)
 
 
-def _sweep_point(reg: CandidateGraph, model: BilpModel, deadline: float | None,
-                 bounds: NormalizationBounds, w: float) -> dict:
-    weights = ObjectiveWeights(w_rel=w, w_lat=1.0 - w)
-    plan, _ = _solve_prepared(reg, model, weights, time_left(deadline), bounds)
-    row = {
-        "w_rel": w, "w_lat": 1.0 - w, "status": plan.status,
-        "g": plan.g, "f_rel": plan.f_rel, "f_lat_s": plan.f_lat,
-        "f_rel_norm": plan.f_rel_norm, "f_lat_norm": plan.f_lat_norm,
-        "reliability": plan.reliability,
-    }
-    if plan.tasks:
-        row.update(_share_stats(reg.topology.device_ids, plan.tasks))
-    return row
+def _sweep_points(reg: CandidateGraph, model: BilpModel, deadline: float | None,
+                  bounds: NormalizationBounds, grid: list[float]) -> list[dict]:
+    """The sweep's rows at ``w_rel`` in ``grid``, in order; the root
+    relaxations of their weighted objectives diffuse in one batch."""
+    weights = [ObjectiveWeights(w_rel=w, w_lat=1.0 - w) for w in grid]
+    models = [weighted_objective(reg, model, ws, bounds) for ws in weights]
+    roots = root_relaxations(models, time_left(deadline))
+    rows = []
+    for ws, weighted, root in zip(weights, models, roots):
+        solution = solve_builtin(weighted, time_left(deadline), root=root)
+        plan = extract_plan(reg, model, ws, bounds, solution)
+        row = {
+            "w_rel": ws.w_rel, "w_lat": ws.w_lat, "status": plan.status,
+            "g": plan.g, "f_rel": plan.f_rel, "f_lat_s": plan.f_lat,
+            "f_rel_norm": plan.f_rel_norm, "f_lat_norm": plan.f_lat_norm,
+            "reliability": plan.reliability,
+        }
+        if plan.tasks:
+            row.update(_share_stats(reg.topology.device_ids, plan.tasks))
+        rows.append(row)
+    return rows
 
 
 def restrict_to_device(graph: WorkflowGraph, device_id: str) -> WorkflowGraph:

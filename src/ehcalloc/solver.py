@@ -52,10 +52,18 @@ terms read from the table at the capacity left.  Both shrink down the
 tree, so their minimum does.  A solve whose multipliers are all zero
 builds no table.
 
+Objectives of one prepared model share its layout, so the solves of a
+normalization or a sweep get their roots, the relaxations at zero
+multipliers, from one diffusion over a block of objectives, one column
+each; every column equals its objective diffused alone, float for float.
+
 The search order is fixed once the bound is built: tasks with a single
 candidate first, so a pinned task that cannot fit fails at the root,
 then tasks by descending spread (best minus worst candidate term), and
-per task its candidates best term first.  A leaf's value sums the
+per task its candidates best term first.  A child's term bounds its
+bound from above, so a node's child loop stops at its first child whose
+term cannot reach the incumbent (Land & Doig, Econometrica 28(3),
+1960); the children after it are never applied.  A leaf's value sums the
 original coefficients in the canonical order (tasks in catalog order,
 each arc when its later endpoint is added), so the objective reported
 for a pick vector depends on neither the bound nor the search order.
@@ -235,8 +243,9 @@ class _Layout:
         dense = np.zeros((len(self.dual_rows), cat.n_vars))
         for k, r in enumerate(self.dual_rows):
             dense[k, list(rows[r].coeffs)] = list(rows[r].coeffs.values())
-        self.dual_cands = dense[:, [cat.candidates[i].var for positions in cat.options
-                                    for i in positions]]
+        #: the candidates' variables, flat
+        self.cand_vars = [cat.candidates[i].var for positions in cat.options for i in positions]
+        self.dual_cands = dense[:, self.cand_vars]
         self.dual_arcs = dense[:, self.arc_vars]
         # per task and primary device: the slots its candidates' gains sum,
         # one per incident arc side in incident order, and its diffusion
@@ -303,6 +312,86 @@ class _Layout:
                                np.take(arcs[:d, :w], ids, axis=2),
                                np.take(others[:d, :w], ids, axis=2), divisor[ids]))
 
+    def relax(self, cvals: np.ndarray, avals: np.ndarray, lam: list[float],
+              expired) -> list[_Relaxation]:
+        """Dualize the budget rows with multipliers ``lam``, then run
+        max-sum diffusion, for a block of objectives over this layout.
+
+        ``cvals`` holds the candidates' objective terms, flat task by
+        task, and ``avals`` the arc variables' in :attr:`arc_vars` order:
+        one objective as plain vectors, or several as one column each.
+        Every operation acts column by column, so each column's
+        relaxation is the one its objective gets alone, float for float;
+        one relaxation per objective comes back.
+
+        Each candidate and arc term pays ``lam_r * coeff / rhs_r`` on
+        every dualized row r, and ``sum_r lam_r * row_cap_r / rhs_r`` is
+        added back as a constant, so a pick that fits its budgets scores
+        at most its objective.
+
+        A diffusion message then moves objective mass from one side of a
+        workflow arc into the candidates of that side's task on one
+        primary device: they gain it, and the arc's device pairs through
+        that device lose it.  A complete pick gains on its candidates
+        exactly what it loses on its arcs, so its score is unchanged.
+        Each sweep visits every group of the layout and sets its messages
+        so that the group's best candidate and its best device pair on
+        each incident arc score the same.  The sweeps run as the layout's
+        waves, each a few array operations over all its groups.  Every
+        wave leaves a valid reparametrization, so diffusion simply stops
+        early once ``expired()`` holds; it is asked once per sweep's worth
+        of waves.
+        """
+        weight = [0.0] * len(self.rhs)
+        # each term's charge, added row by row in row order; a row with a
+        # zero multiplier would add only 0.0
+        ccharge, acharge = np.zeros(len(cvals)), np.zeros(len(avals))
+        for k, (r, value) in enumerate(zip(self.dual_rows, lam)):
+            weight[r] = value / self.rhs[r]
+            if value:
+                ccharge += weight[r] * self.dual_cands[k]
+                acharge += weight[r] * self.dual_arcs[k]
+        # a block reads the per-term charges and the per-group divisors as columns
+        block = cvals.ndim > 1
+        if block:
+            ccharge, acharge = ccharge[:, None], acharge[:, None]
+        # the candidates' and arc variables' dualized terms; a -inf after
+        # each for padded maxima, and a 0.0 after the arcs' for padded sums
+        cval = _stacked(cvals - ccharge, -math.inf)
+        aval = _stacked(avals - acharge, -math.inf, 0.0)
+        base = np.maximum.reduce(cval[self.group_members], initial=-math.inf)
+
+        # msgs[slot]: mass moved from an arc side into its task on one
+        # device; the last slot is padding and reads 0.0
+        msgs = np.zeros((self.n_slots + 1,) + cvals.shape[1:])
+        pad = self.n_slots
+        every = -(-len(self.waves) // DIFFUSION_SWEEPS)
+        for w, (gids, mine, arcs, others, divisor) in enumerate(self.waves):
+            if w % every == 0 and expired():
+                break
+            held = msgs[mine]
+            marginals = np.maximum.reduce(aval[arcs] - msgs[others]) - held
+            u = base[gids] + _termsum(held)
+            avg = (u + _termsum(marginals)) / (divisor[:, None] if block else divisor)
+            msgs[mine] = held + (marginals - avg)
+            msgs[pad] = 0.0
+
+        # per candidate, the mass its arcs moved into its primary device
+        crobj = cval[:-1] + _termsum(msgs[self.cand_gain])
+        arc_terms = aval[:-2] - msgs[self.arc_src] - msgs[self.arc_dst]
+        slot_max = np.maximum.reduce(_stacked(arc_terms, -math.inf)[self.slot_arcs],
+                                     initial=-math.inf)
+        constant = sum(weight[r] * self.row_cap[r] for r in self.dual_rows)
+        columns = zip(crobj.T, arc_terms.T, slot_max.T) if block else [(crobj, arc_terms, slot_max)]
+        out = []
+        for cterms, aterms, best in columns:
+            cterms, by_slot = cterms.tolist(), iter(best.tolist())
+            sides = [dict(zip(keys, by_slot)) for keys in self.slot_keys]
+            out.append(_Relaxation([cterms[a:b] for a, b in zip(self.first, self.first[1:])],
+                                   dict(zip(self.arc_vars, aterms.tolist())),
+                                   list(zip(sides[::2], sides[1::2])), constant, list(lam)))
+        return out
+
 
 def _termsum(terms: np.ndarray) -> np.ndarray:
     """The sum over axis 0 of ``terms``, added term by term in order as
@@ -312,6 +401,16 @@ def _termsum(terms: np.ndarray) -> np.ndarray:
     for term in terms:
         total += term
     return total
+
+
+def _stacked(values: np.ndarray, *fills: float) -> np.ndarray:
+    """``values`` with one more entry per fill along axis 0, each a row of
+    that value; ``np.append`` would flatten a block."""
+    out = np.empty((len(values) + len(fills),) + values.shape[1:])
+    out[:len(values)] = values
+    for k, fill in enumerate(fills, start=len(values)):
+        out[k] = fill
+    return out
 
 
 def _columns(rows: list[list], fill, dtype=np.intp) -> np.ndarray:
@@ -324,6 +423,14 @@ def _columns(rows: list[list], fill, dtype=np.intp) -> np.ndarray:
 
 def _layout(model: BilpModel) -> _Layout:
     return model.shared("search layout", lambda: _Layout(model))
+
+
+def _objective_terms(model: BilpModel, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The objective's terms on the candidates, flat task by task, and on
+    the arc variables in the layout's order."""
+    obj = model.objective
+    return (np.array([obj.get(var, 0.0) for var in lay.cand_vars], dtype=float),
+            np.array([obj.get(var, 0.0) for var in lay.arc_vars], dtype=float))
 
 
 class _Relaxation:
@@ -349,20 +456,21 @@ class _Relaxation:
 class _TaskChoiceSearch:
     """Branch-and-bound state; one instance per solve."""
 
-    def __init__(self, model: BilpModel, options: SolverOptions) -> None:
+    def __init__(self, model: BilpModel, options: SolverOptions,
+                 root: _Relaxation | None = None) -> None:
         # first, so that building the layout counts against the limit
         self.deadline = deadline_of(options)
         self.model = model
         self.cat = cat = model.catalog
-        self.obj = obj = model.objective
+        self.obj = model.objective
         self.lay = lay = _layout(model)
         self.n_tasks = len(cat.task_order)
-        # per task, its candidates' objective terms
-        self.cobj = [[obj.get(cat.candidates[i].var, 0.0) for i in positions]
-                     for positions in cat.options]
-        # the same terms flat, and the arc variables' in the layout's order
-        self.cflat = np.array([value for values in self.cobj for value in values], dtype=float)
-        self.aflat = np.array([obj.get(var, 0.0) for var in lay.arc_vars], dtype=float)
+        # the objective's terms, candidates flat and arcs in the layout's order
+        self.cflat, self.aflat = _objective_terms(model, lay)
+        # per task, its candidates' terms
+        self.cobj = [self.cflat[a:b].tolist() for a, b in zip(lay.first, lay.first[1:])]
+        # the relaxation at zero multipliers, if it was built already
+        self.root = root
 
         # mutable search state; the bounds are set by run()
         self.chosen: list[int] = [-1] * self.n_tasks
@@ -382,68 +490,8 @@ class _TaskChoiceSearch:
     # -- the bound -------------------------------------------------------------
 
     def _relax(self, lam: list[float]) -> _Relaxation:
-        """Dualize the budget rows with multipliers ``lam``, then run
-        max-sum diffusion on the result.
-
-        Each candidate and arc term pays ``lam_r * coeff / rhs_r`` on
-        every dualized row r, and ``sum_r lam_r * row_cap_r / rhs_r`` is
-        added back as a constant, so a pick that fits its budgets scores
-        at most its objective.
-
-        A diffusion message then moves objective mass from one side of a
-        workflow arc into the candidates of that side's task on one
-        primary device: they gain it, and the arc's device pairs through
-        that device lose it.  A complete pick gains on its candidates
-        exactly what it loses on its arcs, so its score is unchanged.
-        Each sweep visits every group of the layout and sets its messages
-        so that the group's best candidate and its best device pair on
-        each incident arc score the same.  The sweeps run as the layout's
-        waves, each a few array operations over all its groups.  Every
-        wave leaves a valid reparametrization, so diffusion simply stops
-        early when the deadline passes; it is checked once per sweep's
-        worth of waves.
-        """
-        lay = self.lay
-        weight = [0.0] * len(lay.rhs)
-        # each term's charge, added row by row in row order; a row with a
-        # zero multiplier would add only 0.0
-        ccharge, acharge = np.zeros(len(self.cflat)), np.zeros(len(self.aflat))
-        for k, (r, value) in enumerate(zip(lay.dual_rows, lam)):
-            weight[r] = value / lay.rhs[r]
-            if value:
-                ccharge += weight[r] * lay.dual_cands[k]
-                acharge += weight[r] * lay.dual_arcs[k]
-        # the candidates' and arc variables' dualized terms; a -inf after
-        # each for padded maxima, and a 0.0 after the arcs' for padded sums
-        cval = np.append(self.cflat - ccharge, -math.inf)
-        aval = np.append(self.aflat - acharge, (-math.inf, 0.0))
-        base = np.maximum.reduce(cval[lay.group_members], initial=-math.inf)
-
-        # msgs[slot]: mass moved from an arc side into its task on one
-        # device; the last slot is padding and reads 0.0
-        msgs = np.zeros(lay.n_slots + 1)
-        pad = lay.n_slots
-        every = -(-len(lay.waves) // DIFFUSION_SWEEPS)
-        for w, (gids, mine, arcs, others, divisor) in enumerate(lay.waves):
-            if w % every == 0 and self._expired():
-                break
-            held = msgs[mine]
-            marginals = np.maximum.reduce(aval[arcs] - msgs[others]) - held
-            u = base[gids] + _termsum(held)
-            avg = (u + _termsum(marginals)) / divisor
-            msgs[mine] = held + (marginals - avg)
-            msgs[pad] = 0.0
-
-        # per candidate, the mass its arcs moved into its primary device
-        crobj = (cval[:-1] + _termsum(msgs[lay.cand_gain])).tolist()
-        arc_terms = aval[:-2] - msgs[lay.arc_src] - msgs[lay.arc_dst]
-        by_slot = iter(np.maximum.reduce(np.append(arc_terms, -math.inf)[lay.slot_arcs],
-                                         initial=-math.inf).tolist())
-        sides = [dict(zip(keys, by_slot)) for keys in lay.slot_keys]
-        constant = sum(weight[r] * lay.row_cap[r] for r in lay.dual_rows)
-        return _Relaxation([crobj[a:b] for a, b in zip(lay.first, lay.first[1:])],
-                           dict(zip(lay.arc_vars, arc_terms.tolist())),
-                           list(zip(sides[::2], sides[1::2])), constant, list(lam))
+        """This solve's objective relaxed alone at multipliers ``lam``."""
+        return self.lay.relax(self.cflat, self.aflat, lam, self._expired)[0]
 
     def _slope(self, relax: _Relaxation) -> list[float]:
         """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
@@ -472,10 +520,11 @@ class _TaskChoiceSearch:
         over a box.  It stops when that minimum closes on the best bound,
         when the best-candidate pick fits its budgets with complementary
         slackness (at zero multipliers: fits them at all), or when the
-        deadline passes.  Any multipliers give a valid bound.
+        deadline passes.  Any multipliers give a valid bound.  It starts
+        from the given root, if any.
         """
         lam = [0.0] * len(self.lay.dual_rows)
-        best = relax = self._relax(lam)
+        best = relax = self._relax(lam) if self.root is None else self.root
         if not lam:
             return best
         cuts: list[tuple[float, list[float]]] = []
@@ -644,7 +693,15 @@ class _TaskChoiceSearch:
         ceiling = parent_bound + _tol(parent_bound)
         # every child starts from this node's state, restored exactly
         rpartial, future, usage = self.rpartial, self.future, self.usage[:]
+        # no child's bound exceeds this plus its term: its arcs only lower
+        # the static bound, and the table bound is at most the static one
+        start = rpartial + future + self.model.objective_offset - self.relax.task_max[t]
         for child in self.children[t]:
+            # children come best term first, so the first that cannot reach
+            # the incumbent bounds every one after it, and none is applied
+            if start + child[3] < self.prune_below:
+                self.max_pruned = max(self.max_pruned, start + child[3])
+                break
             if self._apply(t, child):
                 bound = self.rpartial + self.future + self.model.objective_offset
                 if values is not None:
@@ -747,16 +804,37 @@ def _kelley_master(cuts: list[tuple[float, list[float]]],
     return y[0], [min(max(v, 0.0), u) for v, u in zip(y[1:], upper)]
 
 
-def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Solution:
+def root_relaxations(models: list[BilpModel],
+                     options: SolverOptions | None = None) -> list[_Relaxation]:
+    """Each model's relaxation at zero multipliers, diffused in one batch.
+
+    The models are ``with_objective`` copies of one prepared model, so
+    they share one layout.  Each result goes to :func:`solve_builtin` as
+    the ``root`` of its model's solve.  Past the time limit in
+    ``options`` the diffusion stops early, and the roots stay valid.
+    """
+    deadline = deadline_of(options)
+    lay = _layout(models[0])
+    if any(_layout(model) is not lay for model in models):
+        raise ValueError("batched roots need models that share one catalog and its rows")
+    terms = [_objective_terms(model, lay) for model in models]
+    return lay.relax(np.stack([c for c, _ in terms], axis=1),
+                     np.stack([a for _, a in terms], axis=1), [0.0] * len(lay.dual_rows),
+                     lambda: deadline is not None and time.perf_counter() > deadline)
+
+
+def solve_builtin(model: BilpModel, options: SolverOptions | None = None,
+                  root: _Relaxation | None = None) -> Solution:
     """Solve to proven optimality.
 
-    The final incumbent is re-checked against every constraint row; a
-    violation means the model does not have the task-choice structure
-    this solver relies on, and is reported as an error rather than a
-    wrong answer.
+    ``root``, from :func:`root_relaxations`, spares the solve its own
+    diffusion at zero multipliers.  The final incumbent is re-checked
+    against every constraint row; a violation means the model does not
+    have the task-choice structure this solver relies on, and is
+    reported as an error rather than a wrong answer.
     """
     opts = options or SolverOptions()
-    search = _TaskChoiceSearch(model, opts)
+    search = _TaskChoiceSearch(model, opts, root)
     sol = search.run()
     if sol.assignment is not None:
         bad = verify(model, sol.assignment)

@@ -205,6 +205,8 @@ class CandidateGraph:
         self.by_task: dict[str, list[int]] = {t: [] for t in eg.graph.task_ids}
 
         topo = eg.topology
+        # the bits each task receives, summed once per task, not per device
+        input_bits = {t: eg.graph.input_size(t) for t in eg.graph.task_ids}
         for task_id, k in eg.nodes:
             task = eg.graph.task(task_id)
             mode = exec_mode(task.vulnerability[k], policy)
@@ -217,7 +219,7 @@ class CandidateGraph:
                 replica_sets = [(devs[a], devs[b])
                                 for a in range(len(devs))
                                 for b in range(a, len(devs))]
-            in_bits = eg.graph.input_size(task_id)
+            in_bits = input_bits[task_id]
             for reps in replica_sets:
                 self.by_task[task_id].append(len(self.candidates))
                 self.candidates.append(CandidateNode(

@@ -28,6 +28,7 @@ from ehcalloc.solver import (
     _TaskChoiceSearch,
     export_mps,
     read_mps,
+    root_relaxations,
     solve_builtin,
     verify,
 )
@@ -149,6 +150,61 @@ class TestSameRelaxation:
         if n == 40 and structure == "mixed":
             # not vacuous: the worst latency dualizes its budgets
             assert multipliers > 0
+
+
+class TestBatchedRoots:
+    """Objectives of one prepared model diffuse their roots in one batch;
+    each column is its objective's root relaxed alone, float for float."""
+
+    def assert_columns_are_single_roots(self, models):
+        roots = root_relaxations(models)
+        assert len(roots) == len(models)
+        for model, root in zip(models, roots):
+            search = _TaskChoiceSearch(model, SolverOptions())
+            alone = search._relax([0.0] * len(search.lay.dual_rows))
+            assert root.lam == alone.lam
+            for name in FIELDS:
+                assert getattr(root, name) == getattr(alone, name), name
+
+    def test_fixture_normalization_and_sweep_objectives(self, topology, workflow, policy):
+        reg, model = e.prepare(topology, workflow, policy)
+        self.assert_columns_are_single_roots([single_objective(reg, model, kind)
+                                              for kind in KINDS])
+        bounds = e.normalization_bounds(reg, model, None)
+        self.assert_columns_are_single_roots(
+            [weighted_objective(reg, model, ObjectiveWeights(i / 20, 1.0 - i / 20), bounds)
+             for i in range(21)])
+
+    @pytest.mark.parametrize("structure", ["serial", "mixed", "parallel"])
+    def test_synthetic_40(self, topology, policy, structure):
+        graph = sg.generate(sg.GenSpec(task_count=40, structure=structure, seed=1),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        bounds = NormalizationBounds(rel_min=-1.0, rel_max=0.0, lat_min=0.0, lat_max=100.0)
+        self.assert_columns_are_single_roots(objectives(reg, model, bounds))
+
+    def test_a_sweep_diffuses_its_roots_in_two_batches(self, topology, workflow, policy,
+                                                        monkeypatch):
+        # every budget fits at zero multipliers on the fixture, so Kelley's
+        # method adds no diffusion: the four normalization roots are one
+        # batch, the 21 grid points' another, and no solve diffuses alone
+        blocks = []
+        relax = solver._Layout.relax
+
+        def counted(self, cvals, avals, lam, expired):
+            blocks.append(cvals.shape[1:])
+            return relax(self, cvals, avals, lam, expired)
+
+        monkeypatch.setattr(solver._Layout, "relax", counted)
+        result = pipeline.sweep(topology, workflow, policy, steps=20)
+        assert [row["status"] for row in result.rows] == ["optimal"] * 21
+        assert blocks == [(4,), (21,)]
+
+    def test_models_of_two_layouts_are_refused(self, topology, workflow, policy):
+        models = [single_objective(*e.prepare(topology, workflow, policy), "lat_max")
+                  for _ in range(2)]
+        with pytest.raises(ValueError, match="share one catalog"):
+            root_relaxations(models)
 
 
 def two_device_model(tasks, arcs, seed=0):

@@ -410,7 +410,7 @@ class TestAgainstHighs:
     @pytest.mark.parametrize("structure, n, kind", [
         ("serial", 40, "rel_min"), ("serial", 40, "lat_max"),
         ("parallel", 40, "rel_min"), ("parallel", 40, "lat_max"),
-        ("mixed", 60, "lat_max"), ("parallel", 100, "lat_max"),
+        ("mixed", 60, "lat_max"), ("parallel", 100, "lat_max"), ("serial", 60, "lat_max"),
     ])
     def test_worst_case_solves_match_highs(self, topology, policy, structure, n, kind):
         # the worst-case normalization solves, where the budgets bind and

@@ -24,6 +24,7 @@ from ehcalloc.bilp import (
     normalization_bounds,
     objective_latency,
     objective_reliability,
+    single_objective,
     weighted_objective,
 )
 from ehcalloc.model import Device, TaskSpec, Topology, WorkflowGraph
@@ -478,8 +479,9 @@ class TestKnapsackTail:
 
     def test_fixture_solves_build_no_table(self, topology, workflow, policy, monkeypatch):
         # every budget fits at zero multipliers on the bundled fixture, so
-        # no solve of a solve or a sweep builds a table, and each keeps the
-        # node count it had with the static bound alone
+        # no solve of a solve or a sweep builds a table; the first dive
+        # reaches an optimum and every later child's bound misses it, so
+        # each solve applies one candidate per task
         seen = []
         run = _TaskChoiceSearch.run
 
@@ -492,12 +494,13 @@ class TestKnapsackTail:
         e.solve_allocation(topology, workflow, policy, HALF)
         e.sweep(topology, workflow, policy, steps=20)
         assert len(seen) == 5 + 4 + 21
-        assert seen == [(None, 153)] * len(seen)
+        assert seen == [(None, 15)] * len(seen)
 
-    @pytest.mark.parametrize("n, most", [(30, 2_500), (40, 5_000), (60, 15_000)])
+    @pytest.mark.parametrize("n, most", [(30, 600), (40, 1_100), (60, 3_500)])
     def test_worst_latency_node_counts(self, topology, policy, n, most):
-        # with exact weights in the table the search needs 1,985, 3,847
-        # and 12,346 nodes
+        # with exact weights in the table, and each child loop stopped at
+        # its first child below the incumbent, the search needs 507, 931
+        # and 2,847 nodes
         sol = solve_builtin(worst_latency(topology, policy, n))
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.nodes <= most
@@ -617,3 +620,85 @@ class TestSearchLeavesNoTrace:
         reg, model = e.prepare(topo, graph, policy)
         search = self.finished(model.with_objective(objective_latency(reg, model.catalog)))
         assert search.tail is not None and search.refused > 0
+
+
+class ApplyEveryChild(_TaskChoiceSearch):
+    """The search with the child loop that applies every child, as the
+    loop was before it stopped at its first child below the incumbent."""
+
+    def _dfs(self, level, parent_bound=math.inf):
+        if level == self.n_tasks:
+            self._accept_leaf()
+            return
+        t = self.order[level]
+        weights, values = self.tail[level + 1] if self.tail is not None else (None, None)
+        ceiling = parent_bound + _tol(parent_bound)
+        rpartial, future, usage = self.rpartial, self.future, self.usage[:]
+        for child in self.children[t]:
+            if self._apply(t, child):
+                bound = self.rpartial + self.future + self.model.objective_offset
+                if values is not None:
+                    slack = self.tail_cap - self.usage[self.tail_row]
+                    bound = min(bound, bound - self.tail_weight * slack
+                                + values[bisect_right(weights, slack + self.tail_tol)])
+                if bound > ceiling:
+                    raise RuntimeError("relaxation bound increased down the tree")
+                if bound < self.prune_below:
+                    self.max_pruned = max(self.max_pruned, bound)
+                else:
+                    self._dfs(level + 1, bound)
+            self.rpartial, self.future = rpartial, future
+            self.usage[:] = usage
+        self.chosen[t] = -1
+
+
+def incumbents_and_solution(search_class, model):
+    """The incumbents a search of ``model`` by ``search_class`` takes, in
+    order, and its solution."""
+    taken = []
+
+    class Recording(search_class):
+        def _accept_leaf(self):
+            super()._accept_leaf()
+            if not taken or taken[-1] != (self.best_g, self.best_vec):
+                taken.append((self.best_g, self.best_vec))
+
+    return taken, Recording(model, SolverOptions()).run()
+
+
+class TestChildLoopStopsEarly:
+    """The loop skips only children the incumbent would prune: it takes
+    the same incumbents as the loop that applies every child, proves the
+    same bound and never visits more nodes."""
+
+    def assert_same_search(self, model):
+        ref_taken, ref = incumbents_and_solution(ApplyEveryChild, model)
+        taken, sol = incumbents_and_solution(_TaskChoiceSearch, model)
+        assert ref.status is SolverStatus.OPTIMAL
+        assert (sol.status, sol.objective, sol.choices, sol.assignment, sol.bound) == \
+            (ref.status, ref.objective, ref.choices, ref.assignment, ref.bound)
+        assert taken == ref_taken
+        assert sol.nodes <= ref.nodes
+
+    def test_fixture_solves(self, topology, workflow, policy):
+        reg, model = e.prepare(topology, workflow, policy)
+        bounds = normalization_bounds(reg, model, None)
+        for kind in ("rel_max", "rel_min", "lat_max", "lat_min"):
+            self.assert_same_search(single_objective(reg, model, kind))
+        self.assert_same_search(weighted_objective(reg, model, HALF, bounds))
+
+    @pytest.mark.parametrize("structure", ["serial", "mixed", "parallel"])
+    def test_normalization_solves_at_15_tasks(self, topology, policy, structure):
+        graph = sg.generate(sg.GenSpec(task_count=15, structure=structure, seed=1),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        for kind in ("rel_max", "rel_min", "lat_max", "lat_min"):
+            self.assert_same_search(single_objective(reg, model, kind))
+
+    def test_worst_latency_with_a_table(self, topology, policy):
+        self.assert_same_search(worst_latency(topology, policy, 40))
+
+    def test_lex_smallest_tie(self):
+        # the model of test_lex_smallest_tie_wins_with_a_table
+        self.assert_same_search(knapsack_model([[("a", -1.0, 0.0), ("b", 6.0, 0.6)],
+                                                [("a", -0.5, 0.0), ("b", 6.5, 0.7)]], 1.0))
