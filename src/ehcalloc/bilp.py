@@ -384,26 +384,22 @@ def normalization_bounds(reg: CandidateGraph, model: BilpModel, options=None) ->
 
     Four exact solves of the fully constrained model, one per bound,
     within one time limit counted from this call; their root relaxations
-    diffuse in one batch first.  Infeasibility in any of them means the
-    model itself is infeasible.
+    diffuse in one batch.  Infeasibility in any of them means the model
+    itself is infeasible.
     """
-    from .solver import SolverStatus, deadline_of, root_relaxations, solve_builtin, time_left
+    from .solver import SolverStatus, deadline_of, solve_all, time_left
 
     deadline = deadline_of(options)
     kinds = ("rel_max", "rel_min", "lat_max", "lat_min")
     models = [single_objective(reg, model, kind) for kind in kinds]
-    roots = root_relaxations(models, time_left(deadline))
-
-    def extreme(kind: str, aux: BilpModel, root) -> float:
-        sol = solve_builtin(aux, time_left(deadline), root=root)
+    extremes = {}
+    for kind, aux, sol in zip(kinds, models, solve_all(models, time_left(deadline))):
         if sol.status is SolverStatus.TIME_LIMIT:
             raise TimeLimitError(f"normalization solve {kind} hit the time limit")
         if sol.status is not SolverStatus.OPTIMAL:
             raise InfeasibleError(f"normalization solve {kind} ended {sol.status.name}")
-        return aux.metadata["sign"] * sol.objective
-
-    return NormalizationBounds(**{kind: extreme(kind, aux, root)
-                                  for kind, aux, root in zip(kinds, models, roots)})
+        extremes[kind] = aux.metadata["sign"] * sol.objective
+    return NormalizationBounds(**extremes)
 
 
 def weighted_objective(

@@ -27,7 +27,7 @@ from .solver import (
     Solution,
     SolverOptions,
     deadline_of,
-    root_relaxations,
+    solve_all,
     solve_builtin,
     time_left,
 )
@@ -291,12 +291,11 @@ def sweep(
     points = partial(_sweep_points, reg, model, deadline, bounds)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        # each worker receives the prepared model once and one run of the grid
-        size = -(-len(grid) // workers)
-        chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
+        # each worker receives the prepared model once, not once per point,
+        # and takes the next point whenever it is free
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_points,
                                  initargs=(points,)) as pool:
-            rows = [row for chunk in pool.map(_worker_points, chunks) for row in chunk]
+            rows = list(pool.map(_worker_point, grid))
     else:
         rows = points(grid)
     return SweepResult([d.id for d in topology.devices], rows)
@@ -311,20 +310,18 @@ def _set_worker_points(points) -> None:
     _worker_points_fn = points
 
 
-def _worker_points(grid: list[float]) -> list[dict]:
-    return _worker_points_fn(grid)
+def _worker_point(w: float) -> dict:
+    return _worker_points_fn([w])[0]
 
 
 def _sweep_points(reg: CandidateGraph, model: BilpModel, deadline: float | None,
                   bounds: NormalizationBounds, grid: list[float]) -> list[dict]:
-    """The sweep's rows at ``w_rel`` in ``grid``, in order; the root
-    relaxations of their weighted objectives diffuse in one batch."""
+    """The sweep's rows at ``w_rel`` in ``grid``, in order; the weighted
+    objectives are built and solved batch by batch by :func:`solve_all`."""
     weights = [ObjectiveWeights(w_rel=w, w_lat=1.0 - w) for w in grid]
-    models = [weighted_objective(reg, model, ws, bounds) for ws in weights]
-    roots = root_relaxations(models, time_left(deadline))
+    models = (weighted_objective(reg, model, ws, bounds) for ws in weights)
     rows = []
-    for ws, weighted, root in zip(weights, models, roots):
-        solution = solve_builtin(weighted, time_left(deadline), root=root)
+    for ws, solution in zip(weights, solve_all(models, time_left(deadline))):
         plan = extract_plan(reg, model, ws, bounds, solution)
         row = {
             "w_rel": ws.w_rel, "w_lat": ws.w_lat, "status": plan.status,

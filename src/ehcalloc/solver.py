@@ -52,10 +52,11 @@ terms read from the table at the capacity left.  Both shrink down the
 tree, so their minimum does.  A solve whose multipliers are all zero
 builds no table.
 
-Objectives of one prepared model share its layout, so the solves of a
-normalization or a sweep get their roots, the relaxations at zero
-multipliers, from one diffusion over a block of objectives, one column
-each; every column equals its objective diffused alone, float for float.
+Objectives of one prepared model share its layout, so :func:`solve_all`,
+which runs the solves of a normalization or a sweep, gets their roots,
+the relaxations at zero multipliers, from one diffusion over a batch of
+objectives, one column each; every column equals its objective diffused
+alone, float for float.
 
 The search order is fixed once the bound is built: tasks with a single
 candidate first, so a pinned task that cannot fit fails at the root,
@@ -94,7 +95,9 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -153,6 +156,10 @@ class _TimeUp(Exception):
 DIFFUSION_SWEEPS = 10
 #: most bound evaluations Kelley's method spends on the multipliers
 KELLEY_CALLS = 30
+#: most objectives whose roots :func:`solve_all` diffuses in one batch; a
+#: batch holds its models and their diffused terms at once, so a long
+#: sweep's memory stays flat, and a 21-point sweep is still one batch
+ROOT_BATCH = 32
 
 
 def _tol(value: float) -> float:
@@ -313,7 +320,7 @@ class _Layout:
                                np.take(others[:d, :w], ids, axis=2), divisor[ids]))
 
     def relax(self, cvals: np.ndarray, avals: np.ndarray, lam: list[float],
-              expired) -> list[_Relaxation]:
+              expired) -> Iterator[_Relaxation]:
         """Dualize the budget rows with multipliers ``lam``, then run
         max-sum diffusion, for a block of objectives over this layout.
 
@@ -322,7 +329,9 @@ class _Layout:
         one objective as plain vectors, or several as one column each.
         Every operation acts column by column, so each column's
         relaxation is the one its objective gets alone, float for float;
-        one relaxation per objective comes back.
+        one relaxation per objective comes back.  The diffusion runs when
+        the first is asked for, and each is built from its column only
+        when it is asked for.
 
         Each candidate and arc term pays ``lam_r * coeff / rhs_r`` on
         every dualized row r, and ``sum_r lam_r * row_cap_r / rhs_r`` is
@@ -383,14 +392,12 @@ class _Layout:
                                      initial=-math.inf)
         constant = sum(weight[r] * self.row_cap[r] for r in self.dual_rows)
         columns = zip(crobj.T, arc_terms.T, slot_max.T) if block else [(crobj, arc_terms, slot_max)]
-        out = []
         for cterms, aterms, best in columns:
             cterms, by_slot = cterms.tolist(), iter(best.tolist())
             sides = [dict(zip(keys, by_slot)) for keys in self.slot_keys]
-            out.append(_Relaxation([cterms[a:b] for a, b in zip(self.first, self.first[1:])],
-                                   dict(zip(self.arc_vars, aterms.tolist())),
-                                   list(zip(sides[::2], sides[1::2])), constant, list(lam)))
-        return out
+            yield _Relaxation([cterms[a:b] for a, b in zip(self.first, self.first[1:])],
+                              dict(zip(self.arc_vars, aterms.tolist())),
+                              list(zip(sides[::2], sides[1::2])), constant, list(lam))
 
 
 def _termsum(terms: np.ndarray) -> np.ndarray:
@@ -425,6 +432,13 @@ def _layout(model: BilpModel) -> _Layout:
     return model.shared("search layout", lambda: _Layout(model))
 
 
+def _batched_roots(model: BilpModel) -> dict[int, tuple[BilpModel, _Relaxation]]:
+    """The root :func:`solve_all` diffused for the solve of ``model`` or of
+    another copy of its prepared model that is starting, by model id.  An
+    entry holds its model, so a solve takes only its own objective's root."""
+    return model.shared("batched roots", dict)
+
+
 def _objective_terms(model: BilpModel, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """The objective's terms on the candidates, flat task by task, and on
     the arc variables in the layout's order."""
@@ -456,8 +470,7 @@ class _Relaxation:
 class _TaskChoiceSearch:
     """Branch-and-bound state; one instance per solve."""
 
-    def __init__(self, model: BilpModel, options: SolverOptions,
-                 root: _Relaxation | None = None) -> None:
+    def __init__(self, model: BilpModel, options: SolverOptions) -> None:
         # first, so that building the layout counts against the limit
         self.deadline = deadline_of(options)
         self.model = model
@@ -469,8 +482,9 @@ class _TaskChoiceSearch:
         self.cflat, self.aflat = _objective_terms(model, lay)
         # per task, its candidates' terms
         self.cobj = [self.cflat[a:b].tolist() for a, b in zip(lay.first, lay.first[1:])]
-        # the relaxation at zero multipliers, if it was built already
-        self.root = root
+        # the relaxation at zero multipliers, if solve_all diffused it already
+        held = _batched_roots(model).pop(id(model), None)
+        self.root = held[1] if held is not None and held[0] is model else None
 
         # mutable search state; the bounds are set by run()
         self.chosen: list[int] = [-1] * self.n_tasks
@@ -491,7 +505,7 @@ class _TaskChoiceSearch:
 
     def _relax(self, lam: list[float]) -> _Relaxation:
         """This solve's objective relaxed alone at multipliers ``lam``."""
-        return self.lay.relax(self.cflat, self.aflat, lam, self._expired)[0]
+        return next(self.lay.relax(self.cflat, self.aflat, lam, self._expired))
 
     def _slope(self, relax: _Relaxation) -> list[float]:
         """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
@@ -521,7 +535,7 @@ class _TaskChoiceSearch:
         when the best-candidate pick fits its budgets with complementary
         slackness (at zero multipliers: fits them at all), or when the
         deadline passes.  Any multipliers give a valid bound.  It starts
-        from the given root, if any.
+        from a root :func:`solve_all` diffused for this model, if any.
         """
         lam = [0.0] * len(self.lay.dual_rows)
         best = relax = self._relax(lam) if self.root is None else self.root
@@ -804,37 +818,53 @@ def _kelley_master(cuts: list[tuple[float, list[float]]],
     return y[0], [min(max(v, 0.0), u) for v, u in zip(y[1:], upper)]
 
 
-def root_relaxations(models: list[BilpModel],
-                     options: SolverOptions | None = None) -> list[_Relaxation]:
-    """Each model's relaxation at zero multipliers, diffused in one batch.
+def solve_all(models: Iterable[BilpModel],
+              options: SolverOptions | None = None) -> Iterator[Solution]:
+    """Solve each of ``models`` with :func:`solve_builtin`, in order,
+    yielding each solution in turn.
 
     The models are ``with_objective`` copies of one prepared model, so
-    they share one layout.  Each result goes to :func:`solve_builtin` as
-    the ``root`` of its model's solve.  Past the time limit in
-    ``options`` the diffusion stops early, and the roots stay valid.
+    they share one layout.  They are read in batches of up to
+    :data:`ROOT_BATCH`, and the roots of a batch, the relaxations at zero
+    multipliers, diffuse in one call, one column per objective; each
+    solve starts from its own model's root.  Every column equals its
+    objective diffused alone, float for float, so each solution is the
+    one its model gets alone.  The time limit in ``options`` bounds all
+    the solves, counted from the first solution asked for.
     """
     deadline = deadline_of(options)
-    lay = _layout(models[0])
-    if any(_layout(model) is not lay for model in models):
-        raise ValueError("batched roots need models that share one catalog and its rows")
-    terms = [_objective_terms(model, lay) for model in models]
-    return lay.relax(np.stack([c for c, _ in terms], axis=1),
-                     np.stack([a for _, a in terms], axis=1), [0.0] * len(lay.dual_rows),
-                     lambda: deadline is not None and time.perf_counter() > deadline)
+    models = iter(models)
+    while batch := list(islice(models, ROOT_BATCH)):
+        lay = _layout(batch[0])
+        if any(_layout(model) is not lay for model in batch):
+            raise ValueError("solve_all needs models that share one catalog and its rows")
+        # a model alone diffuses its root as plain vectors, which is faster
+        roots = [None]
+        if len(batch) > 1:
+            terms = [_objective_terms(model, lay) for model in batch]
+            roots = lay.relax(np.stack([c for c, _ in terms], axis=1),
+                              np.stack([a for _, a in terms], axis=1),
+                              [0.0] * len(lay.dual_rows),
+                              lambda: deadline is not None and time.perf_counter() > deadline)
+        for model, root in zip(batch, roots):
+            if root is not None:
+                _batched_roots(model)[id(model)] = (model, root)
+            try:
+                yield solve_builtin(model, time_left(deadline))
+            finally:
+                _batched_roots(model).pop(id(model), None)
 
 
-def solve_builtin(model: BilpModel, options: SolverOptions | None = None,
-                  root: _Relaxation | None = None) -> Solution:
+def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Solution:
     """Solve to proven optimality.
 
-    ``root``, from :func:`root_relaxations`, spares the solve its own
-    diffusion at zero multipliers.  The final incumbent is re-checked
-    against every constraint row; a violation means the model does not
-    have the task-choice structure this solver relies on, and is
-    reported as an error rather than a wrong answer.
+    The final incumbent is re-checked against every constraint row; a
+    violation means the model does not have the task-choice structure
+    this solver relies on, and is reported as an error rather than a
+    wrong answer.
     """
     opts = options or SolverOptions()
-    search = _TaskChoiceSearch(model, opts, root)
+    search = _TaskChoiceSearch(model, opts)
     sol = search.run()
     if sol.assignment is not None:
         bad = verify(model, sol.assignment)

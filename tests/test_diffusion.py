@@ -28,7 +28,7 @@ from ehcalloc.solver import (
     _TaskChoiceSearch,
     export_mps,
     read_mps,
-    root_relaxations,
+    solve_all,
     solve_builtin,
     verify,
 )
@@ -153,58 +153,102 @@ class TestSameRelaxation:
 
 
 class TestBatchedRoots:
-    """Objectives of one prepared model diffuse their roots in one batch;
-    each column is its objective's root relaxed alone, float for float."""
+    """solve_all diffuses the roots of its models' objectives in batches;
+    each solve starts from its own objective's root, which equals that
+    objective relaxed alone, float for float."""
 
-    def assert_columns_are_single_roots(self, models):
-        roots = root_relaxations(models)
-        assert len(roots) == len(models)
-        for model, root in zip(models, roots):
+    def roots_handed_out(self, models, monkeypatch):
+        """The (model, root) each solve of ``solve_all(models)`` starts
+        from; the searches themselves are skipped."""
+        seen = []
+
+        def record(search):
+            seen.append((search.model, search.root))
+            return solver.Solution(SolverStatus.TIME_LIMIT, None, None, None)
+
+        monkeypatch.setattr(_TaskChoiceSearch, "run", record)
+        assert len(list(solve_all(models))) == len(models)
+        return seen
+
+    def assert_columns_are_single_roots(self, models, monkeypatch):
+        seen = self.roots_handed_out(models, monkeypatch)
+        assert [model for model, _ in seen] == models
+        for model, root in seen:
             search = _TaskChoiceSearch(model, SolverOptions())
             alone = search._relax([0.0] * len(search.lay.dual_rows))
             assert root.lam == alone.lam
             for name in FIELDS:
                 assert getattr(root, name) == getattr(alone, name), name
 
-    def test_fixture_normalization_and_sweep_objectives(self, topology, workflow, policy):
+    def test_fixture_normalization_and_sweep_objectives(self, topology, workflow, policy,
+                                                         monkeypatch):
         reg, model = e.prepare(topology, workflow, policy)
-        self.assert_columns_are_single_roots([single_objective(reg, model, kind)
-                                              for kind in KINDS])
         bounds = e.normalization_bounds(reg, model, None)
+        self.assert_columns_are_single_roots([single_objective(reg, model, kind)
+                                              for kind in KINDS], monkeypatch)
         self.assert_columns_are_single_roots(
             [weighted_objective(reg, model, ObjectiveWeights(i / 20, 1.0 - i / 20), bounds)
-             for i in range(21)])
+             for i in range(21)], monkeypatch)
 
     @pytest.mark.parametrize("structure", ["serial", "mixed", "parallel"])
-    def test_synthetic_40(self, topology, policy, structure):
+    def test_synthetic_40(self, topology, policy, structure, monkeypatch):
         graph = sg.generate(sg.GenSpec(task_count=40, structure=structure, seed=1),
                             tuple(topology.devices))
         reg, model = e.prepare(topology, graph, policy)
         bounds = NormalizationBounds(rel_min=-1.0, rel_max=0.0, lat_min=0.0, lat_max=100.0)
-        self.assert_columns_are_single_roots(objectives(reg, model, bounds))
+        self.assert_columns_are_single_roots(objectives(reg, model, bounds), monkeypatch)
+
+    def diffusion_shapes(self, monkeypatch):
+        """Per diffusion call from now on, the shape of its objective
+        block past the terms: ``(k,)`` for k columns, ``()`` for one."""
+        shapes = []
+        relax = solver._Layout.relax
+
+        def counted(self, cvals, avals, lam, expired):
+            shapes.append(cvals.shape[1:])
+            return relax(self, cvals, avals, lam, expired)
+
+        monkeypatch.setattr(solver._Layout, "relax", counted)
+        return shapes
 
     def test_a_sweep_diffuses_its_roots_in_two_batches(self, topology, workflow, policy,
                                                         monkeypatch):
         # every budget fits at zero multipliers on the fixture, so Kelley's
         # method adds no diffusion: the four normalization roots are one
         # batch, the 21 grid points' another, and no solve diffuses alone
-        blocks = []
-        relax = solver._Layout.relax
-
-        def counted(self, cvals, avals, lam, expired):
-            blocks.append(cvals.shape[1:])
-            return relax(self, cvals, avals, lam, expired)
-
-        monkeypatch.setattr(solver._Layout, "relax", counted)
+        shapes = self.diffusion_shapes(monkeypatch)
         result = pipeline.sweep(topology, workflow, policy, steps=20)
         assert [row["status"] for row in result.rows] == ["optimal"] * 21
-        assert blocks == [(4,), (21,)]
+        assert shapes == [(4,), (21,)]
+
+    def test_a_long_sweep_diffuses_in_bounded_batches(self, topology, workflow, policy,
+                                                      monkeypatch):
+        # the grid's models are built and diffused ROOT_BATCH at a time,
+        # and a lone last model diffuses its root as plain vectors; the
+        # rows are the ones a single batch gives
+        whole = pipeline.sweep(topology, workflow, policy, steps=20).rows
+        monkeypatch.setattr(solver, "ROOT_BATCH", 10)
+        shapes = self.diffusion_shapes(monkeypatch)
+        assert pipeline.sweep(topology, workflow, policy, steps=20).rows == whole
+        assert shapes == [(4,), (10,), (10,), ()]
+
+    def test_no_root_outlives_its_batch(self, topology, workflow, policy):
+        reg, model = e.prepare(topology, workflow, policy)
+        models = [single_objective(reg, model, kind) for kind in KINDS]
+        solutions = solve_all(models)
+        next(solutions)
+        assert solver._batched_roots(model) == {}
+        solutions.close()
+        assert solver._batched_roots(model) == {}
+        assert [sol.objective for sol in solve_all(models)] == \
+            [solve_builtin(m).objective for m in models]
+        assert solver._batched_roots(model) == {}
 
     def test_models_of_two_layouts_are_refused(self, topology, workflow, policy):
         models = [single_objective(*e.prepare(topology, workflow, policy), "lat_max")
                   for _ in range(2)]
         with pytest.raises(ValueError, match="share one catalog"):
-            root_relaxations(models)
+            list(solve_all(models))
 
 
 def two_device_model(tasks, arcs, seed=0):
