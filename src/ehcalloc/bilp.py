@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 from .transform import CandidateGraph
 
@@ -39,11 +41,24 @@ class InfeasibleError(Exception):
 
 
 class TimeLimitError(Exception):
-    """Raised when a time budget expires before a required exact solve finishes."""
+    """Raised when a time budget expires before a required exact solve finishes.
+
+    ``kind`` names the solve that ran out, when one did; ``incumbent`` is
+    the best value it found and ``bound`` the bound it proved on the
+    optimum, both in that solve's raw objective units, and None where
+    nothing was found.
+    """
+
+    def __init__(self, message: str, *, kind: str | None = None,
+                 incumbent: float | None = None, bound: float | None = None) -> None:
+        super().__init__(message)
+        self.kind = kind
+        self.incumbent = incumbent
+        self.bound = bound
 
 
-@dataclass(frozen=True)
-class CandidateVar:
+# named tuples, like the expansion's records they index, for their cost
+class CandidateVar(NamedTuple):
     var: int
     task: str
     primary: str
@@ -51,8 +66,7 @@ class CandidateVar:
     key: str
 
 
-@dataclass(frozen=True)
-class ArcVar:
+class ArcVar(NamedTuple):
     var: int
     src_task: str
     src_dev: str
@@ -176,7 +190,12 @@ class LinearConstraint:
     tag: str
 
     def lhs(self, x) -> float:
-        return sum(c * x[v] for v, c in self.coeffs.items())
+        # added left to right from 0, the order np.bincount adds a row in
+        # (Python 3.12's sum would compensate a float sum)
+        total = 0
+        for v, c in self.coeffs.items():
+            total += c * x[v]
+        return total
 
 
 @dataclass
@@ -194,12 +213,31 @@ class BilpModel:
     def n_vars(self) -> int:
         return self.catalog.n_vars
 
-    def shared(self, key: str, build):
+    def shared(self, key: str, build, keep: bool = True):
         """``build()``, computed once per catalog and rows: the first call
-        on this model or any of its ``with_objective`` copies stores it."""
-        if key not in self._shared:
-            self._shared[key] = build()
-        return self._shared[key]
+        on this model or any of its ``with_objective`` copies stores it.
+        With ``keep=False`` a stored value is still returned, but a value
+        built here is not stored.
+
+        The entries, each built on first use:
+
+        * ``"raw objectives"``: the reliability and latency terms as
+          vectors, for :func:`single_objective` and
+          :func:`weighted_objective`;
+        * ``"row index"``: the rows as flat arrays, stored by the search
+          layout, which reads them; ``solver.verify`` reads them too, and
+          builds them without storing them for a model never solved;
+        * ``"search layout"``: what the search reads apart from the
+          objective, built on a model's first solve;
+        * ``"batched roots"``: the objective terms and root relaxations
+          ``solver.solve_all`` diffused for the solves about to start.
+        """
+        if key in self._shared:
+            return self._shared[key]
+        value = build()
+        if keep:
+            self._shared[key] = value
+        return value
 
     def objective_value(self, x) -> float:
         return sum(c * x[v] for v, c in self.objective.items()) + self.objective_offset
@@ -365,6 +403,39 @@ class NormalizationBounds:
                 "lat_min": self.lat_min, "lat_max": self.lat_max}
 
 
+class _RawObjectives:
+    """The two raw objectives of one prepared model as vectors.
+
+    ``rel_keys`` and ``rel`` hold the reliability terms' variables and
+    values, ``lat_keys`` and ``lat`` the latency terms'.  ``keys`` lists
+    every variable of either, the reliability terms' first, then the
+    latency terms' others; ``rel_at`` and ``lat_at`` give each
+    objective's terms' positions in it, in that objective's own order.
+    """
+
+    def __init__(self, rel: dict[int, float], lat: dict[int, float]) -> None:
+        # numpy is imported on first use, not with this module: loaded
+        # before the solver module is compiled, it raises the peak memory
+        # of importing ehcalloc by about 2.5 MiB
+        import numpy as np
+
+        self.keys = list(dict.fromkeys(chain(rel, lat)))
+        pos = {v: i for i, v in enumerate(self.keys)}
+        self.rel_keys, self.lat_keys = list(rel), list(lat)
+        self.rel_at = np.array([pos[v] for v in rel], dtype=np.intp)
+        self.lat_at = np.array([pos[v] for v in lat], dtype=np.intp)
+        self.rel = np.array(list(rel.values()), dtype=float)
+        self.lat = np.array(list(lat.values()), dtype=float)
+        self.zeros = np.zeros(len(self.keys))
+
+
+def _raw_objectives(reg: CandidateGraph, model: BilpModel) -> _RawObjectives:
+    """The raw objectives of ``model``, built once per prepared model from
+    ``reg``, the candidate graph the model was built from."""
+    return model.shared("raw objectives", lambda: _RawObjectives(
+        objective_reliability(reg, model.catalog), objective_latency(reg, model.catalog)))
+
+
 def single_objective(reg: CandidateGraph, model: BilpModel, kind: str) -> BilpModel:
     """``model`` with one raw objective alone, to be maximized.
 
@@ -373,9 +444,10 @@ def single_objective(reg: CandidateGraph, model: BilpModel, kind: str) -> BilpMo
     objective is maximized with its sign flipped; ``metadata["sign"]``
     records the factor.
     """
-    raw = objective_reliability if kind.startswith("rel") else objective_latency
+    raw = _raw_objectives(reg, model)
+    keys, terms = (raw.rel_keys, raw.rel) if kind.startswith("rel") else (raw.lat_keys, raw.lat)
     sign = 1.0 if kind.endswith("max") else -1.0
-    return model.with_objective({v: sign * c for v, c in raw(reg, model.catalog).items()},
+    return model.with_objective(dict(zip(keys, (sign * terms).tolist())),
                                 objective_kind=kind, sign=sign)
 
 
@@ -395,7 +467,13 @@ def normalization_bounds(reg: CandidateGraph, model: BilpModel, options=None) ->
     extremes = {}
     for kind, aux, sol in zip(kinds, models, solve_all(models, time_left(deadline))):
         if sol.status is SolverStatus.TIME_LIMIT:
-            raise TimeLimitError(f"normalization solve {kind} hit the time limit")
+            sign = aux.metadata["sign"]
+            raise TimeLimitError(
+                f"normalization solve {kind} hit the time limit", kind=kind,
+                incumbent=None if sol.objective is None else sign * sol.objective,
+                # a solve stopped before its search has no finite bound
+                bound=sign * sol.bound if sol.bound is not None and math.isfinite(sol.bound)
+                else None)
         if sol.status is not SolverStatus.OPTIMAL:
             raise InfeasibleError(f"normalization solve {kind} ended {sol.status.name}")
         extremes[kind] = aux.metadata["sign"] * sol.objective
@@ -411,22 +489,28 @@ def weighted_objective(
     """Scalarized objective: w_rel * normalized log-reliability minus
     w_lat * normalized latency, to be maximized.
 
-    A degenerate normalization span zeroes that term entirely.
+    A degenerate normalization span zeroes that term entirely.  Each
+    coefficient is ``0.0 + scale_rel * rel`` and then ``- scale_lat *
+    lat``, the terms a variable has, in that order, for all variables in
+    one vector operation each; the keys keep the reliability terms'
+    order, then the latency terms' others.
     """
-    coeffs: dict[int, float] = {}
+    raw = _raw_objectives(reg, model)
+    coeffs = raw.zeros.copy()
+    keys, at = [], slice(0)
     offset = 0.0
     if not bounds.rel_degenerate:
         scale = weights.w_rel / bounds.rel_span
-        for v, c in objective_reliability(reg, model.catalog).items():
-            coeffs[v] = coeffs.get(v, 0.0) + scale * c
+        coeffs[raw.rel_at] = 0.0 + scale * raw.rel
         offset -= scale * bounds.rel_min
+        keys, at = raw.rel_keys, raw.rel_at
     if not bounds.lat_degenerate:
         scale = weights.w_lat / bounds.lat_span
-        for v, c in objective_latency(reg, model.catalog).items():
-            coeffs[v] = coeffs.get(v, 0.0) - scale * c
+        coeffs[raw.lat_at] -= scale * raw.lat
         offset += scale * bounds.lat_min
+        keys, at = (raw.lat_keys, raw.lat_at) if bounds.rel_degenerate else (raw.keys, slice(None))
     return model.with_objective(
-        coeffs, offset,
+        dict(zip(keys, coeffs[at].tolist())), offset,
         objective_kind="weighted",
         weights=(weights.w_rel, weights.w_lat),
         bounds=bounds.to_json_dict(),

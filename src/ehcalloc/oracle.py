@@ -18,6 +18,7 @@ import numpy as np
 
 from .bilp import InfeasibleError, NormalizationBounds, ObjectiveWeights
 from .params import rx_energy, tx_energy
+from .solver import _tol
 from .transform import CandidateGraph
 
 #: Refuse to enumerate assignment spaces larger than this.
@@ -148,29 +149,35 @@ def brute_force(
 ) -> OracleResult:
     """Exhaustive search for the best feasible assignment.
 
-    Ties go to the lexicographically smallest candidate-index vector,
-    the same rule the branch-and-bound uses.  ``points``, a list of what
-    :func:`feasible_points` yields, spares a second enumeration.
+    Ties follow the solver's rule: every point that scores within
+    ``1e-9 * max(1, |best|)`` of the best score ties with it, and of those
+    the lexicographically smallest candidate-index vector wins.  The
+    tolerance absorbs the different order in which this route sums.
+    ``points``, a list of what :func:`feasible_points` yields, spares a
+    second enumeration; it may come in any order.
     """
     if points is None:
         points = feasible_points(reg, guard)
     best_g = -math.inf
-    best: tuple | None = None
+    # the points within the tolerance of the best score so far
+    near: list[tuple[float, tuple, float, float]] = []
     feasible_count = 0
     for vec, f_rel, f_lat in points:
         feasible_count += 1
         g = (weights.w_rel * bounds.normalize_rel(f_rel)
              - weights.w_lat * bounds.normalize_lat(f_lat))
         if g > best_g:
-            best_g, best = g, (vec, f_rel, f_lat)
+            best_g = g
+            near = [p for p in near if p[0] >= best_g - _tol(best_g)]
+        if g >= best_g - _tol(best_g):
+            near.append((g, tuple(vec), f_rel, f_lat))
 
     enumerated = space_size(reg)
-    if best is None:
+    if not near:
         return OracleResult("infeasible", None, None,
                             feasible_count=0, enumerated=enumerated)
-    vec, f_rel, f_lat = best
-    return OracleResult("optimal", best_g, tuple(vec), f_rel, f_lat,
-                        feasible_count, enumerated)
+    g, vec, f_rel, f_lat = min(near, key=lambda p: p[1])
+    return OracleResult("optimal", g, vec, f_rel, f_lat, feasible_count, enumerated)
 
 
 def oracle_bounds(reg: CandidateGraph, guard: int = ENUMERATION_GUARD,

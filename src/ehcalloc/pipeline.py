@@ -146,11 +146,15 @@ def extract_plan(
         solver_nodes=solution.nodes,
         wall_time_s=solution.wall_time,
     )
-    if solution.assignment is None:
+    if solution.choices is None:
         return plan
-    x = solution.assignment
-    cands = [reg.candidates[i] for i in model.catalog.picks(x)]
-    chosen_arcs = [arc for avar, arc in zip(model.catalog.arcs, reg.arcs) if x[avar.var] == 1]
+    cat = model.catalog
+    cands = [reg.candidates[options[k]] for options, k in zip(cat.options, solution.choices)]
+    # the arc variable each workflow arc's two picks set; arc variables
+    # follow the candidates in catalog order (build_catalog)
+    chosen = sorted(src[cands[i].primary][cands[j].primary]
+                    for (i, j), (src, _) in zip(cat.pairs, cat.ends))
+    chosen_arcs = [reg.arcs[var - len(cat.candidates)] for var in chosen]
     # one product of reliabilities, then one log; latency in task order,
     # then in workflow-arc order (the order the oracle sums in)
     r_total = 1.0

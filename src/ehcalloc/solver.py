@@ -69,10 +69,18 @@ original coefficients in the canonical order (tasks in catalog order,
 each arc when its later endpoint is added), so the objective reported
 for a pick vector depends on neither the bound nor the search order.
 
+The rows of a prepared model are indexed once, CSR style, in
+``_RowIndex``: per nonzero its column, coefficient and row, and per row
+its rhs, tolerance and sense.  :func:`verify` sums every row at a 0/1
+vector in one ``np.bincount`` over it, the same float as
+``LinearConstraint.lhs``, and builds a violated row's message from
+``lhs`` itself.
+
 The search keeps its own index of a model, ``_Layout``, built from the
-variable catalog and the rows on a model's first solve: the budget rows
-with each variable's ``(row, coeff)`` pairs, and per task its candidates
-and its incident workflow arcs, each with the side the task sits on.
+variable catalog and the row index on a model's first solve: the budget
+rows with each variable's ``(row, coeff)`` pairs, and per task its
+candidates and its incident workflow arcs, each with the side the task
+sits on.
 Per arc side the catalog gives the arc variables by device pair; the
 diffusion messages, the per-device arc bounds and the lookup of an arc
 between two fixed picks all index that one side layout.  The same index
@@ -95,7 +103,8 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -166,6 +175,47 @@ def _tol(value: float) -> float:
     return 1e-9 * max(1.0, abs(value))
 
 
+#: a search child's term: children are ``(position, primary, budget pairs, term)``
+_term = itemgetter(3)
+
+
+class _RowIndex:
+    """A model's rows as flat arrays, CSR style.
+
+    Per nonzero, row by row and in each row's dict order: its column
+    (``col``), its coefficient (``coeff``) and its row (``row``).  Per
+    row: its ``rhs``, its tolerance ``tol = _tol(rhs)``, ``cap = rhs +
+    tol`` and whether its sense is ``<=`` (``le``), any other sense being
+    checked as ``=``.  It depends only on the rows, so the search layout
+    keeps one per prepared model, which :func:`verify` reads too.
+    """
+
+    def __init__(self, rows: list[LinearConstraint]) -> None:
+        sizes = [len(row.coeffs) for row in rows]
+        nnz = sum(sizes)
+        self.col = np.fromiter(chain.from_iterable(row.coeffs for row in rows),
+                               dtype=np.intp, count=nnz)
+        self.coeff = np.fromiter(chain.from_iterable(row.coeffs.values() for row in rows),
+                                 dtype=float, count=nnz)
+        self.row = np.repeat(np.arange(len(rows)), sizes)
+        self.rhs = np.array([row.rhs for row in rows], dtype=float)
+        self.tol = np.array([_tol(row.rhs) for row in rows], dtype=float)
+        self.cap = self.rhs + self.tol
+        self.le = np.array([row.sense == "<=" for row in rows], dtype=bool)
+
+    def lhs(self, x: np.ndarray) -> np.ndarray:
+        """Every row's left-hand side at ``x``: ``bincount`` adds a row's
+        products in index order, from 0.0, as ``LinearConstraint.lhs``
+        does, so each is that sum, float for float."""
+        products = x[self.col]
+        products *= self.coeff
+        return np.bincount(self.row, weights=products, minlength=len(self.rhs))
+
+
+def _row_index(model: BilpModel, keep: bool = True) -> _RowIndex:
+    return model.shared("row index", lambda: _RowIndex(model.constraints), keep)
+
+
 class _Layout:
     """What the search reads of a model apart from its objective.
 
@@ -177,16 +227,24 @@ class _Layout:
 
     def __init__(self, model: BilpModel) -> None:
         cat = model.catalog
+        idx = _row_index(model)
+        row_of = idx.row
         # the budgets are the monotone <= rows; only these are read, so
         # models read back from MPS, or with rows dropped, work the same
-        rows = [row for row in model.constraints
-                if row.sense == "<=" and all(c >= 0.0 for c in row.coeffs.values())]
+        signed = np.bincount(row_of[~(idx.coeff >= 0.0)], minlength=len(idx.rhs))
+        budget_rows = np.flatnonzero(idx.le & (signed == 0))
+        pos = np.full(len(idx.rhs), -1)
+        pos[budget_rows] = np.arange(len(budget_rows))
+        # the budget rows' nonzeros, by variable and then row
+        held = pos[row_of]
+        held[idx.coeff == 0.0] = -1
+        by_var = np.flatnonzero(held >= 0)
+        by_var = by_var[np.argsort(idx.col[by_var], kind="stable")]
+        pairs = list(zip(held[by_var].tolist(), idx.coeff[by_var].tolist()))
+        ends = np.cumsum(np.bincount(idx.col[by_var], minlength=cat.n_vars)).tolist()
         #: per variable, its nonzero (budget row, coeff) pairs
-        self.budget: list[list[tuple[int, float]]] = [[] for _ in range(cat.n_vars)]
-        for pos, row in enumerate(rows):
-            for v, c in row.coeffs.items():
-                if c:
-                    self.budget[v].append((pos, c))
+        self.budget: list[list[tuple[int, float]]] = [pairs[a:b]
+                                                      for a, b in zip([0] + ends, ends)]
         #: per task, its workflow arcs as (arc, side, other task position)
         self.incident: list[list[tuple[int, int, int]]] = [[] for _ in cat.task_order]
         for p, (i, j) in enumerate(cat.pairs):
@@ -194,11 +252,20 @@ class _Layout:
             self.incident[j].append((p, 1, i))
         #: the budget rows some arc variable has a coefficient in
         self.arc_rows = {r for a in cat.arcs for r, _ in self.budget[a.var]}
-        self.rhs = [row.rhs for row in rows]
-        self.row_cap = [row.rhs + _tol(row.rhs) for row in rows]
+        self.rhs = idx.rhs[budget_rows].tolist()
+        self.row_cap = idx.cap[budget_rows].tolist()
         #: the rows the bound dualizes: a finite positive rhs and a coefficient
-        self.dual_rows = [r for r, row in enumerate(rows)
-                          if 0.0 < row.rhs < math.inf and any(row.coeffs.values())]
+        used = np.bincount(held[held >= 0], minlength=len(budget_rows))
+        self.dual_rows = [r for r, (rhs, n) in enumerate(zip(self.rhs, used.tolist()))
+                          if 0.0 < rhs < math.inf and n]
+        # per dualized row, its coefficients, 0.0 where it has none: a budget
+        # pair's product is never -0.0, so adding the 0.0 products changes no sum
+        dual = np.full(len(idx.rhs), -1)
+        dual[budget_rows[self.dual_rows]] = np.arange(len(self.dual_rows))
+        at = dual[row_of]
+        on = at >= 0
+        dense = np.zeros((len(self.dual_rows), cat.n_vars))
+        dense[at[on], idx.col[on]] = idx.coeff[on]
         #: per task, per candidate: primary device and budget pairs
         self.cands: list[list[tuple[str, list]]] = []
         for t, positions in zip(cat.task_order, cat.options):
@@ -206,10 +273,11 @@ class _Layout:
                 raise ValueError(f"task {t} has no candidates")
             self.cands.append([(cat.candidates[i].primary, self.budget[cat.candidates[i].var])
                                for i in positions])
-        self._index_diffusion(cat, rows)
+        self._index_diffusion(cat, dense)
 
-    def _index_diffusion(self, cat: VariableCatalog, rows: list[LinearConstraint]) -> None:
-        """The flat index arrays :meth:`_TaskChoiceSearch._relax` reads.
+    def _index_diffusion(self, cat: VariableCatalog, dense: np.ndarray) -> None:
+        """The flat index arrays :meth:`_TaskChoiceSearch._relax` reads;
+        ``dense`` holds per dualized row its coefficient on every variable.
 
         Messages live in one float array with a slot per arc side and
         device, laid out like ``cat.ends``, plus a last pad slot that
@@ -219,24 +287,27 @@ class _Layout:
         axis 0: a padded term reads ``-inf`` under a maximum and ``0.0``
         under a sum, so padding changes no float.
         """
-        slot: dict[tuple[int, int, str], int] = {}
-        for p, ends in enumerate(cat.ends):
-            for s, end in enumerate(ends):
-                for dev in end:
-                    slot[(p, s, dev)] = len(slot)
-        self.n_slots = pad = len(slot)
+        # per arc and side, its devices' slots, numbered in that order
+        slots: list[list[dict[str, int]]] = []
+        pad = 0
+        for ends in cat.ends:
+            slots.append([])
+            for end in ends:
+                slots[-1].append(dict(zip(end, range(pad, pad + len(end)))))
+                pad += len(end)
+        self.n_slots = pad
         #: arc variables in cat.ends order, with their source and destination slots
         self.arc_vars = [var for src, _ in cat.ends for row in src.values() for var in row.values()]
         arc_pos = {var: i for i, var in enumerate(self.arc_vars)}
         n_arcs = len(self.arc_vars)
-        ends_of = [(slot[(p, 0, k)], slot[(p, 1, l)])
-                   for p, (src, _) in enumerate(cat.ends) for k, row in src.items() for l in row]
-        self.arc_src = np.array([a for a, _ in ends_of], dtype=np.intp)
-        self.arc_dst = np.array([b for _, b in ends_of], dtype=np.intp)
+        self.arc_src = np.array([at[0][k] for at, (src, _) in zip(slots, cat.ends)
+                                 for k, row in src.items() for _ in row], dtype=np.intp)
+        self.arc_dst = np.array([at[1][l] for at, (src, _) in zip(slots, cat.ends)
+                                 for row in src.values() for l in row], dtype=np.intp)
         #: per slot, its arc variables' positions; position n_arcs reads -inf
-        self.slot_arcs = _columns([[arc_pos[var] for var in row.values()]
-                                  for ends in cat.ends for end in ends for row in end.values()],
-                                 n_arcs)
+        by_slot = [[arc_pos[var] for var in row.values()]
+                   for ends in cat.ends for end in ends for row in end.values()]
+        self.slot_arcs = _columns(by_slot, n_arcs)
         #: per arc side, its devices: the keys of the arc_max dicts
         self.slot_keys = [tuple(end) for ends in cat.ends for end in ends]
 
@@ -244,38 +315,34 @@ class _Layout:
         self.first = [0]
         for positions in cat.options:
             self.first.append(self.first[-1] + len(positions))
-        # per dualized row, its coefficients on the candidates and on the arc
-        # variables, 0.0 where it has none: a budget pair's product is never
-        # -0.0, so adding the 0.0 products changes no sum
-        dense = np.zeros((len(self.dual_rows), cat.n_vars))
-        for k, r in enumerate(self.dual_rows):
-            dense[k, list(rows[r].coeffs)] = list(rows[r].coeffs.values())
-        #: the candidates' variables, flat
-        self.cand_vars = [cat.candidates[i].var for positions in cat.options for i in positions]
-        self.dual_cands = dense[:, self.cand_vars]
-        self.dual_arcs = dense[:, self.arc_vars]
+        #: the candidates' variables, flat, and the arc variables, to gather by
+        self.cand_at = np.array([cat.candidates[i].var for positions in cat.options
+                                 for i in positions], dtype=np.intp)
+        self.arc_at = np.array(self.arc_vars, dtype=np.intp)
+        self.dual_cands = dense[:, self.cand_at]
+        self.dual_arcs = dense[:, self.arc_at]
         # per task and primary device: the slots its candidates' gains sum,
-        # one per incident arc side in incident order, and its diffusion
-        # group, which writes those slots: its candidates there and per
-        # arc side the arc's (arc variable, other side's slot) pairs
-        gain, members, mine, terms, task_of = [], [], [], [], []
+        # one per incident arc side in incident order, pad where the device
+        # has no pair there.  With a slot on every arc side, it is a
+        # diffusion group, which writes those slots: its candidates there
+        # and per slot the slot's (arc variable, other side's slot) pairs
+        own: list[list[int]] = []
+        own_of: dict[tuple[int, str], int] = {}
+        members, groups, task_of = [], [], []
         for t, (recs, incident) in enumerate(zip(self.cands, self.incident)):
-            own = {}
             for dev in dict.fromkeys(primary for primary, _ in recs):
-                own[dev] = [slot.get((p, s, dev), pad) for p, s, _ in incident]
-                pairs = [[(arc_pos[var], slot[(p, 1 - s, o)])
-                          for o, var in cat.ends[p][s].get(dev, {}).items()]
-                         for p, s, _ in incident]
+                own_of[(t, dev)] = len(own)
+                own.append([slots[p][s].get(dev, pad) for p, s, _ in incident])
                 # a group with no device pair on some arc can never be picked
-                if incident and all(pairs):
+                if incident and pad not in own[-1]:
                     members.append([self.first[t] + k for k, rec in enumerate(recs)
                                     if rec[0] == dev])
-                    mine.append(own[dev])
-                    terms.append(pairs)
+                    groups.append(len(own) - 1)
                     task_of.append(t)
-            gain += [own[primary] for primary, _ in recs]
+        owned = _columns(own, pad)
         #: per candidate, the slots its gain sums
-        self.cand_gain = _columns(gain, pad)
+        self.cand_gain = owned[:, [own_of[(t, primary)] for t, recs in enumerate(self.cands)
+                                   for primary, _ in recs]]
         #: per group, its candidates' flat positions; position first[-1] reads -inf
         self.group_members = _columns(members, self.first[-1])
 
@@ -284,40 +351,60 @@ class _Layout:
         # k - 1; a wave's groups read and write disjoint slots, so updating
         # them together equals updating them one by one in task order
         grouped = set(task_of)
-        neighbours = [[u for _, _, u in incident if u in grouped] for incident in self.incident]
+        before = [[u for _, _, u in incident if u in grouped and u < t]
+                  for t, incident in enumerate(self.incident)]
+        after = [[u for _, _, u in incident if u in grouped and u > t]
+                 for t, incident in enumerate(self.incident)]
         done = [-1] * len(self.cands)
-        schedule: list[list[int]] = []
+        wave_of: list[int] = []
         for _ in range(DIFFUSION_SWEEPS):
             latest = list(done)
             for t in sorted(grouped):
-                done[t] = 1 + max([latest[t]] + [done[u] if u < t else latest[u]
-                                                  for u in neighbours[t]])
-            schedule += [[] for _ in range(1 + max(done, default=-1) - len(schedule))]
-            for g, t in enumerate(task_of):
-                schedule[done[t]].append(g)
+                last = latest[t]
+                for u in before[t]:
+                    if done[u] > last:
+                        last = done[u]
+                for u in after[t]:
+                    if latest[u] > last:
+                        last = latest[u]
+                done[t] = 1 + last
+            wave_of += [done[t] for t in task_of]
+        # every sweep's groups, by wave, and within one by sweep and group
+        wave_of = np.array(wave_of, dtype=np.intp)
+        order = np.argsort(wave_of, kind="stable")
+        ids = order % max(len(task_of), 1)
+        bounds = np.cumsum(np.bincount(wave_of))
         # per group, padded to the widest group: the slots it writes, [arcs,
         # groups], and the arc variables and other-side slots of its
-        # marginals, [pairs, arcs, groups].  A padded arc reads 0.0 from
-        # arc position n_arcs + 1, so its marginal adds nothing; a padded
-        # pair of a real arc reads -inf from position n_arcs.
-        width = [len(row) for row in mine]
-        depth = [max(map(len, row)) for row in terms]
-        writes = _columns(mine, pad)
-        wide, deep = writes.shape[0], max(depth, default=0)
-        arcs, others = np.array(
-            [[pairs + [(n_arcs, pad)] * (deep - len(pairs)) for pairs in row]
-             + [[(n_arcs + 1, pad)] * deep] * (wide - len(row)) for row in terms],
-            dtype=np.intp).reshape(len(terms), wide, deep, 2).T
+        # marginals, [pairs, arcs, groups], read off per-slot tables.  A
+        # padded arc reads 0.0 from arc position n_arcs + 1, so its marginal
+        # adds nothing; a padded pair of a real arc reads -inf from position
+        # n_arcs.
+        width = np.array([len(self.incident[t]) for t in task_of], dtype=np.intp)
+        writes = owned[:max(width, default=0), groups]
+        depth = np.array([len(row) for row in by_slot] + [0], dtype=np.intp)[writes].max(
+            axis=0, initial=0)
+        deep = max(depth, default=0)
+        arcs = np.concatenate([self.slot_arcs[:deep], np.full((deep, 1), n_arcs + 1)], axis=1)
+        side = np.array([s for ends in cat.ends for s, end in enumerate(ends) for _ in end] + [0])
+        ends = np.append(self.arc_src, [pad, pad]), np.append(self.arc_dst, [pad, pad])
+        others = np.where(side == 0, ends[1][arcs], ends[0][arcs])
         #: per wave: its groups, the slots they write, the arc variables
         #: and other-side slots of their marginals, and their divisors, one
-        #: plus their arc counts; each cut to the wave's widest group
-        divisor = 1.0 + np.array(width, dtype=float)
-        self.waves: list[tuple] = []
-        for gids in schedule:
-            d, w, ids = max(depth[g] for g in gids), max(width[g] for g in gids), np.array(gids)
-            self.waves.append((ids, np.take(writes[:w], ids, axis=1),
-                               np.take(arcs[:d, :w], ids, axis=2),
-                               np.take(others[:d, :w], ids, axis=2), divisor[ids]))
+        #: plus their arc counts; each cut to the wave's widest group from
+        #: one array that holds every wave in turn, and copied whole, since
+        #: an index array read in strides makes every lookup slower
+        writes, divisor = writes[:, ids], 1.0 + width[ids]
+        arcs, others = arcs[:, writes], others[:, writes]
+        starts = np.append(0, bounds[:-1])
+        deepest = np.maximum.reduceat(depth[ids], starts) if len(ids) else starts
+        widest = np.maximum.reduceat(width[ids], starts) if len(ids) else starts
+        whole = np.ascontiguousarray
+        self.waves: list[tuple] = [
+            (ids[a:b], whole(writes[:w, a:b]), whole(arcs[:d, :w, a:b]),
+             whole(others[:d, :w, a:b]), divisor[a:b])
+            for a, b, d, w in zip(starts.tolist(), bounds.tolist(), deepest.tolist(),
+                                  widest.tolist())]
 
     def relax(self, cvals: np.ndarray, avals: np.ndarray, lam: list[float],
               expired) -> Iterator[_Relaxation]:
@@ -404,8 +491,11 @@ def _termsum(terms: np.ndarray) -> np.ndarray:
     """The sum over axis 0 of ``terms``, added term by term in order as
     Python's ``sum`` adds them: ``np.sum`` may add them pairwise, which
     can round differently."""
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
+    if not len(terms):
+        return np.zeros(terms.shape[1:])
+    # 0.0 + the first term, as a sum from 0 adds it; the rest in place
+    total = terms[0] + 0.0
+    for term in terms[1:]:
         total += term
     return total
 
@@ -432,10 +522,11 @@ def _layout(model: BilpModel) -> _Layout:
     return model.shared("search layout", lambda: _Layout(model))
 
 
-def _batched_roots(model: BilpModel) -> dict[int, tuple[BilpModel, _Relaxation]]:
-    """The root :func:`solve_all` diffused for the solve of ``model`` or of
-    another copy of its prepared model that is starting, by model id.  An
-    entry holds its model, so a solve takes only its own objective's root."""
+def _batched_roots(model: BilpModel) -> dict[int, tuple]:
+    """The objective terms and the root :func:`solve_all` diffused for the
+    solve of ``model`` or of another copy of its prepared model that is
+    starting, by model id.  An entry holds its model, so a solve takes only
+    its own objective's."""
     return model.shared("batched roots", dict)
 
 
@@ -443,8 +534,10 @@ def _objective_terms(model: BilpModel, lay: _Layout) -> tuple[np.ndarray, np.nda
     """The objective's terms on the candidates, flat task by task, and on
     the arc variables in the layout's order."""
     obj = model.objective
-    return (np.array([obj.get(var, 0.0) for var in lay.cand_vars], dtype=float),
-            np.array([obj.get(var, 0.0) for var in lay.arc_vars], dtype=float))
+    dense = np.zeros(model.n_vars)
+    dense[np.fromiter(obj, dtype=np.intp, count=len(obj))] = \
+        np.fromiter(obj.values(), dtype=float, count=len(obj))
+    return dense[lay.cand_at], dense[lay.arc_at]
 
 
 class _Relaxation:
@@ -478,13 +571,18 @@ class _TaskChoiceSearch:
         self.obj = model.objective
         self.lay = lay = _layout(model)
         self.n_tasks = len(cat.task_order)
-        # the objective's terms, candidates flat and arcs in the layout's order
-        self.cflat, self.aflat = _objective_terms(model, lay)
-        # per task, its candidates' terms
-        self.cobj = [self.cflat[a:b].tolist() for a, b in zip(lay.first, lay.first[1:])]
-        # the relaxation at zero multipliers, if solve_all diffused it already
+        # the objective's terms, candidates flat and arcs in the layout's
+        # order, and the relaxation at zero multipliers, if solve_all
+        # diffused it already
         held = _batched_roots(model).pop(id(model), None)
-        self.root = held[1] if held is not None and held[0] is model else None
+        if held is not None and held[0] is model:
+            _, (self.cflat, self.aflat), self.root = held
+        else:
+            self.cflat, self.aflat = _objective_terms(model, lay)
+            self.root = None
+        # per task, its candidates' terms
+        flat = self.cflat.tolist()
+        self.cobj = [flat[a:b] for a, b in zip(lay.first, lay.first[1:])]
 
         # mutable search state; the bounds are set by run()
         self.chosen: list[int] = [-1] * self.n_tasks
@@ -514,8 +612,9 @@ class _TaskChoiceSearch:
         cat, lay = self.cat, self.lay
         usage = [0.0] * len(lay.rhs)
         primary = []
-        for terms, recs in zip(relax.crobj, lay.cands):
-            dev, rows = recs[max(range(len(terms)), key=terms.__getitem__)]
+        for terms, best, recs in zip(relax.crobj, relax.task_max, lay.cands):
+            # the first candidate with the best term
+            dev, rows = recs[terms.index(best)]
             primary.append(dev)
             for r, coeff in rows:
                 usage[r] += coeff
@@ -576,16 +675,19 @@ class _TaskChoiceSearch:
         """
         self.relax = relax
         self.future = relax.bound
-        spread = [max(terms) - min(terms) for terms in relax.crobj]
+        spread = [best - min(terms) for best, terms in zip(relax.task_max, relax.crobj)]
         self.order = sorted(range(self.n_tasks),
                             key=lambda t: (len(self.lay.cands[t]) > 1, -spread[t]))
         rank = {t: d for d, t in enumerate(self.order)}
         self.arcs = [[(p, s, other, rank[other] > rank[t]) for p, s, other in incident]
                      for t, incident in enumerate(self.lay.incident)]
-        self.children = [sorted(((k, primary, rows, term)
-                                 for k, ((primary, rows), term) in enumerate(zip(recs, terms))),
-                                key=lambda child: -child[3])
-                         for recs, terms in zip(self.lay.cands, relax.crobj)]
+        self.children = []
+        for recs, terms in zip(self.lay.cands, relax.crobj):
+            # a stable sort: of equal terms, the candidate listed first
+            children = [(k, primary, rows, term)
+                        for k, ((primary, rows), term) in enumerate(zip(recs, terms))]
+            children.sort(key=_term, reverse=True)
+            self.children.append(children)
         lay = self.lay
         weight = {r: lam / lay.rhs[r] for r, lam in zip(lay.dual_rows, relax.lam)
                   if lam > 0.0 and r not in lay.arc_rows}
@@ -839,16 +941,16 @@ def solve_all(models: Iterable[BilpModel],
         if any(_layout(model) is not lay for model in batch):
             raise ValueError("solve_all needs models that share one catalog and its rows")
         # a model alone diffuses its root as plain vectors, which is faster
-        roots = [None]
+        terms, roots = [None], [None]
         if len(batch) > 1:
             terms = [_objective_terms(model, lay) for model in batch]
             roots = lay.relax(np.stack([c for c, _ in terms], axis=1),
                               np.stack([a for _, a in terms], axis=1),
                               [0.0] * len(lay.dual_rows),
                               lambda: deadline is not None and time.perf_counter() > deadline)
-        for model, root in zip(batch, roots):
+        for model, held, root in zip(batch, terms, roots):
             if root is not None:
-                _batched_roots(model)[id(model)] = (model, root)
+                _batched_roots(model)[id(model)] = (model, held, root)
             try:
                 yield solve_builtin(model, time_left(deadline))
             finally:
@@ -875,19 +977,29 @@ def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Sol
 
 def verify(model: BilpModel, assignment: list[int]) -> list[str]:
     """Check an assignment against every row, each within a tolerance of
-    ``1e-9`` relative to its rhs; returns violation messages."""
-    issues: list[str] = []
-    for i, v in enumerate(assignment):
-        if v not in (0, 1):
-            issues.append(f"variable {model.catalog.names[i]} is {v!r}, not binary")
-    for row in model.constraints:
-        lhs = row.lhs(assignment)
-        # written so that a NaN lhs or rhs fails
+    ``1e-9`` relative to its rhs; returns violation messages.
+
+    Every row's left-hand side comes from the model's row index in one
+    array sum, the same float as ``LinearConstraint.lhs``; the message of
+    a violated row reads ``lhs`` itself, so an integer row prints as one.
+    A model that was solved has the index already; for one that was not,
+    such as a model read back to be checked once, it is built and not kept.
+    """
+    idx = _row_index(model, keep=False)
+    x = np.asarray(assignment, dtype=float)
+    issues = [f"variable {model.catalog.names[i]} is {assignment[i]!r}, not binary"
+              for i in np.flatnonzero((x != 0.0) & (x != 1.0)).tolist()]
+    # written so that a NaN lhs or rhs fails; inf * 0 is a NaN, not an error
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = idx.lhs(x)
+        ok = np.where(idx.le, lhs <= idx.cap, np.abs(lhs - idx.rhs) <= idx.tol)
+    for r in np.flatnonzero(~ok).tolist():
+        row = model.constraints[r]
+        value = row.lhs(assignment)
         if row.sense == "<=":
-            if not lhs <= row.rhs + _tol(row.rhs):
-                issues.append(f"{row.tag}: {lhs!r} exceeds {row.rhs!r}")
-        elif not abs(lhs - row.rhs) <= _tol(row.rhs):
-            issues.append(f"{row.tag}: {lhs!r} != {row.rhs!r}")
+            issues.append(f"{row.tag}: {value!r} exceeds {row.rhs!r}")
+        else:
+            issues.append(f"{row.tag}: {value!r} != {row.rhs!r}")
     return issues
 
 

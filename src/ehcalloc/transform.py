@@ -13,7 +13,7 @@ candidate picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CriticalityPolicy, Topology, TaskSpec, WorkflowGraph, validate_workflow
 from .params import (
@@ -27,8 +27,10 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class EgArc:
+# the expansion's records are named tuples: a prepared model builds them
+# by the hundred, and a tuple is built several times faster than a frozen
+# dataclass
+class EgArc(NamedTuple):
     """Arc between two task-on-device placements, pricing one transfer."""
 
     src_task: str
@@ -79,8 +81,7 @@ def build_eg(graph: WorkflowGraph, topology: Topology) -> ExpandedGraph:
     return ExpandedGraph(graph, topology)
 
 
-@dataclass(frozen=True)
-class CandidateNode:
+class CandidateNode(NamedTuple):
     """One concrete way to run a task: primary device plus replica slots.
 
     ``replicas`` holds the devices of slots 2.. (empty for single
@@ -113,6 +114,72 @@ class CandidateNode:
         return f"{self.task}@{self.primary}+{','.join(self.replicas)}"
 
 
+def placement_costs(
+    topology: Topology,
+    task: TaskSpec,
+    primary: str,
+    replica_sets: list[tuple[str, ...]],
+    in_bits: float,
+) -> list[tuple[float, tuple[tuple[int, str, float], ...]]]:
+    """Completion time (seconds) and per-slot energy (joules) of each
+    candidate of ``task`` on ``primary``, one per replica set.
+
+    The primary runs its own execution and every copy placed on it back
+    to back.  Each distinct foreign device receives the task input once,
+    runs its copies back to back and returns each result; it works in
+    parallel with the primary.  A candidate takes the longest of these,
+    plus the comparison time (one replica) or the vote time (two).
+
+    Slot 1 (the primary) charges its execution, the comparison or vote
+    overhead, one input transmission per distinct foreign replica device
+    and the reception of every foreign replica's result.  A foreign slot
+    charges receiving the input, executing and sending its result back.
+
+    The terms the replica sets share, per foreign device, are computed
+    once; every float still has the operands, and the order of additions,
+    that one candidate alone would give it.
+    """
+    k = primary
+    out_bits = task.output_size
+    dev = topology.device(k)
+    run, joules_k = task.exec_time[k], comp_energy(task, k)
+    # per foreign device n: the input's trip there, one run there plus the
+    # result's trip back, what k pays to send the input and to receive the
+    # result, and what the slot on n pays
+    send, back, tx_in, rx_out, remote = {}, {}, {}, {}, {}
+    for n in {n for replicas in replica_sets for n in replicas if n != k}:
+        send[n] = comm_latency(topology, k, n, in_bits)
+        back[n] = task.exec_time[n] + comm_latency(topology, n, k, out_bits)
+        tx_in[n] = tx_energy(topology, k, n, in_bits)
+        rx_out[n] = rx_energy(topology, n, k, out_bits)
+        remote[n] = (rx_energy(topology, k, n, in_bits) + comp_energy(task, n)
+                     + tx_energy(topology, n, k, out_bits))
+    out = []
+    for replicas in replica_sets:
+        span = (1 + replicas.count(k)) * run
+        for n in dict.fromkeys(replicas):
+            if n != k:
+                span = max(span, send[n] + replicas.count(n) * back[n])
+        primary_joules = joules_k
+        if len(replicas) == 1:
+            span = span + dev.compare_time
+            primary_joules += dev.compare_energy
+        elif replicas:
+            span = span + dev.vote_time
+            if len(replicas) == 2:
+                primary_joules += dev.vote_energy
+        remotes = [r for r in replicas if r != k]
+        for r in sorted(set(remotes), key=topology.device_index):
+            primary_joules += tx_in[r]
+        for r in remotes:
+            primary_joules += rx_out[r]
+        slots = [(1, k, primary_joules)]
+        for z, n in enumerate(replicas, start=2):
+            slots.append((z, n, joules_k if n == k else remote[n]))
+        out.append((span, tuple(slots)))
+    return out
+
+
 def candidate_latency(
     topology: Topology,
     task: TaskSpec,
@@ -120,26 +187,8 @@ def candidate_latency(
     replicas: tuple[str, ...],
     in_bits: float,
 ) -> float:
-    """Completion time of one candidate, seconds.
-
-    The primary runs its own execution and every copy placed on it back
-    to back.  Each distinct foreign device receives the task input once,
-    runs its copies back to back and returns each result; it works in
-    parallel with the primary.  The candidate takes the longest of these,
-    plus the comparison time (one replica) or the vote time (two).
-    """
-    k = primary
-    out_bits = task.output_size
-    span = (1 + replicas.count(k)) * task.exec_time[k]
-    for n in dict.fromkeys(replicas):
-        if n != k:
-            runs = replicas.count(n)
-            span = max(span, comm_latency(topology, k, n, in_bits)
-                       + runs * (task.exec_time[n] + comm_latency(topology, n, k, out_bits)))
-    if not replicas:
-        return span
-    dev = topology.device(k)
-    return span + (dev.compare_time if len(replicas) == 1 else dev.vote_time)
+    """Completion time of one candidate, seconds; see :func:`placement_costs`."""
+    return placement_costs(topology, task, primary, [replicas], in_bits)[0][0]
 
 
 def candidate_replica_energy(
@@ -149,38 +198,9 @@ def candidate_replica_energy(
     replicas: tuple[str, ...],
     in_bits: float,
 ) -> tuple[tuple[int, str, float], ...]:
-    """Energy each replica slot charges to its device, joules.
-
-    Slot 1 (the primary) additionally pays the comparison or vote
-    overhead, one input transmission per distinct foreign replica device
-    and the reception of every foreign replica's result.  A foreign slot
-    pays to receive the input, execute, and send its result back.
-    """
-    k = primary
-    dev = topology.device(k)
-    out_bits = task.output_size
-
-    primary_joules = comp_energy(task, k)
-    if len(replicas) == 1:
-        primary_joules += dev.compare_energy
-    elif len(replicas) == 2:
-        primary_joules += dev.vote_energy
-    remotes = [r for r in replicas if r != k]
-    for r in sorted(set(remotes), key=topology.device_index):
-        primary_joules += tx_energy(topology, k, r, in_bits)
-    for r in remotes:
-        primary_joules += rx_energy(topology, r, k, out_bits)
-
-    slots: list[tuple[int, str, float]] = [(1, k, primary_joules)]
-    for z, n in enumerate(replicas, start=2):
-        if n == k:
-            joules = comp_energy(task, k)
-        else:
-            joules = (rx_energy(topology, k, n, in_bits)
-                      + comp_energy(task, n)
-                      + tx_energy(topology, n, k, out_bits))
-        slots.append((z, n, joules))
-    return tuple(slots)
+    """Energy each replica slot of one candidate charges to its device,
+    joules; see :func:`placement_costs`."""
+    return placement_costs(topology, task, primary, [replicas], in_bits)[0][1]
 
 
 def candidate_vulnerability(task: TaskSpec, primary: str, replicas: tuple[str, ...]) -> float:
@@ -219,17 +239,11 @@ class CandidateGraph:
                 replica_sets = [(devs[a], devs[b])
                                 for a in range(len(devs))
                                 for b in range(a, len(devs))]
-            in_bits = input_bits[task_id]
-            for reps in replica_sets:
+            costs = placement_costs(topo, task, k, replica_sets, input_bits[task_id])
+            for reps, (latency, energy) in zip(replica_sets, costs):
                 self.by_task[task_id].append(len(self.candidates))
                 self.candidates.append(CandidateNode(
-                    task=task_id,
-                    primary=k,
-                    replicas=reps,
-                    latency=candidate_latency(topo, task, k, reps, in_bits),
-                    per_replica_energy=candidate_replica_energy(topo, task, k, reps, in_bits),
-                    vulnerability=candidate_vulnerability(task, k, reps),
-                ))
+                    task_id, k, reps, latency, energy, candidate_vulnerability(task, k, reps)))
 
     @property
     def arcs(self) -> list[EgArc]:

@@ -246,6 +246,34 @@ class TestObjectives:
         assert b.normalize_rel(-0.5) == 0.0
         assert b.normalize_lat(6.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bounds", [
+        NormalizationBounds(rel_min=-0.3, rel_max=-0.01, lat_min=3.0, lat_max=9.0),
+        NormalizationBounds(rel_min=-0.5, rel_max=-0.5, lat_min=3.0, lat_max=9.0),
+        NormalizationBounds(rel_min=-0.3, rel_max=-0.01, lat_min=4.0, lat_max=4.0),
+        NormalizationBounds(rel_min=-0.5, rel_max=-0.5, lat_min=4.0, lat_max=4.0),
+    ], ids=["both", "lat-only", "rel-only", "neither"])
+    @pytest.mark.parametrize("w_rel", [0.0, 0.3, 1.0])
+    def test_weighted_objective_is_the_dict_loop_it_replaces(self, reg_model, bounds, w_rel):
+        reg, model = reg_model
+        weights = ObjectiveWeights(w_rel, 1.0 - w_rel)
+        coeffs, offset = {}, 0.0
+        if not bounds.rel_degenerate:
+            scale = weights.w_rel / bounds.rel_span
+            for v, c in objective_reliability(reg, model.catalog).items():
+                coeffs[v] = coeffs.get(v, 0.0) + scale * c
+            offset -= scale * bounds.rel_min
+        if not bounds.lat_degenerate:
+            scale = weights.w_lat / bounds.lat_span
+            for v, c in objective_latency(reg, model.catalog).items():
+                coeffs[v] = coeffs.get(v, 0.0) - scale * c
+            offset += scale * bounds.lat_min
+        weighted = weighted_objective(reg, model, weights, bounds)
+        # the same floats, signs of zero included, in the same key order
+        assert list(weighted.objective.items()) == list(coeffs.items())
+        assert [math.copysign(1.0, c) for c in weighted.objective.values()] == \
+            [math.copysign(1.0, c) for c in coeffs.values()]
+        assert weighted.objective_offset == offset
+
     def test_stats_totals(self, reg_model):
         _, model = reg_model
         stats = model_stats(model)

@@ -81,6 +81,53 @@ class TestArcTables:
         assert any(len(arc.per_device_energy) == 3 for arc in reg.arcs)
 
 
+#: g = f_rel + 1 under these bounds and weights, so each point's score is
+#: set through its f_rel
+SCORE_BOUNDS = e.NormalizationBounds(rel_min=-1.0, rel_max=0.0, lat_min=0.0, lat_max=1.0)
+REL_ONLY = ObjectiveWeights(1.0, 0.0)
+
+
+def scored(*points):
+    """``(vector, g)`` pairs as the points :func:`brute_force` reads."""
+    return [(vec, g - 1.0, 0.5) for vec, g in points]
+
+
+class TestTieRule:
+    """Ties as the solver breaks them: within ``1e-9 * max(1, |g|)`` of the
+    best score, the lexicographically smallest vector wins."""
+
+    def choose(self, reg, points):
+        result = brute_force(reg, REL_ONLY, SCORE_BOUNDS, points=scored(*points))
+        return result.choices, result.objective
+
+    def test_an_exact_tie_goes_to_the_smaller_vector(self, small_reg):
+        points = [((1, 0), 0.5), ((0, 1), 0.5)]
+        assert self.choose(small_reg, points) == ((0, 1), 0.5)
+        assert self.choose(small_reg, points[::-1]) == ((0, 1), 0.5)
+
+    def test_a_near_tie_from_summing_in_another_order(self, small_reg):
+        # the smaller vector scores a rounding error lower; it still ties
+        points = [((1, 0), 0.5), ((0, 1), 0.5 - 1e-15)]
+        assert self.choose(small_reg, points) == ((0, 1), 0.5 - 1e-15)
+
+    def test_a_clear_winner_beats_a_smaller_vector(self, small_reg):
+        points = [((0, 1), 0.5 - 1e-6), ((1, 0), 0.5)]
+        assert self.choose(small_reg, points) == ((1, 0), 0.5)
+
+    def test_ties_are_taken_against_the_final_best(self, small_reg):
+        # each point is within the tolerance of the one before, but only
+        # the last two are within it of the best
+        a, b, c = 0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9
+        points = [((0, 0), a), ((1, 0), b), ((2, 0), c)]
+        assert self.choose(small_reg, points)[0] == (1, 0)
+        assert self.choose(small_reg, points[::-1])[0] == (1, 0)
+
+    def test_the_tolerance_is_relative_above_one(self, small_reg):
+        big = 4.0e3
+        points = [((1, 0), big), ((0, 1), big - 3e-6), ((0, 0), big - 5e-6)]
+        assert self.choose(small_reg, points)[0] == (0, 1)
+
+
 class TestBruteForce:
     def test_enumerates_the_whole_space(self, small_reg):
         reg = small_reg

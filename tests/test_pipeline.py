@@ -1,5 +1,6 @@
 """End-to-end pipeline: plans, sweeps, baselines, device restriction."""
 
+import hashlib
 import json
 import math
 import time
@@ -8,7 +9,7 @@ import pytest
 
 import ehcalloc as e
 import ehcalloc.synthgen as sg
-from ehcalloc import oracle
+from ehcalloc import oracle, solver
 from ehcalloc.bilp import ObjectiveWeights, TimeLimitError, normalization_bounds
 from ehcalloc.oracle import monte_carlo_reliability, raw_objectives
 from ehcalloc.pipeline import (
@@ -253,3 +254,68 @@ class TestBaselines:
                      vulnerability={"e": 0.05, "h": 0.05})
         with pytest.raises(ValueError, match="cannot run"):
             restrict_to_device(WorkflowGraph([t], []), "c")
+
+
+#: sha256 of the fixture's plan JSON at w_rel=0.5 (``json.dumps(...,
+#: indent=2)``) and of its 21-point sweep CSV: a change that keeps every
+#: answer keeps these bytes
+ARTIFACT_PINS = {
+    "plan": "0eedc920f8d7a1382b68159d21fed291f301a43b4381164077e7129970a92437",
+    "sweep": "d7e8061aea85940bc7a3ec7d703e38b2b5db3363b419f62ad2da1e3b4c677e0c",
+}
+
+
+class TestPinnedArtifacts:
+    def test_plan_json_is_pinned(self, solved):
+        plan, _ = solved
+        text = json.dumps(plan.to_json_dict(), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == ARTIFACT_PINS["plan"]
+
+    def test_sweep_csv_is_pinned(self, topology, workflow, policy):
+        text = sweep(topology, workflow, policy, steps=20).to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == ARTIFACT_PINS["sweep"]
+
+
+class TestNormalizationTimeLimit:
+    def test_a_limit_of_zero_stops_the_first_solve_before_its_search(self, topology,
+                                                                     workflow, policy):
+        reg, model = prepare(topology, workflow, policy)
+        with pytest.raises(TimeLimitError, match="rel_max") as err:
+            normalization_bounds(reg, model, e.SolverOptions(time_limit=0))
+        assert (err.value.kind, err.value.incumbent, err.value.bound) == ("rel_max", None, None)
+
+    def test_an_unfinished_solve_reports_its_raw_incumbent_and_bound(self, topology, policy,
+                                                                      monkeypatch):
+        graph = sg.generate(sg.GenSpec(task_count=30, structure="mixed", seed=1),
+                            tuple(topology.devices))
+        reg, model = prepare(topology, graph, policy)
+        optimum = normalization_bounds(reg, model, None).lat_max
+
+        # lat_max runs out at its first check after it holds an incumbent
+        # (every 256 nodes; it needs about 500), the solves before it finish
+        def expired(self):
+            return self.model.metadata["objective_kind"] == "lat_max" \
+                and self.best_vec is not None
+
+        monkeypatch.setattr(solver._TaskChoiceSearch, "_expired", expired)
+        with pytest.raises(TimeLimitError, match="lat_max") as err:
+            normalization_bounds(reg, model, None)
+        assert err.value.kind == "lat_max"
+        assert err.value.incumbent <= optimum <= err.value.bound < math.inf
+
+    def test_a_minimum_reports_its_bound_in_raw_units(self, topology, workflow, policy,
+                                                      monkeypatch):
+        reg, model = prepare(topology, workflow, policy)
+        optimum = normalization_bounds(reg, model, None).lat_min
+
+        # lat_min runs out once its bound is built, at the search's first node
+        def expired(self):
+            return self.model.metadata["objective_kind"] == "lat_min" and hasattr(self, "relax")
+
+        monkeypatch.setattr(solver._TaskChoiceSearch, "_expired", expired)
+        with pytest.raises(TimeLimitError, match="lat_min") as err:
+            normalization_bounds(reg, model, None)
+        # the search maximized -latency: its bound, turned back into
+        # latency, lies below the least latency
+        assert (err.value.kind, err.value.incumbent) == ("lat_min", None)
+        assert 0.0 < err.value.bound <= optimum
