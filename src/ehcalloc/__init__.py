@@ -56,7 +56,7 @@ from .solver import (
     solve_builtin,
     verify,
 )
-from .synthgen import GenSpec, generate, generate_structure, synthesize_parameters
+from .synthgen import GenSpec, generate, generate_structure
 from .transform import (
     CandidateGraph,
     CandidateNode,
@@ -134,7 +134,6 @@ __all__ = [
     "solve_allocation",
     "solve_builtin",
     "sweep",
-    "synthesize_parameters",
     "validate_workflow",
     "verify",
     "weighted_objective",

@@ -228,9 +228,7 @@ class BilpModel:
           layout, which reads them; ``solver.verify`` reads them too, and
           builds them without storing them for a model never solved;
         * ``"search layout"``: what the search reads apart from the
-          objective, built on a model's first solve;
-        * ``"batched roots"``: the objective terms and root relaxations
-          ``solver.solve_all`` diffused for the solves about to start.
+          objective, built on a model's first solve.
         """
         if key in self._shared:
             return self._shared[key]

@@ -55,8 +55,9 @@ builds no table.
 Objectives of one prepared model share its layout, so :func:`solve_all`,
 which runs the solves of a normalization or a sweep, gets their roots,
 the relaxations at zero multipliers, from one diffusion over a batch of
-objectives, one column each; every column equals its objective diffused
-alone, float for float.
+objectives, one column each, and hands each solve its own column as
+:func:`solve_builtin`'s ``root`` argument; every column equals its
+objective diffused alone, float for float.
 
 The search order is fixed once the bound is built: tasks with a single
 candidate first, so a pinned task that cannot fit fails at the root,
@@ -522,14 +523,6 @@ def _layout(model: BilpModel) -> _Layout:
     return model.shared("search layout", lambda: _Layout(model))
 
 
-def _batched_roots(model: BilpModel) -> dict[int, tuple]:
-    """The objective terms and the root :func:`solve_all` diffused for the
-    solve of ``model`` or of another copy of its prepared model that is
-    starting, by model id.  An entry holds its model, so a solve takes only
-    its own objective's."""
-    return model.shared("batched roots", dict)
-
-
 def _objective_terms(model: BilpModel, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """The objective's terms on the candidates, flat task by task, and on
     the arc variables in the layout's order."""
@@ -563,7 +556,7 @@ class _Relaxation:
 class _TaskChoiceSearch:
     """Branch-and-bound state; one instance per solve."""
 
-    def __init__(self, model: BilpModel, options: SolverOptions) -> None:
+    def __init__(self, model: BilpModel, options: SolverOptions, root=None) -> None:
         # first, so that building the layout counts against the limit
         self.deadline = deadline_of(options)
         self.model = model
@@ -574,12 +567,7 @@ class _TaskChoiceSearch:
         # the objective's terms, candidates flat and arcs in the layout's
         # order, and the relaxation at zero multipliers, if solve_all
         # diffused it already
-        held = _batched_roots(model).pop(id(model), None)
-        if held is not None and held[0] is model:
-            _, (self.cflat, self.aflat), self.root = held
-        else:
-            self.cflat, self.aflat = _objective_terms(model, lay)
-            self.root = None
+        (self.cflat, self.aflat), self.root = root or (_objective_terms(model, lay), None)
         # per task, its candidates' terms
         flat = self.cflat.tolist()
         self.cobj = [flat[a:b] for a, b in zip(lay.first, lay.first[1:])]
@@ -929,7 +917,7 @@ def solve_all(models: Iterable[BilpModel],
     they share one layout.  They are read in batches of up to
     :data:`ROOT_BATCH`, and the roots of a batch, the relaxations at zero
     multipliers, diffuse in one call, one column per objective; each
-    solve starts from its own model's root.  Every column equals its
+    solve is passed its own model's terms and root.  Every column equals its
     objective diffused alone, float for float, so each solution is the
     one its model gets alone.  The time limit in ``options`` bounds all
     the solves, counted from the first solution asked for.
@@ -941,24 +929,25 @@ def solve_all(models: Iterable[BilpModel],
         if any(_layout(model) is not lay for model in batch):
             raise ValueError("solve_all needs models that share one catalog and its rows")
         # a model alone diffuses its root as plain vectors, which is faster
-        terms, roots = [None], [None]
+        roots = [None]
         if len(batch) > 1:
             terms = [_objective_terms(model, lay) for model in batch]
-            roots = lay.relax(np.stack([c for c, _ in terms], axis=1),
-                              np.stack([a for _, a in terms], axis=1),
-                              [0.0] * len(lay.dual_rows),
-                              lambda: deadline is not None and time.perf_counter() > deadline)
-        for model, held, root in zip(batch, terms, roots):
-            if root is not None:
-                _batched_roots(model)[id(model)] = (model, held, root)
-            try:
-                yield solve_builtin(model, time_left(deadline))
-            finally:
-                _batched_roots(model).pop(id(model), None)
+            roots = zip(terms, lay.relax(
+                np.stack([c for c, _ in terms], axis=1), np.stack([a for _, a in terms], axis=1),
+                [0.0] * len(lay.dual_rows),
+                lambda: deadline is not None and time.perf_counter() > deadline))
+        for model, root in zip(batch, roots):
+            yield solve_builtin(model, time_left(deadline), root=root)
 
 
-def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Solution:
+def solve_builtin(model: BilpModel, options: SolverOptions | None = None, *,
+                  root=None) -> Solution:
     """Solve to proven optimality.
+
+    ``root``, passed only by :func:`solve_all`, is the ``(terms,
+    relaxation)`` pair it diffused for this model: the objective's terms
+    as ``_objective_terms`` gives them and the relaxation at zero
+    multipliers.  Without it the solve computes both itself.
 
     The final incumbent is re-checked against every constraint row; a
     violation means the model does not have the task-choice structure
@@ -966,7 +955,7 @@ def solve_builtin(model: BilpModel, options: SolverOptions | None = None) -> Sol
     wrong answer.
     """
     opts = options or SolverOptions()
-    search = _TaskChoiceSearch(model, opts)
+    search = _TaskChoiceSearch(model, opts, root)
     sol = search.run()
     if sol.assignment is not None:
         bad = verify(model, sol.assignment)

@@ -232,17 +232,19 @@ class TestBatchedRoots:
         assert pipeline.sweep(topology, workflow, policy, steps=20).rows == whole
         assert shapes == [(4,), (10,), (10,), ()]
 
-    def test_no_root_outlives_its_batch(self, topology, workflow, policy):
+    def test_the_shared_cache_keeps_no_root(self, topology, workflow, policy):
+        # roots are passed to each solve, so a prepared model's cache holds
+        # only what its rows give, mid-batch and after the batch is closed
         reg, model = e.prepare(topology, workflow, policy)
         models = [single_objective(reg, model, kind) for kind in KINDS]
+        derived = {"raw objectives", "row index", "search layout"}
         solutions = solve_all(models)
         next(solutions)
-        assert solver._batched_roots(model) == {}
+        assert set(model._shared) == derived
         solutions.close()
-        assert solver._batched_roots(model) == {}
+        assert set(model._shared) == derived
         assert [sol.objective for sol in solve_all(models)] == \
             [solve_builtin(m).objective for m in models]
-        assert solver._batched_roots(model) == {}
 
     def test_models_of_two_layouts_are_refused(self, topology, workflow, policy):
         models = [single_objective(*e.prepare(topology, workflow, policy), "lat_max")

@@ -5,12 +5,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import ehcalloc as e
 import ehcalloc.synthgen as sg
-from conftest import scipy_milp, small_instance
+from conftest import scipy_milp, small_instance, tightened_topology
 from ehcalloc.bilp import (
+    BilpModel,
     NormalizationBounds,
     ObjectiveWeights,
     normalization_bounds,
@@ -424,6 +426,36 @@ class TestAgainstHighs:
         sol = solve_builtin(aux, SolverOptions(time_limit=30.0))
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.objective == pytest.approx(optimum, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("structure, n, seed, binding", [
+        ("serial", 30, 1, "energy[e]"), ("mixed", 30, 2, "storage[h]"),
+        ("parallel", 40, 3, "energy[e]"), ("mixed", 40, 4, "energy[h]"),
+    ])
+    def test_tightened_budgets_match_highs(self, topology, structure, n, seed, binding):
+        # on the reference topology only memory[e] and storage[e] ever bind
+        # at level 3; shrunk edge and hub budgets make energy and hub rows
+        # bind, so a bound that mishandles them shows here
+        topo = tightened_topology(topology, np.random.default_rng(20_000 + seed))
+        graph = sg.generate(sg.GenSpec(task_count=n, structure=structure, seed=seed),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topo, graph, e.default_policy(3))
+        optima = {}
+        for kind in ("lat_max", "rel_min", "rel_max"):
+            aux = single_objective(reg, model, kind)
+            status, optima[kind] = scipy_milp(aux)
+            assert status == 0, kind
+            sol = solve_builtin(aux, SolverOptions(time_limit=10.0))
+            assert sol.status is SolverStatus.OPTIMAL, kind
+            assert sol.objective == pytest.approx(optima[kind], rel=1e-9, abs=1e-9), kind
+        # the named row binds: without it the worst latency rises by far
+        # more than HiGHS's gap
+        lat_max = single_objective(reg, model, "lat_max")
+        rows = [row for row in lat_max.constraints if row.tag != binding]
+        assert len(rows) == len(lat_max.constraints) - 1
+        status, relaxed = scipy_milp(BilpModel(lat_max.catalog, rows, lat_max.objective,
+                                               lat_max.objective_offset))
+        assert status == 0
+        assert relaxed > optima["lat_max"] + 1.0
 
 
 class TestReadSolutionErrors:

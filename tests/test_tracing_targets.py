@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import ehcalloc as e
@@ -31,3 +32,20 @@ def test_model_stats_keeps_the_keys_the_tracer_reads(topology, policy):
     assert stats["variables"]["total"] == model.n_vars
     assert stats["variables"]["replica"] == 0
     assert stats["constraints"]["total"] == len(model.constraints)
+
+
+def test_every_solve_of_a_pass_is_traced(topology, workflow, policy):
+    # a solve routed around the traced module attributes would drop out of
+    # the per-kind metrics; a fixture solve plus a 21-point sweep runs 30
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        e.pipeline.solve_allocation(topology, workflow, policy, e.ObjectiveWeights(0.5, 0.5))
+        e.pipeline.sweep(topology, workflow, policy, steps=20)
+    finally:
+        tracer.uninstall()
+    solves = [s["attrs"] for s in tracer.take() if s["name"] == "solver.solve_builtin"]
+    kinds = Counter(attrs["kind"] for attrs in solves)
+    assert kinds == {"rel_max": 2, "rel_min": 2, "lat_max": 2, "lat_min": 2, "weighted": 22}
+    assert {attrs["status"] for attrs in solves} == {"optimal"}
