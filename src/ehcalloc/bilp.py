@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -88,12 +89,6 @@ class VariableCatalog:
         self.arcs = list(arcs)
         self.n_vars = len(candidates) + len(arcs)
 
-        self.names: list[str] = [""] * self.n_vars
-        for c in self.candidates:
-            self.names[c.var] = f"C{c.var}"
-        for a in self.arcs:
-            self.names[a.var] = f"A{a.var}"
-
         # the model's one real decision is a candidate per task; two
         # adjacent picks set the arc between them
         task_pos = {t: k for k, t in enumerate(self.task_order)}
@@ -116,6 +111,17 @@ class VariableCatalog:
             src, dst = self.ends[p]
             src.setdefault(a.src_dev, {})[a.dst_dev] = a.var
             dst.setdefault(a.dst_dev, {})[a.src_dev] = a.var
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Per variable, its short opaque name, ``C<var>`` for a candidate
+        and ``A<var>`` for an arc; built when first read, as a solve reads none."""
+        names = [""] * self.n_vars
+        for c in self.candidates:
+            names[c.var] = f"C{c.var}"
+        for a in self.arcs:
+            names[a.var] = f"A{a.var}"
+        return names
 
     def vector(self, picks) -> list[int]:
         """The 0/1 vector of one candidate position per task, in any order."""

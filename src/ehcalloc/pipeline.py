@@ -130,6 +130,37 @@ def _device_usage(reg: CandidateGraph, cands: list[CandidateNode],
     return list(usage.values())
 
 
+def _picked(reg: CandidateGraph, model: BilpModel, weights: ObjectiveWeights,
+            bounds: NormalizationBounds,
+            choices: list[int]) -> tuple[list[CandidateNode], list[EgArc], dict]:
+    """The candidates and arcs that one candidate position per task picks,
+    and the objective values of that pick, keyed as a sweep row keys them.
+
+    Reliability is one product, then one log; latency is summed in task
+    order, then in workflow-arc order, the order the oracle sums in.
+    """
+    cat = model.catalog
+    cands = [reg.candidates[options[k]] for options, k in zip(cat.options, choices)]
+    # the arc variable each workflow arc's two picks set; arc variables
+    # follow the candidates in catalog order (build_catalog)
+    chosen = sorted(src[cands[i].primary][cands[j].primary]
+                    for (i, j), (src, _) in zip(cat.pairs, cat.ends))
+    chosen_arcs = [reg.arcs[var - len(cat.candidates)] for var in chosen]
+    r_total = 1.0
+    f_lat = 0.0
+    for cand in cands:
+        r_total *= cand.reliability
+        f_lat += cand.latency
+    for arc in chosen_arcs:
+        f_lat += arc.latency
+    f_rel = math.log(r_total)
+    f_rel_norm, f_lat_norm = bounds.normalize_rel(f_rel), bounds.normalize_lat(f_lat)
+    return cands, chosen_arcs, {
+        "g": weights.w_rel * f_rel_norm - weights.w_lat * f_lat_norm,
+        "f_rel": f_rel, "f_lat_s": f_lat, "f_rel_norm": f_rel_norm, "f_lat_norm": f_lat_norm,
+        "reliability": math.exp(f_rel)}
+
+
 def extract_plan(
     reg: CandidateGraph,
     model: BilpModel,
@@ -148,28 +179,10 @@ def extract_plan(
     )
     if solution.choices is None:
         return plan
-    cat = model.catalog
-    cands = [reg.candidates[options[k]] for options, k in zip(cat.options, solution.choices)]
-    # the arc variable each workflow arc's two picks set; arc variables
-    # follow the candidates in catalog order (build_catalog)
-    chosen = sorted(src[cands[i].primary][cands[j].primary]
-                    for (i, j), (src, _) in zip(cat.pairs, cat.ends))
-    chosen_arcs = [reg.arcs[var - len(cat.candidates)] for var in chosen]
-    # one product of reliabilities, then one log; latency in task order,
-    # then in workflow-arc order (the order the oracle sums in)
-    r_total = 1.0
-    f_lat = 0.0
-    for cand in cands:
-        r_total *= cand.reliability
-        f_lat += cand.latency
-    for arc in chosen_arcs:
-        f_lat += arc.latency
-    plan.f_rel = f_rel = math.log(r_total)
-    plan.f_lat = f_lat
-    plan.reliability = math.exp(f_rel)
-    plan.f_rel_norm = bounds.normalize_rel(f_rel)
-    plan.f_lat_norm = bounds.normalize_lat(f_lat)
-    plan.g = (weights.w_rel * plan.f_rel_norm - weights.w_lat * plan.f_lat_norm)
+    cands, chosen_arcs, values = _picked(reg, model, weights, bounds, solution.choices)
+    plan.g, plan.f_rel, plan.f_lat = values["g"], values["f_rel"], values["f_lat_s"]
+    plan.f_rel_norm, plan.f_lat_norm = values["f_rel_norm"], values["f_lat_norm"]
+    plan.reliability = values["reliability"]
 
     for cand in cands:
         plan.tasks.append({
@@ -233,8 +246,7 @@ class SweepResult:
     rows: list[dict]
 
     def to_csv(self) -> str:
-        cols = ["w_rel", "w_lat", "status", "g", "f_rel", "f_lat_s",
-                "f_rel_norm", "f_lat_norm", "reliability"]
+        cols = ["w_rel", "w_lat", "status", *_ROW_VALUES]
         cols += [f"pct_{d}" for d in self.device_ids]
         for p in self.device_ids:
             cols += [f"rep_{p}_{r}" for r in self.device_ids]
@@ -255,16 +267,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _share_stats(device_ids: list[str], tasks: list[dict]) -> dict:
+def _share_stats(device_ids: list[str], cands: list[CandidateNode]) -> dict:
     """Per-device replica shares and primary-to-replica placement counts
-    of a plan's task rows; a row's primary and replicas are its slots."""
+    of the picked candidates; a candidate's primary and replicas are its
+    slots."""
     slots = {d: 0 for d in device_ids}
     matrix = {p: {r: 0 for r in device_ids} for p in device_ids}
-    for row in tasks:
-        slots[row["primary"]] += 1
-        for r in row["replicas"]:
+    for cand in cands:
+        slots[cand.primary] += 1
+        for r in cand.replicas:
             slots[r] += 1
-            matrix[row["primary"]][r] += 1
+            matrix[cand.primary][r] += 1
     total = sum(slots.values())
     out = {f"pct_{d}": round(100.0 * slots[d] / total, 10) for d in device_ids}
     for p in device_ids:
@@ -321,22 +334,26 @@ def _worker_point(w: float) -> dict:
 def _sweep_points(reg: CandidateGraph, model: BilpModel, deadline: float | None,
                   bounds: NormalizationBounds, grid: list[float]) -> list[dict]:
     """The sweep's rows at ``w_rel`` in ``grid``, in order; the weighted
-    objectives are built and solved batch by batch by :func:`solve_all`."""
+    objectives are built and solved batch by batch by :func:`solve_all`.
+    A row holds what :func:`extract_plan` would report of its solution,
+    read off the picks without building the plan."""
     weights = [ObjectiveWeights(w_rel=w, w_lat=1.0 - w) for w in grid]
     models = (weighted_objective(reg, model, ws, bounds) for ws in weights)
     rows = []
     for ws, solution in zip(weights, solve_all(models, time_left(deadline))):
-        plan = extract_plan(reg, model, ws, bounds, solution)
-        row = {
-            "w_rel": ws.w_rel, "w_lat": ws.w_lat, "status": plan.status,
-            "g": plan.g, "f_rel": plan.f_rel, "f_lat_s": plan.f_lat,
-            "f_rel_norm": plan.f_rel_norm, "f_lat_norm": plan.f_lat_norm,
-            "reliability": plan.reliability,
-        }
-        if plan.tasks:
-            row.update(_share_stats(reg.topology.device_ids, plan.tasks))
+        row = {"w_rel": ws.w_rel, "w_lat": ws.w_lat, "status": solution.status.value}
+        cands, values = [], dict.fromkeys(_ROW_VALUES)
+        if solution.choices is not None:
+            cands, _, values = _picked(reg, model, ws, bounds, solution.choices)
+        row.update(values)
+        if cands:
+            row.update(_share_stats(reg.topology.device_ids, cands))
         rows.append(row)
     return rows
+
+
+#: the objective values of a sweep row, in its column order
+_ROW_VALUES = ("g", "f_rel", "f_lat_s", "f_rel_norm", "f_lat_norm", "reliability")
 
 
 def restrict_to_device(graph: WorkflowGraph, device_id: str) -> WorkflowGraph:

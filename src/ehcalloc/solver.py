@@ -28,14 +28,21 @@ steps before the search.
   neighbour updates the task-order loop would have read, pipelined
   across sweeps, and one wave updates all its groups at once.  Every sum
   is added term by term in the loop's order, so the bound is the loop's,
-  float for float.
+  float for float.  The best terms, per task and per arc, are read off
+  the arrays with ``np.maximum.reduceat``; a relaxation then holds the
+  candidates' terms as a vector and the rest as flat lists, one
+  ``tolist`` each, since the search reads them one float at a time.
 
 The multipliers come from Kelley's cutting-plane method (J. SIAM 8(4),
 1960) on the Lagrangian dual.  Its oracle is the diffusion bound; the
 slope of each cut is ``(row_cap_r - A_r x) / rhs_r`` at the pick x that
-takes every task's best candidate, and a small simplex solves the
+takes every task's first best candidate, and a small simplex solves the
 master LP.  When that pick already fits every budget at zero
-multipliers, zero is optimal and the first diffusion is the bound.
+multipliers, zero is optimal and the first diffusion is the bound.  The
+slope is the fit check each relaxation carries: for every column of a
+diffused block at once, ``np.minimum.reduceat`` finds each task's first
+best candidate and one ``np.bincount`` sums each row's charges, tasks
+in order and then arcs, as a loop from 0.0 would.
 Feasibility, leaf values and :func:`verify` read only the original rows
 and coefficients.
 
@@ -79,13 +86,16 @@ vector in one ``np.bincount`` over it, the same float as
 
 The search keeps its own index of a model, ``_Layout``, built from the
 variable catalog and the row index on a model's first solve: the budget
-rows with each variable's ``(row, coeff)`` pairs, and per task its
-candidates and its incident workflow arcs, each with the side the task
-sits on.
-Per arc side the catalog gives the arc variables by device pair; the
-diffusion messages, the per-device arc bounds and the lookup of an arc
-between two fixed picks all index that one side layout.  The same index
-holds the diffusion's flat arrays and its wave schedule.
+rows with each variable's ``(row, coeff)`` pairs, the candidates flat,
+task by task, with their tasks, primary devices and budget pairs, and
+per task its incident workflow arcs, each with the side the task sits
+on.  Devices get small integer codes, and each arc side a slot per code:
+the diffusion messages, the best pair per side and device, and the
+lookup of an arc between two fixed picks all index those slots, so a
+child carries its primary device's code.  The same index holds the
+diffusion's flat arrays and its wave schedule.  Each solve sorts all
+its candidates into children, task by task and best term first, with
+one ``np.lexsort``.
 
 Because the bound and the leaf values sum different terms, they are
 never compared for equality: a subtree is pruned only when its bound
@@ -105,7 +115,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -176,10 +185,6 @@ def _tol(value: float) -> float:
     return 1e-9 * max(1.0, abs(value))
 
 
-#: a search child's term: children are ``(position, primary, budget pairs, term)``
-_term = itemgetter(3)
-
-
 class _RowIndex:
     """A model's rows as flat arrays, CSR style.
 
@@ -224,6 +229,17 @@ class _Layout:
     prepared model, on its first solve, and shared by the
     ``with_objective`` copies and by every bound evaluation.  A model
     that is only exported never builds it.
+
+    Candidates are numbered flat, task by task, and arc variables in
+    ``cat.ends`` order (arc positions).  Devices get codes in first-seen
+    order, and side s of arc p has the slot ``(2p + s) * n_devices +
+    code`` per device code; a relaxation's ``arc_max`` lists each slot's
+    best pair (``-inf`` where the side has no pair through that device).
+    Messages live in one float array with an entry per slot, then a pad
+    slot that stays 0.0 and a junk slot that padded writes go to.  Ragged
+    lists become padded arrays with the terms first, so that a sum or
+    maximum runs over axis 0: a padded term reads ``-inf`` under a maximum
+    and ``0.0`` under a sum, so padding changes no float.
     """
 
     def __init__(self, model: BilpModel) -> None:
@@ -259,91 +275,92 @@ class _Layout:
         used = np.bincount(held[held >= 0], minlength=len(budget_rows))
         self.dual_rows = [r for r, (rhs, n) in enumerate(zip(self.rhs, used.tolist()))
                           if 0.0 < rhs < math.inf and n]
+        self.dual_cap, self.dual_rhs = (idx.cap[budget_rows[self.dual_rows]],
+                                        idx.rhs[budget_rows[self.dual_rows]])
         # per dualized row, its coefficients, 0.0 where it has none: a budget
-        # pair's product is never -0.0, so adding the 0.0 products changes no sum
+        # pair's product is never -0.0, so adding the 0.0 products changes no
+        # sum; a last zero column stands for an arc no pick sets
         dual = np.full(len(idx.rhs), -1)
         dual[budget_rows[self.dual_rows]] = np.arange(len(self.dual_rows))
         at = dual[row_of]
         on = at >= 0
-        dense = np.zeros((len(self.dual_rows), cat.n_vars))
-        dense[at[on], idx.col[on]] = idx.coeff[on]
-        #: per task, per candidate: primary device and budget pairs
-        self.cands: list[list[tuple[str, list]]] = []
-        for t, positions in zip(cat.task_order, cat.options):
-            if not positions:
-                raise ValueError(f"task {t} has no candidates")
-            self.cands.append([(cat.candidates[i].primary, self.budget[cat.candidates[i].var])
-                               for i in positions])
-        self._index_diffusion(cat, dense)
+        self.dual = np.zeros((len(self.dual_rows), cat.n_vars + 1))
+        self.dual[at[on], idx.col[on]] = idx.coeff[on]
 
-    def _index_diffusion(self, cat: VariableCatalog, dense: np.ndarray) -> None:
-        """The flat index arrays :meth:`_TaskChoiceSearch._relax` reads;
-        ``dense`` holds per dualized row its coefficient on every variable.
-
-        Messages live in one float array with a slot per arc side and
-        device, laid out like ``cat.ends``, plus a last pad slot that
-        stays 0.0.  Candidates are numbered flat, task by task, and arc
-        variables in ``cat.ends`` order.  Ragged lists become padded
-        arrays with the terms first, so that a sum or maximum runs over
-        axis 0: a padded term reads ``-inf`` under a maximum and ``0.0``
-        under a sum, so padding changes no float.
-        """
-        # per arc and side, its devices' slots, numbered in that order
-        slots: list[list[dict[str, int]]] = []
-        pad = 0
-        for ends in cat.ends:
-            slots.append([])
-            for end in ends:
-                slots[-1].append(dict(zip(end, range(pad, pad + len(end)))))
-                pad += len(end)
-        self.n_slots = pad
+        #: the devices by code
+        self.devices = list(dict.fromkeys(chain((c.primary for c in cat.candidates),
+                                                (dev for ends in cat.ends for end in ends
+                                                 for dev in end))))
+        code = {dev: d for d, dev in enumerate(self.devices)}
+        self.n_devices = n_dev = len(self.devices)
+        self.n_slots = pad = 2 * len(cat.pairs) * n_dev
         #: arc variables in cat.ends order, with their source and destination slots
         self.arc_vars = [var for src, _ in cat.ends for row in src.values() for var in row.values()]
         arc_pos = {var: i for i, var in enumerate(self.arc_vars)}
         n_arcs = len(self.arc_vars)
-        self.arc_src = np.array([at[0][k] for at, (src, _) in zip(slots, cat.ends)
+        self.arc_src = np.array([2 * p * n_dev + code[k] for p, (src, _) in enumerate(cat.ends)
                                  for k, row in src.items() for _ in row], dtype=np.intp)
-        self.arc_dst = np.array([at[1][l] for at, (src, _) in zip(slots, cat.ends)
+        self.arc_dst = np.array([(2 * p + 1) * n_dev + code[l] for p, (src, _) in enumerate(cat.ends)
                                  for row in src.values() for l in row], dtype=np.intp)
+        #: per arc, the position of its first arc variable
+        self.pair_first = np.searchsorted(self.arc_src, 2 * n_dev * np.arange(len(cat.pairs)))
+        #: per arc position, its budget pairs; per slot, the arc position at
+        #: each other side's slot; per source slot and destination code, the
+        #: arc variable, else the zero column
+        self.arc_budget = [self.budget[var] for var in self.arc_vars]
+        self.pair_at: list[dict[int, int]] = [{} for _ in range(pad)]
+        for a, (i, j) in enumerate(zip(self.arc_src.tolist(), self.arc_dst.tolist())):
+            self.pair_at[i][j] = self.pair_at[j][i] = a
+        self.pair_var = np.full(pad * n_dev, cat.n_vars, dtype=np.intp)
+        self.pair_var[self.arc_src * n_dev + self.arc_dst % max(n_dev, 1)] = self.arc_vars
+        self.pair_ends = np.array(cat.pairs, dtype=np.intp).reshape(-1, 2).T
         #: per slot, its arc variables' positions; position n_arcs reads -inf
-        by_slot = [[arc_pos[var] for var in row.values()]
-                   for ends in cat.ends for end in ends for row in end.values()]
+        by_slot = [[arc_pos[var] for var in end.get(dev, {}).values()]
+                   for ends in cat.ends for end in ends for dev in self.devices] + [[]]
         self.slot_arcs = _columns(by_slot, n_arcs)
-        #: per arc side, its devices: the keys of the arc_max dicts
-        self.slot_keys = [tuple(end) for ends in cat.ends for end in ends]
 
         #: per task, the flat position of its first candidate; then their count
         self.first = [0]
-        for positions in cat.options:
+        for t, positions in zip(cat.task_order, cat.options):
+            if not positions:
+                raise ValueError(f"task {t} has no candidates")
             self.first.append(self.first[-1] + len(positions))
-        #: the candidates' variables, flat, and the arc variables, to gather by
-        self.cand_at = np.array([cat.candidates[i].var for positions in cat.options
-                                 for i in positions], dtype=np.intp)
+        self.starts = np.array(self.first[:-1], dtype=np.intp)
+        picks = [cat.candidates[i] for positions in cat.options for i in positions]
+        #: per flat candidate: its variable, task, position in the task,
+        #: primary device's code and budget pairs
+        self.cand_at = np.array([c.var for c in picks], dtype=np.intp)
+        self.cand_task = np.repeat(np.arange(len(cat.options)), np.diff(self.first))
+        self.cand_k = np.arange(len(picks)) - self.starts[self.cand_task]
+        self.cand_dev = np.array([code[c.primary] for c in picks], dtype=np.intp)
+        self.cand_rows = np.fromiter((self.budget[c.var] for c in picks), dtype=object,
+                                     count=len(picks))
         self.arc_at = np.array(self.arc_vars, dtype=np.intp)
-        self.dual_cands = dense[:, self.cand_at]
-        self.dual_arcs = dense[:, self.arc_at]
+        self.dual_cands = self.dual[:, self.cand_at]
+        self.dual_arcs = self.dual[:, self.arc_at]
         # per task and primary device: the slots its candidates' gains sum,
         # one per incident arc side in incident order, pad where the device
         # has no pair there.  With a slot on every arc side, it is a
         # diffusion group, which writes those slots: its candidates there
         # and per slot the slot's (arc variable, other side's slot) pairs
         own: list[list[int]] = []
-        own_of: dict[tuple[int, str], int] = {}
-        members, groups, task_of = [], [], []
-        for t, (recs, incident) in enumerate(zip(self.cands, self.incident)):
-            for dev in dict.fromkeys(primary for primary, _ in recs):
-                own_of[(t, dev)] = len(own)
-                own.append([slots[p][s].get(dev, pad) for p, s, _ in incident])
+        cand_own, members, groups, task_of = [], [], [], []
+        codes = self.cand_dev.tolist()
+        for t, incident in enumerate(self.incident):
+            a, b = self.first[t], self.first[t + 1]
+            bases, own_of = [(2 * p + s) * n_dev for p, s, _ in incident], {}
+            for d in dict.fromkeys(codes[a:b]):
+                own_of[d] = len(own)
+                own.append([base + d if by_slot[base + d] else pad for base in bases])
                 # a group with no device pair on some arc can never be picked
                 if incident and pad not in own[-1]:
-                    members.append([self.first[t] + k for k, rec in enumerate(recs)
-                                    if rec[0] == dev])
+                    members.append([k for k in range(a, b) if codes[k] == d])
                     groups.append(len(own) - 1)
                     task_of.append(t)
+            cand_own += [own_of[d] for d in codes[a:b]]
         owned = _columns(own, pad)
         #: per candidate, the slots its gain sums
-        self.cand_gain = owned[:, [own_of[(t, primary)] for t, recs in enumerate(self.cands)
-                                   for primary, _ in recs]]
+        self.cand_gain = owned[:, cand_own]
         #: per group, its candidates' flat positions; position first[-1] reads -inf
         self.group_members = _columns(members, self.first[-1])
 
@@ -356,7 +373,7 @@ class _Layout:
                   for t, incident in enumerate(self.incident)]
         after = [[u for _, _, u in incident if u in grouped and u > t]
                  for t, incident in enumerate(self.incident)]
-        done = [-1] * len(self.cands)
+        done = [-1] * len(cat.options)
         wave_of: list[int] = []
         for _ in range(DIFFUSION_SWEEPS):
             latest = list(done)
@@ -373,8 +390,8 @@ class _Layout:
         # every sweep's groups, by wave, and within one by sweep and group
         wave_of = np.array(wave_of, dtype=np.intp)
         order = np.argsort(wave_of, kind="stable")
-        ids = order % max(len(task_of), 1)
-        bounds = np.cumsum(np.bincount(wave_of))
+        #: every wave's groups in turn
+        self.wave_groups = ids = order % max(len(task_of), 1)
         # per group, padded to the widest group: the slots it writes, [arcs,
         # groups], and the arc variables and other-side slots of its
         # marginals, [pairs, arcs, groups], read off per-slot tables.  A
@@ -383,29 +400,31 @@ class _Layout:
         # n_arcs.
         width = np.array([len(self.incident[t]) for t in task_of], dtype=np.intp)
         writes = owned[:max(width, default=0), groups]
-        depth = np.array([len(row) for row in by_slot] + [0], dtype=np.intp)[writes].max(
+        depth = np.array([len(row) for row in by_slot], dtype=np.intp)[writes].max(
             axis=0, initial=0)
-        deep = max(depth, default=0)
-        arcs = np.concatenate([self.slot_arcs[:deep], np.full((deep, 1), n_arcs + 1)], axis=1)
-        side = np.array([s for ends in cat.ends for s, end in enumerate(ends) for _ in end] + [0])
+        arcs = self.slot_arcs[:max(depth, default=0)].copy()
+        arcs[:, pad] = n_arcs + 1
+        side = np.append(np.repeat(np.arange(2 * len(cat.pairs)) % 2, n_dev), 0)
         ends = np.append(self.arc_src, [pad, pad]), np.append(self.arc_dst, [pad, pad])
         others = np.where(side == 0, ends[1][arcs], ends[0][arcs])
-        #: per wave: its groups, the slots they write, the arc variables
-        #: and other-side slots of their marginals, and their divisors, one
-        #: plus their arc counts; each cut to the wave's widest group from
-        #: one array that holds every wave in turn, and copied whole, since
-        #: an index array read in strides makes every lookup slower
+        #: per wave: where its groups start and end in wave_groups, the
+        #: slots they read and write (a write to the pad slot goes to the
+        #: junk slot), the arc variables and other-side slots of their
+        #: marginals, and their divisors, one plus their arc counts, flat
+        #: and as a column; each cut to the wave's widest group from one
+        #: array that holds every wave in turn, and copied whole, since an
+        #: index array read in strides makes every lookup slower
         writes, divisor = writes[:, ids], 1.0 + width[ids]
+        dest = np.where(writes == pad, pad + 1, writes)
         arcs, others = arcs[:, writes], others[:, writes]
-        starts = np.append(0, bounds[:-1])
-        deepest = np.maximum.reduceat(depth[ids], starts) if len(ids) else starts
-        widest = np.maximum.reduceat(width[ids], starts) if len(ids) else starts
+        counts = np.bincount(wave_of)
+        starts, bounds = np.cumsum(counts) - counts, np.cumsum(counts)
+        deepest, widest = (np.maximum.reduceat(x[ids], starts).tolist() for x in (depth, width))
         whole = np.ascontiguousarray
         self.waves: list[tuple] = [
-            (ids[a:b], whole(writes[:w, a:b]), whole(arcs[:d, :w, a:b]),
-             whole(others[:d, :w, a:b]), divisor[a:b])
-            for a, b, d, w in zip(starts.tolist(), bounds.tolist(), deepest.tolist(),
-                                  widest.tolist())]
+            (a, b, whole(writes[:w, a:b]), whole(dest[:w, a:b]), whole(arcs[:d, :w, a:b]),
+             whole(others[:d, :w, a:b]), divisor[a:b], divisor[a:b, None])
+            for a, b, d, w in zip(starts.tolist(), bounds.tolist(), deepest, widest)]
 
     def relax(self, cvals: np.ndarray, avals: np.ndarray, lam: list[float],
               expired) -> Iterator[_Relaxation]:
@@ -418,8 +437,8 @@ class _Layout:
         Every operation acts column by column, so each column's
         relaxation is the one its objective gets alone, float for float;
         one relaxation per objective comes back.  The diffusion runs when
-        the first is asked for, and each is built from its column only
-        when it is asked for.
+        the first is asked for, and each is read off its column, one
+        ``tolist`` per field, only when it is asked for.
 
         Each candidate and arc term pays ``lam_r * coeff / rhs_r`` on
         every dualized row r, and ``sum_r lam_r * row_cap_r / rhs_r`` is
@@ -456,47 +475,76 @@ class _Layout:
         # each for padded maxima, and a 0.0 after the arcs' for padded sums
         cval = _stacked(cvals - ccharge, -math.inf)
         aval = _stacked(avals - acharge, -math.inf, 0.0)
-        base = np.maximum.reduce(cval[self.group_members], initial=-math.inf)
+        # every wave's groups' best candidate terms, in turn
+        base = np.maximum.reduce(cval[self.group_members], initial=-math.inf)[self.wave_groups]
 
         # msgs[slot]: mass moved from an arc side into its task on one
-        # device; the last slot is padding and reads 0.0
-        msgs = np.zeros((self.n_slots + 1,) + cvals.shape[1:])
-        pad = self.n_slots
+        # device; the pad slot reads 0.0, the junk slot after it is never
+        # read.  No message is ever -0.0 (x + held is -0.0 only if held is),
+        # so a sum of messages from its first term equals one from 0.0, and
+        # so does u, never -0.0 either, plus a sum of marginals
+        msgs = np.zeros((self.n_slots + 2,) + cvals.shape[1:])
         every = -(-len(self.waves) // DIFFUSION_SWEEPS)
-        for w, (gids, mine, arcs, others, divisor) in enumerate(self.waves):
+        for w, (a, b, mine, dest, arcs, others, flat, column) in enumerate(self.waves):
             if w % every == 0 and expired():
                 break
-            held = msgs[mine]
-            marginals = np.maximum.reduce(aval[arcs] - msgs[others]) - held
-            u = base[gids] + _termsum(held)
-            avg = (u + _termsum(marginals)) / (divisor[:, None] if block else divisor)
-            msgs[mine] = held + (marginals - avg)
-            msgs[pad] = 0.0
+            held = msgs.take(mine, axis=0)
+            marginals = np.maximum.reduce(aval.take(arcs, axis=0) - msgs.take(others, axis=0))
+            marginals -= held
+            # (u + sum(marginals)) / divisor with u = base + sum(held)
+            avg = (_addup(marginals) + (_addup(held) + base[a:b])) / (column if block else flat)
+            msgs[dest] = held + (marginals - avg)
 
         # per candidate, the mass its arcs moved into its primary device
-        crobj = cval[:-1] + _termsum(msgs[self.cand_gain])
+        crobj = cval[:-1] + _addup(msgs[self.cand_gain])
         arc_terms = aval[:-2] - msgs[self.arc_src] - msgs[self.arc_dst]
         slot_max = np.maximum.reduce(_stacked(arc_terms, -math.inf)[self.slot_arcs],
                                      initial=-math.inf)
+        task_max = np.maximum.reduceat(crobj, self.starts, axis=0)
+        fields = (arc_terms, slot_max[:-1], task_max,
+                  np.maximum.reduceat(arc_terms, self.pair_first, axis=0),
+                  self._slopes(crobj, task_max))
         constant = sum(weight[r] * self.row_cap[r] for r in self.dual_rows)
-        columns = zip(crobj.T, arc_terms.T, slot_max.T) if block else [(crobj, arc_terms, slot_max)]
-        for cterms, aterms, best in columns:
-            cterms, by_slot = cterms.tolist(), iter(best.tolist())
-            sides = [dict(zip(keys, by_slot)) for keys in self.slot_keys]
-            yield _Relaxation([cterms[a:b] for a, b in zip(self.first, self.first[1:])],
-                              dict(zip(self.arc_vars, aterms.tolist())),
-                              list(zip(sides[::2], sides[1::2])), constant, list(lam))
+        # each column's lists are read off when it is asked for
+        columns = zip(crobj.T, *(f.T for f in fields)) if block else [(crobj, *fields)]
+        for cterms, *rest in columns:
+            yield _Relaxation(cterms, *(f.tolist() for f in rest), constant, list(lam))
+
+    def _slopes(self, crobj: np.ndarray, task_max: np.ndarray) -> np.ndarray:
+        """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
+        takes every task's first best candidate: a subgradient of the
+        bound in the multipliers whenever that pick attains it, and
+        nonnegative on every row exactly when that pick fits.  It checks
+        every column of a block at once, with one ``np.bincount`` over the
+        picks' charges: per row and column, tasks in order, then arcs.
+        """
+        n_rows, n, shape = len(self.dual_rows), len(crobj), crobj.shape
+        if not n_rows:
+            return np.empty((0,) + shape[1:])
+        crobj, task_max = crobj.reshape(n, -1), task_max.reshape(len(task_max), -1)
+        best = np.where(crobj == task_max[self.cand_task], np.arange(n)[:, None], n)
+        pick = np.minimum.reduceat(best, self.starts, axis=0)
+        dev, n_dev = self.cand_dev[pick], self.n_devices
+        src, dst = self.pair_ends
+        arcs = self.pair_var[(2 * np.arange(len(src))[:, None] * n_dev + dev[src]) * n_dev
+                             + dev[dst]]
+        # per row and column, the charges in order: [rows, columns, charges]
+        charges = self.dual[:, np.concatenate([self.cand_at[pick], arcs]).T]
+        bins = np.arange(n_rows * crobj.shape[1]).reshape(-1, n_rows).T
+        usage = np.bincount(np.broadcast_to(bins[:, :, None], charges.shape).ravel(),
+                            weights=charges.ravel(), minlength=bins.size)
+        slope = (self.dual_cap[:, None] - usage.reshape(-1, n_rows).T) / self.dual_rhs[:, None]
+        return slope.reshape((n_rows,) + shape[1:])
 
 
-def _termsum(terms: np.ndarray) -> np.ndarray:
-    """The sum over axis 0 of ``terms``, added term by term in order as
-    Python's ``sum`` adds them: ``np.sum`` may add them pairwise, which
+def _addup(terms: np.ndarray) -> np.ndarray:
+    """A new array with the sum over axis 0 of ``terms``, added term by
+    term in order from the first; ``np.sum`` may add them pairwise, which
     can round differently."""
     if not len(terms):
         return np.zeros(terms.shape[1:])
-    # 0.0 + the first term, as a sum from 0 adds it; the rest in place
-    total = terms[0] + 0.0
-    for term in terms[1:]:
+    total = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
+    for term in terms[2:]:
         total += term
     return total
 
@@ -514,43 +562,54 @@ def _stacked(values: np.ndarray, *fills: float) -> np.ndarray:
 def _columns(rows: list[list], fill, dtype=np.intp) -> np.ndarray:
     """A ragged list of lists as one array with the terms first: entry
     ``[k, i]`` is ``rows[i][k]``, or ``fill`` past the end of that row."""
-    width = max(map(len, rows), default=0)
-    return np.ascontiguousarray(np.array([row + [fill] * (width - len(row)) for row in rows],
-                                         dtype=dtype).reshape(len(rows), width).T)
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    out = np.full((sizes.max(initial=0), len(rows)), fill, dtype=dtype)
+    row = np.repeat(np.arange(len(rows)), sizes)
+    out[np.arange(len(row)) - (np.cumsum(sizes) - sizes)[row], row] = \
+        np.fromiter(chain.from_iterable(rows), dtype=dtype, count=len(row))
+    return out
 
 
 def _layout(model: BilpModel) -> _Layout:
     return model.shared("search layout", lambda: _Layout(model))
 
 
-def _objective_terms(model: BilpModel, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """The objective's terms on the candidates, flat task by task, and on
-    the arc variables in the layout's order."""
-    obj = model.objective
-    dense = np.zeros(model.n_vars)
-    dense[np.fromiter(obj, dtype=np.intp, count=len(obj))] = \
-        np.fromiter(obj.values(), dtype=float, count=len(obj))
-    return dense[lay.cand_at], dense[lay.arc_at]
+def _objective_terms(models: list[BilpModel],
+                     lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The objectives' terms on the candidates, flat task by task, and on
+    the arc variables in the layout's order, one contiguous column each."""
+    objs = [model.objective for model in models]
+    sizes = [len(obj) for obj in objs]
+    dense = np.zeros((len(objs), models[0].n_vars))
+    dense[np.repeat(np.arange(len(objs)), sizes),
+          np.fromiter(chain.from_iterable(objs), dtype=np.intp, count=sum(sizes))] = \
+        np.fromiter(chain.from_iterable(obj.values() for obj in objs), dtype=float,
+                    count=sum(sizes))
+    return dense[:, lay.cand_at].T, dense[:, lay.arc_at].T
 
 
 class _Relaxation:
     """The separable bound of one dualized, reparametrized objective.
 
-    ``crobj`` holds per task its candidates' terms, ``arobj`` per arc
-    variable its term; ``task_max`` and ``arc_max`` (per arc side and
-    device) are their best values, ``arc_bound`` per arc its best pair,
-    and ``bound`` sums the best terms and the multipliers' constant.
-    ``lam`` keeps the multipliers, one per dualized row.
+    ``crobj`` holds the candidates' terms as a vector, flat task by task,
+    the rest are lists: ``arobj`` per arc position its term, ``task_max``
+    per task its best term, ``arc_bound`` per arc its best pair, and
+    ``arc_max`` per arc side and device code the best pair through that
+    device (``-inf`` for none).  ``bound`` sums the best terms and the
+    multipliers' constant.  Per dualized row, ``lam`` holds its multiplier
+    and ``slope`` the fit check of :meth:`_Layout._slopes`.
     """
 
-    def __init__(self, crobj, arobj, arc_max, constant, lam) -> None:
+    def __init__(self, crobj, arobj, arc_max, task_max, arc_bound, slope, constant,
+                 lam) -> None:
         self.lam = lam
         self.crobj = crobj
         self.arobj = arobj
         self.arc_max = arc_max
-        self.task_max = [max(terms) for terms in crobj]
-        self.arc_bound = [max(by_src.values(), default=-math.inf) for by_src, _ in arc_max]
-        self.bound = constant + sum(self.task_max) + sum(self.arc_bound)
+        self.task_max = task_max
+        self.arc_bound = arc_bound
+        self.slope = slope
+        self.bound = constant + sum(task_max) + sum(arc_bound)
 
 
 class _TaskChoiceSearch:
@@ -561,20 +620,26 @@ class _TaskChoiceSearch:
         self.deadline = deadline_of(options)
         self.model = model
         self.cat = cat = model.catalog
-        self.obj = model.objective
         self.lay = lay = _layout(model)
         self.n_tasks = len(cat.task_order)
         # the objective's terms, candidates flat and arcs in the layout's
         # order, and the relaxation at zero multipliers, if solve_all
         # diffused it already
-        (self.cflat, self.aflat), self.root = root or (_objective_terms(model, lay), None)
-        # per task, its candidates' terms
+        if root is None:
+            cvals, avals = _objective_terms([model], lay)
+            root = (cvals[:, 0], avals[:, 0]), None
+        (self.cflat, self.aflat), self.root = root
+        # per task, its candidates' terms, and per arc position its term
         flat = self.cflat.tolist()
         self.cobj = [flat[a:b] for a, b in zip(lay.first, lay.first[1:])]
+        self.aobj = self.aflat.tolist()
 
         # mutable search state; the bounds are set by run()
         self.chosen: list[int] = [-1] * self.n_tasks
+        #: per arc, its arc position once both ends are fixed, and the
+        #: side-and-device index of the end fixed first
         self.arc_var = [-1] * len(cat.pairs)
+        self.opened = [-1] * len(cat.pairs)
         self.usage = [0.0] * len(lay.rhs)
         self.rpartial = 0.0
         self.best_g = -math.inf
@@ -593,30 +658,11 @@ class _TaskChoiceSearch:
         """This solve's objective relaxed alone at multipliers ``lam``."""
         return next(self.lay.relax(self.cflat, self.aflat, lam, self._expired))
 
-    def _slope(self, relax: _Relaxation) -> list[float]:
-        """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that
-        takes every task's best candidate: a subgradient of the bound in
-        the multipliers whenever that pick attains it."""
-        cat, lay = self.cat, self.lay
-        usage = [0.0] * len(lay.rhs)
-        primary = []
-        for terms, best, recs in zip(relax.crobj, relax.task_max, lay.cands):
-            # the first candidate with the best term
-            dev, rows = recs[terms.index(best)]
-            primary.append(dev)
-            for r, coeff in rows:
-                usage[r] += coeff
-        for (i, j), (src, _) in zip(cat.pairs, cat.ends):
-            var = src.get(primary[i], {}).get(primary[j])
-            for r, coeff in lay.budget[var] if var is not None else ():
-                usage[r] += coeff
-        return [(lay.row_cap[r] - usage[r]) / lay.rhs[r] for r in lay.dual_rows]
-
     def _multipliers(self) -> _Relaxation:
         """The tightest relaxation Kelley's cutting-plane method finds.
 
         Every oracle call is one :meth:`_relax`; its cut is the bound
-        plus the slope of :meth:`_slope` times the step in the
+        plus the relaxation's ``slope`` times the step in the
         multipliers, and the next multipliers minimize the cuts' maximum
         over a box.  It stops when that minimum closes on the best bound,
         when the best-candidate pick fits its budgets with complementary
@@ -634,7 +680,7 @@ class _TaskChoiceSearch:
         upper = [2.0 * max(1.0, abs(relax.bound))] * len(lam)
         seen = {tuple(lam)}
         for _ in range(KELLEY_CALLS):
-            slope = self._slope(relax)
+            slope = relax.slope
             step = sum(l * g for l, g in zip(lam, slope))
             if min(slope) >= 0.0 and step <= _tol(relax.bound):
                 break
@@ -653,8 +699,9 @@ class _TaskChoiceSearch:
     def _install(self, relax: _Relaxation) -> None:
         """Adopt a relaxation as the bound and fix the search order:
         single-candidate tasks first, then tasks by descending spread of
-        their candidate terms; per task, children best term first.  The
-        order fixes which arcs each task opens and which it closes.
+        their candidate terms; per task, children best term first, and of
+        equal terms the one listed first.  The order fixes which arcs each
+        task opens and which it closes.
 
         The tail row, of the dualized rows that charge no arc the one
         with the largest positive ``lam_r / rhs_r``, gets the table of
@@ -663,20 +710,27 @@ class _TaskChoiceSearch:
         """
         self.relax = relax
         self.future = relax.bound
-        spread = [best - min(terms) for best, terms in zip(relax.task_max, relax.crobj)]
-        self.order = sorted(range(self.n_tasks),
-                            key=lambda t: (len(self.lay.cands[t]) > 1, -spread[t]))
-        rank = {t: d for d, t in enumerate(self.order)}
-        self.arcs = [[(p, s, other, rank[other] > rank[t]) for p, s, other in incident]
-                     for t, incident in enumerate(self.lay.incident)]
-        self.children = []
-        for recs, terms in zip(self.lay.cands, relax.crobj):
-            # a stable sort: of equal terms, the candidate listed first
-            children = [(k, primary, rows, term)
-                        for k, ((primary, rows), term) in enumerate(zip(recs, terms))]
-            children.sort(key=_term, reverse=True)
-            self.children.append(children)
         lay = self.lay
+        # the candidates by task, best term first: one stable sort of all
+        perm = np.lexsort((-relax.crobj, lay.cand_task))
+        first, ranked = lay.first, relax.crobj[perm].tolist()
+        # a task's last child has its smallest term, and min - best is
+        # -(best - min), the spread negated, float for float
+        key = [(a + 1 < b, ranked[b - 1] - best)
+               for a, b, best in zip(first, first[1:], relax.task_max)]
+        self.order = sorted(range(self.n_tasks), key=key.__getitem__)
+        rank = [0] * self.n_tasks
+        for d, t in enumerate(self.order):
+            rank[t] = d
+        # per incident arc: the arc, its side's index in arc_max, and
+        # whether the task opens it
+        n_dev = lay.n_devices
+        self.arcs = [[(p, (2 * p + s) * n_dev, rank[other] > rank[t]) for p, s, other in incident]
+                     for t, incident in enumerate(lay.incident)]
+        # children are (position in task, primary device code, budget pairs, term)
+        kids = list(zip(lay.cand_k[perm].tolist(), lay.cand_dev[perm].tolist(),
+                        lay.cand_rows[perm].tolist(), ranked))
+        self.children = [kids[a:b] for a, b in zip(first, first[1:])]
         weight = {r: lam / lay.rhs[r] for r, lam in zip(lay.dual_rows, relax.lam)
                   if lam > 0.0 and r not in lay.arc_rows}
         self.tail: list[tuple[array, array]] | None = None
@@ -700,13 +754,16 @@ class _TaskChoiceSearch:
         of task ``order[d]``, level d + 1 shifted by it and its best term.
         """
         row, weight, heaviest = self.tail_row, self.tail_weight, self.tail_cap + self.tail_tol
+        lay, terms = self.lay, relax.crobj.tolist()
+        # the row's coefficient on each candidate, 0.0 where it has none
+        coeffs = lay.dual_cands[lay.dual_rows.index(row)].tolist()
         steps = [(np.zeros(1), np.zeros(1))]
         for t in reversed(self.order):
             weights, values = steps[-1]
             # per distinct coefficient, the task's best term with its charge
             best: dict[float, float] = {}
-            for (_, rows), term in zip(self.lay.cands[t], relax.crobj[t]):
-                coeff = next((c for r, c in rows if r == row), 0.0)
+            a, b = lay.first[t], lay.first[t + 1]
+            for coeff, term in zip(coeffs[a:b], terms[a:b]):
                 best[coeff] = max(best.get(coeff, -math.inf), term + weight * coeff)
             # the shifted copies by weight; a step stays if it fits and beats
             # every lighter one, and of equal weights the last, the best
@@ -727,9 +784,10 @@ class _TaskChoiceSearch:
     def _apply(self, t: int, child: tuple) -> bool:
         """Fix task ``t`` to candidate ``child``; False as soon as the
         partial choice cannot fit.  Opening an arc bounds it by its best
-        pair on ``dev``'s side; closing one swaps the opener's bound for
-        the arc's term.  The state is left as the child made it: :meth:`_dfs`
-        restores the node's saved state after every child."""
+        pair through the child's device on the task's side; closing one
+        swaps the opener's bound for the arc's term.  The state is left as
+        the child made it: :meth:`_dfs` restores the node's saved state
+        after every child."""
         # checked from the first node on, so a deadline that passed while
         # the bound was built stops the search at once
         if self.nodes % 256 == 0 and self._expired():
@@ -745,21 +803,22 @@ class _TaskChoiceSearch:
         self.rpartial += term
         self.future -= relax.task_max[t]
 
-        for p, s, other, opens in self.arcs[t]:
+        for p, side, opens in self.arcs[t]:
             if opens:
-                newb = relax.arc_max[p][s].get(dev, -math.inf)
+                newb = relax.arc_max[side + dev]
                 if newb == -math.inf:
                     return False
                 self.future += newb - relax.arc_bound[p]
+                self.opened[p] = side + dev
                 continue
-            other_dev = self.lay.cands[other][self.chosen[other]][0]
-            self.future -= relax.arc_max[p][1 - s][other_dev]
-            var = self.cat.ends[p][s].get(dev, {}).get(other_dev)
-            if var is None:
+            other = self.opened[p]
+            self.future -= relax.arc_max[other]
+            a = self.lay.pair_at[side + dev].get(other)
+            if a is None:
                 return False
-            self.arc_var[p] = var
-            self.rpartial += relax.arobj[var]
-            for rpos, coeff in self.lay.budget[var]:
+            self.arc_var[p] = a
+            self.rpartial += relax.arobj[a]
+            for rpos, coeff in self.lay.arc_budget[a]:
                 usage[rpos] += coeff
                 if usage[rpos] > cap[rpos]:
                     return False
@@ -775,7 +834,7 @@ class _TaskChoiceSearch:
             g += self.cobj[t][self.chosen[t]]
             for p, _, other in incident:
                 if other < t:
-                    g += self.obj.get(self.arc_var[p], 0.0)
+                    g += self.aobj[self.arc_var[p]]
         g += self.model.objective_offset
         vec = tuple(self.chosen)
         # among equal optima the lexicographically smallest vector wins,
@@ -794,12 +853,12 @@ class _TaskChoiceSearch:
         t = self.order[level]
         # the tail table of the tasks still open below this level
         weights, values = self.tail[level + 1] if self.tail is not None else (None, None)
-        ceiling = parent_bound + _tol(parent_bound)
+        offset = self.model.objective_offset
         # every child starts from this node's state, restored exactly
         rpartial, future, usage = self.rpartial, self.future, self.usage[:]
         # no child's bound exceeds this plus its term: its arcs only lower
         # the static bound, and the table bound is at most the static one
-        start = rpartial + future + self.model.objective_offset - self.relax.task_max[t]
+        start = rpartial + future + offset - self.relax.task_max[t]
         for child in self.children[t]:
             # children come best term first, so the first that cannot reach
             # the incumbent bounds every one after it, and none is applied
@@ -807,7 +866,7 @@ class _TaskChoiceSearch:
                 self.max_pruned = max(self.max_pruned, start + child[3])
                 break
             if self._apply(t, child):
-                bound = self.rpartial + self.future + self.model.objective_offset
+                bound = self.rpartial + self.future + offset
                 if values is not None:
                     # the knapsack bound: the static bound with the tail row's
                     # dualized term, weight * (usage - row_cap), kept exact, and
@@ -816,7 +875,8 @@ class _TaskChoiceSearch:
                     slack = self.tail_cap - self.usage[self.tail_row]
                     bound = min(bound, bound - self.tail_weight * slack
                                 + values[bisect_right(weights, slack + self.tail_tol)])
-                if bound > ceiling:
+                # a child's bound may pass its parent's only by the tolerance
+                if bound > parent_bound and bound > parent_bound + _tol(parent_bound):
                     raise RuntimeError("relaxation bound increased down the tree")
                 if bound < self.prune_below:
                     self.max_pruned = max(self.max_pruned, bound)
@@ -916,10 +976,10 @@ def solve_all(models: Iterable[BilpModel],
     The models are ``with_objective`` copies of one prepared model, so
     they share one layout.  They are read in batches of up to
     :data:`ROOT_BATCH`, and the roots of a batch, the relaxations at zero
-    multipliers, diffuse in one call, one column per objective; each
-    solve is passed its own model's terms and root.  Every column equals its
-    objective diffused alone, float for float, so each solution is the
-    one its model gets alone.  The time limit in ``options`` bounds all
+    multipliers, diffuse in one call, one column per objective, and are
+    fit-checked in one more; each solve is passed its own model's terms
+    and root.  Every column equals its objective diffused alone, float for
+    float, so each solution is the one its model gets alone.  The time limit in ``options`` bounds all
     the solves, counted from the first solution asked for.
     """
     deadline = deadline_of(options)
@@ -931,10 +991,9 @@ def solve_all(models: Iterable[BilpModel],
         # a model alone diffuses its root as plain vectors, which is faster
         roots = [None]
         if len(batch) > 1:
-            terms = [_objective_terms(model, lay) for model in batch]
-            roots = zip(terms, lay.relax(
-                np.stack([c for c, _ in terms], axis=1), np.stack([a for _, a in terms], axis=1),
-                [0.0] * len(lay.dual_rows),
+            cvals, avals = _objective_terms(batch, lay)
+            roots = zip(zip(cvals.T, avals.T), lay.relax(
+                cvals, avals, [0.0] * len(lay.dual_rows),
                 lambda: deadline is not None and time.perf_counter() > deadline))
         for model, root in zip(batch, roots):
             yield solve_builtin(model, time_left(deadline), root=root)
@@ -945,8 +1004,8 @@ def solve_builtin(model: BilpModel, options: SolverOptions | None = None, *,
     """Solve to proven optimality.
 
     ``root``, passed only by :func:`solve_all`, is the ``(terms,
-    relaxation)`` pair it diffused for this model: the objective's terms
-    as ``_objective_terms`` gives them and the relaxation at zero
+    relaxation)`` pair it diffused for this model: the objective's terms,
+    its column of ``_objective_terms``, and the relaxation at zero
     multipliers.  Without it the solve computes both itself.
 
     The final incumbent is re-checked against every constraint row; a

@@ -16,15 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import CriticalityPolicy, Topology, TaskSpec, WorkflowGraph, validate_workflow
-from .params import (
-    ExecMode,
-    comm_latency,
-    comp_energy,
-    exec_mode,
-    rx_energy,
-    transfer_energy,
-    tx_energy,
-)
+from .params import ExecMode, comp_energy, exec_mode
 
 
 # the expansion's records are named tuples: a prepared model builds them
@@ -41,12 +33,49 @@ class EgArc(NamedTuple):
     per_device_energy: tuple[tuple[str, float], ...]   # nonzero (device, joules)
 
 
+class Link(NamedTuple):
+    """What a transfer from one device to another reads of its legs
+    (:attr:`Topology.legs`): their bandwidths, the per-bit energy the
+    sender pays on the first leg and the receiver on the last, 0.0 on one
+    device, and the relay with its per-bit energy, reception plus
+    retransmission, or None and 0.0 without one.  The functions of
+    :mod:`ehcalloc.params` compute each quantity from these operands in
+    the same order."""
+
+    bandwidths: tuple[float, ...]
+    tx: float
+    rx: float
+    relay: str | None
+    relay_energy: float
+
+    def seconds(self, bits: float) -> float:
+        """As ``params.comm_latency``: each leg's time, back to back."""
+        seconds = 0.0
+        for bandwidth in self.bandwidths:
+            seconds += bits / bandwidth
+        return seconds
+
+
+def links(topology: Topology) -> dict[tuple[str, str], Link]:
+    """Every ordered device pair's :class:`Link`, read off its legs once."""
+    out = {}
+    for pair, legs in topology.legs.items():
+        relay = (legs[0].dst, legs[0].rx_energy + legs[1].tx_energy) if len(legs) == 2 \
+            else (None, 0.0)
+        out[pair] = Link(tuple(leg.bandwidth for leg in legs),
+                         legs[0].tx_energy if legs else 0.0,
+                         legs[-1].rx_energy if legs else 0.0, *relay)
+    return out
+
+
 class ExpandedGraph:
     """Task graph replicated over the devices each task may run on."""
 
     def __init__(self, graph: WorkflowGraph, topology: Topology) -> None:
         self.graph = graph
         self.topology = topology
+        #: per ordered device pair, what a transfer reads of its legs
+        self.links = links(topology)
 
         # device order inside a task is canonical: topology order
         self.nodes: list[tuple[str, str]] = []
@@ -56,13 +85,19 @@ class ExpandedGraph:
             self.devices_of[task.id] = devs
             self.nodes.extend((task.id, d) for d in devs)
 
+        # each arc's energy shares as ``params.transfer_energy`` gives them:
+        # the sender's, the relay's and the receiver's, the nonzero ones
         self.arcs: list[EgArc] = []
         for src, dst in graph.arcs:
             bits = graph.task(src).output_size
             for k in self.devices_of[src]:
                 for l in self.devices_of[dst]:
-                    self.arcs.append(EgArc(src, k, dst, l, comm_latency(topology, k, l, bits),
-                                           transfer_energy(topology, k, l, bits)))
+                    link = self.links[k, l]
+                    shares = ((k, bits * link.tx), (link.relay, bits * link.relay_energy),
+                              (l, bits * link.rx)) if link.relay else \
+                        ((k, bits * link.tx), (l, bits * link.rx))
+                    self.arcs.append(EgArc(src, k, dst, l, link.seconds(bits),
+                                           tuple(share for share in shares if share[1])))
 
     @property
     def node_count(self) -> int:
@@ -120,6 +155,7 @@ def placement_costs(
     primary: str,
     replica_sets: list[tuple[str, ...]],
     in_bits: float,
+    pair_links: dict[tuple[str, str], Link] | None = None,
 ) -> list[tuple[float, tuple[tuple[int, str, float], ...]]]:
     """Completion time (seconds) and per-slot energy (joules) of each
     candidate of ``task`` on ``primary``, one per replica set.
@@ -137,39 +173,43 @@ def placement_costs(
 
     The terms the replica sets share, per foreign device, are computed
     once; every float still has the operands, and the order of additions,
-    that one candidate alone would give it.
+    that one candidate alone would give it.  ``pair_links`` is the
+    topology's :func:`links`, if the caller has it already.
     """
     k = primary
     out_bits = task.output_size
     dev = topology.device(k)
+    pair_links = pair_links or links(topology)
     run, joules_k = task.exec_time[k], comp_energy(task, k)
     # per foreign device n: the input's trip there, one run there plus the
     # result's trip back, what k pays to send the input and to receive the
     # result, and what the slot on n pays
     send, back, tx_in, rx_out, remote = {}, {}, {}, {}, {}
     for n in {n for replicas in replica_sets for n in replicas if n != k}:
-        send[n] = comm_latency(topology, k, n, in_bits)
-        back[n] = task.exec_time[n] + comm_latency(topology, n, k, out_bits)
-        tx_in[n] = tx_energy(topology, k, n, in_bits)
-        rx_out[n] = rx_energy(topology, n, k, out_bits)
-        remote[n] = (rx_energy(topology, k, n, in_bits) + comp_energy(task, n)
-                     + tx_energy(topology, n, k, out_bits))
+        there, home = pair_links[k, n], pair_links[n, k]
+        send[n] = there.seconds(in_bits)
+        back[n] = task.exec_time[n] + home.seconds(out_bits)
+        tx_in[n] = in_bits * there.tx
+        rx_out[n] = out_bits * home.rx
+        remote[n] = in_bits * there.rx + comp_energy(task, n) + out_bits * home.tx
+    compare_energy, vote_energy = dev.compare_energy, dev.vote_energy
     out = []
     for replicas in replica_sets:
         span = (1 + replicas.count(k)) * run
-        for n in dict.fromkeys(replicas):
-            if n != k:
-                span = max(span, send[n] + replicas.count(n) * back[n])
+        remotes = [r for r in replicas if r != k]
+        for n in dict.fromkeys(remotes):
+            span = max(span, send[n] + replicas.count(n) * back[n])
         primary_joules = joules_k
         if len(replicas) == 1:
             span = span + dev.compare_time
-            primary_joules += dev.compare_energy
+            primary_joules += compare_energy
         elif replicas:
             span = span + dev.vote_time
             if len(replicas) == 2:
-                primary_joules += dev.vote_energy
-        remotes = [r for r in replicas if r != k]
-        for r in sorted(set(remotes), key=topology.device_index):
+                primary_joules += vote_energy
+        # each distinct foreign device once, in topology order
+        for r in sorted(set(remotes), key=topology.device_index) if len(remotes) > 1 \
+                else remotes:
             primary_joules += tx_in[r]
         for r in remotes:
             primary_joules += rx_out[r]
@@ -239,11 +279,13 @@ class CandidateGraph:
                 replica_sets = [(devs[a], devs[b])
                                 for a in range(len(devs))
                                 for b in range(a, len(devs))]
-            costs = placement_costs(topo, task, k, replica_sets, input_bits[task_id])
-            for reps, (latency, energy) in zip(replica_sets, costs):
-                self.by_task[task_id].append(len(self.candidates))
-                self.candidates.append(CandidateNode(
-                    task_id, k, reps, latency, energy, candidate_vulnerability(task, k, reps)))
+            costs = placement_costs(topo, task, k, replica_sets, input_bits[task_id], eg.links)
+            at = len(self.candidates)
+            self.by_task[task_id].extend(range(at, at + len(replica_sets)))
+            self.candidates += [
+                CandidateNode(task_id, k, reps, latency, energy,
+                              candidate_vulnerability(task, k, reps))
+                for reps, (latency, energy) in zip(replica_sets, costs)]
 
     @property
     def arcs(self) -> list[EgArc]:

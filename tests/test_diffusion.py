@@ -1,7 +1,8 @@
 """The root relaxation: the vectorized max-sum diffusion against the
-task-order loop it replaces, and its wave schedule."""
+task-order loop it replaces, its wave schedule, and the fit check."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from ehcalloc.solver import (
     DIFFUSION_SWEEPS,
     SolverOptions,
     SolverStatus,
-    _Relaxation,
     _TaskChoiceSearch,
     export_mps,
     read_mps,
@@ -38,27 +38,45 @@ KINDS = ("rel_max", "rel_min", "lat_max", "lat_min")
 FIELDS = ("crobj", "arobj", "arc_max", "task_max", "arc_bound", "bound")
 
 
-def reference_relax(search: _TaskChoiceSearch, lam: list[float]) -> _Relaxation:
-    """The relaxation of ``search`` at multipliers ``lam``, computed by the
-    plain-Python loop: the budget rows dualized, then ``DIFFUSION_SWEEPS``
-    sweeps over the diffusion groups in task order, each group updated in
-    turn (Gauss-Seidel).  The solver must return this, float for float."""
-    cat, lay, obj = search.cat, search.lay, search.obj
+def fields(relax) -> dict:
+    """The fields of a relaxation, as lists (``crobj`` is a vector)."""
+    out = {name: getattr(relax, name) for name in FIELDS}
+    out["crobj"] = list(out["crobj"])
+    return out
+
+
+def candidates(search: _TaskChoiceSearch) -> list[list[tuple]]:
+    """Per task, per candidate: its primary device and budget pairs."""
+    cat, lay = search.cat, search.lay
+    return [[(cat.candidates[i].primary, lay.budget[cat.candidates[i].var]) for i in positions]
+            for positions in cat.options]
+
+
+def reference_relax(search: _TaskChoiceSearch, lam: list[float]) -> dict:
+    """The fields of the relaxation of ``search`` at multipliers ``lam``,
+    computed by the plain-Python loop: the budget rows dualized, then
+    ``DIFFUSION_SWEEPS`` sweeps over the diffusion groups in task order,
+    each group updated in turn (Gauss-Seidel).  They are laid out as the
+    solver lays them out: candidates flat, task by task, arcs in the
+    layout's order and the best pair per arc side and device code.  The
+    solver must return these, float for float."""
+    cat, lay, obj = search.cat, search.lay, search.model.objective
+    cands = candidates(search)
     weight = [0.0] * len(lay.rhs)
     for r, value in zip(lay.dual_rows, lam):
         weight[r] = value / lay.rhs[r]
     cval = [[value - sum(weight[r] * coeff for r, coeff in rows)
              for value, (_, rows) in zip(values, recs)]
-            for values, recs in zip(search.cobj, lay.cands)]
+            for values, recs in zip(search.cobj, cands)]
     aval = {a.var: obj.get(a.var, 0.0) - sum(weight[r] * coeff for r, coeff in lay.budget[a.var])
             for a in cat.arcs}
 
     # per task, its candidates' primary devices in first-seen order, and the
     # diffusion groups: a task, one of its devices, its candidates there, and
     # per incident arc side the arc's (other device, arc variable) pairs
-    devices = [list(dict.fromkeys(primary for primary, _ in recs)) for recs in lay.cands]
+    devices = [list(dict.fromkeys(primary for primary, _ in recs)) for recs in cands]
     layout_groups = []
-    for t, (recs, devs) in enumerate(zip(lay.cands, devices)):
+    for t, (recs, devs) in enumerate(zip(cands, devices)):
         for dev in devs:
             incident = [(p, s, list(cat.ends[p][s].get(dev, {}).items()))
                         for p, s, _ in lay.incident[t]]
@@ -83,7 +101,7 @@ def reference_relax(search: _TaskChoiceSearch, lam: list[float]) -> _Relaxation:
     gains = [{dev: sum(msgs[p][s].get(dev, 0.0) for p, s, _ in incident) for dev in devs}
              for devs, incident in zip(devices, lay.incident)]
     crobj = [[value + gain[primary] for value, (primary, _) in zip(values, recs)]
-             for values, recs, gain in zip(cval, lay.cands, gains)]
+             for values, recs, gain in zip(cval, cands, gains)]
     arobj: dict[int, float] = {}
     arc_max = []
     for (src, dst), (m_src, m_dst) in zip(cat.ends, msgs):
@@ -94,7 +112,35 @@ def reference_relax(search: _TaskChoiceSearch, lam: list[float]) -> _Relaxation:
             {dev: max(arobj[var] for var in row.values()) for dev, row in end.items()}
             for end in (src, dst)))
     constant = sum(weight[r] * lay.row_cap[r] for r in lay.dual_rows)
-    return _Relaxation(crobj, arobj, arc_max, constant, list(lam))
+    task_max = [max(terms) for terms in crobj]
+    arc_bound = [max(by_src.values(), default=-math.inf) for by_src, _ in arc_max]
+    return {"crobj": [term for terms in crobj for term in terms],
+            "arobj": [arobj[var] for var in lay.arc_vars],
+            "arc_max": [side.get(dev, -math.inf) for sides in arc_max for side in sides
+                        for dev in lay.devices],
+            "task_max": task_max, "arc_bound": arc_bound,
+            "bound": constant + sum(task_max) + sum(arc_bound)}
+
+
+def reference_slope(search: _TaskChoiceSearch, relax) -> list[float]:
+    """Per dualized row, ``(row_cap - A x) / rhs`` at the pick x that takes
+    every task's first best candidate, summed in Python from 0.0: tasks in
+    order, then arcs.  The solver's fit check must return this, float for
+    float."""
+    cat, lay = search.cat, search.lay
+    usage = [0.0] * len(lay.rhs)
+    primary = []
+    terms = list(relax.crobj)
+    for best, recs, a, b in zip(relax.task_max, candidates(search), lay.first, lay.first[1:]):
+        dev, rows = recs[terms[a:b].index(best)]
+        primary.append(dev)
+        for r, coeff in rows:
+            usage[r] += coeff
+    for (i, j), (src, _) in zip(cat.pairs, cat.ends):
+        var = src.get(primary[i], {}).get(primary[j])
+        for r, coeff in lay.budget[var] if var is not None else ():
+            usage[r] += coeff
+    return [(lay.row_cap[r] - usage[r]) / lay.rhs[r] for r in lay.dual_rows]
 
 
 def relaxations_tried(model):
@@ -117,9 +163,10 @@ def assert_same_relaxations(model):
     search, seen = relaxations_tried(model)
     assert seen and seen[0].lam == [0.0] * len(search.lay.dual_rows)
     for relax in seen:
-        ref = reference_relax(search, relax.lam)
+        ref, got = reference_relax(search, relax.lam), fields(relax)
         for name in FIELDS:
-            assert getattr(relax, name) == getattr(ref, name), name
+            assert got[name] == ref[name], name
+        assert relax.slope == reference_slope(search, relax)
     return seen
 
 
@@ -152,33 +199,35 @@ class TestSameRelaxation:
             assert multipliers > 0
 
 
+def roots_handed_out(models, monkeypatch):
+    """The (model, root) each solve of ``solve_all(models)`` starts from;
+    the searches themselves are skipped."""
+    seen = []
+
+    def record(search):
+        seen.append((search.model, search.root))
+        return solver.Solution(SolverStatus.TIME_LIMIT, None, None, None)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_TaskChoiceSearch, "run", record)
+        assert len(list(solve_all(models))) == len(models)
+    return seen
+
+
 class TestBatchedRoots:
     """solve_all diffuses the roots of its models' objectives in batches;
     each solve starts from its own objective's root, which equals that
     objective relaxed alone, float for float."""
 
-    def roots_handed_out(self, models, monkeypatch):
-        """The (model, root) each solve of ``solve_all(models)`` starts
-        from; the searches themselves are skipped."""
-        seen = []
-
-        def record(search):
-            seen.append((search.model, search.root))
-            return solver.Solution(SolverStatus.TIME_LIMIT, None, None, None)
-
-        monkeypatch.setattr(_TaskChoiceSearch, "run", record)
-        assert len(list(solve_all(models))) == len(models)
-        return seen
-
     def assert_columns_are_single_roots(self, models, monkeypatch):
-        seen = self.roots_handed_out(models, monkeypatch)
+        seen = roots_handed_out(models, monkeypatch)
         assert [model for model, _ in seen] == models
         for model, root in seen:
             search = _TaskChoiceSearch(model, SolverOptions())
             alone = search._relax([0.0] * len(search.lay.dual_rows))
             assert root.lam == alone.lam
-            for name in FIELDS:
-                assert getattr(root, name) == getattr(alone, name), name
+            assert root.slope == alone.slope
+            assert fields(root) == fields(alone)
 
     def test_fixture_normalization_and_sweep_objectives(self, topology, workflow, policy,
                                                          monkeypatch):
@@ -253,6 +302,42 @@ class TestBatchedRoots:
             list(solve_all(models))
 
 
+class TestFitCheck:
+    """The fit check of a batch of roots, one bincount over every column's
+    pick, equals the per-column Python loop float for float: the slope
+    Kelley's method cuts with, nonnegative exactly when the pick fits."""
+
+    def slopes(self, models, monkeypatch):
+        """Per model, its batched root's slope and the reference slope."""
+        out = []
+        for model, root in roots_handed_out(models, monkeypatch):
+            search = _TaskChoiceSearch(model, SolverOptions())
+            out.append((root.slope, reference_slope(search, root)))
+        return out
+
+    def test_fixture_sweep_columns(self, topology, workflow, policy, monkeypatch):
+        reg, model = e.prepare(topology, workflow, policy)
+        bounds = e.normalization_bounds(reg, model, None)
+        models = [weighted_objective(reg, model, ObjectiveWeights(i / 20, 1.0 - i / 20), bounds)
+                  for i in range(21)]
+        for slope, ref in self.slopes(models, monkeypatch):
+            assert slope == ref and min(slope) >= 0.0
+
+    @pytest.mark.parametrize("structure", ["serial", "mixed", "parallel"])
+    def test_normalization_columns_at_40(self, topology, policy, structure, monkeypatch):
+        graph = sg.generate(sg.GenSpec(task_count=40, structure=structure, seed=1),
+                            tuple(topology.devices))
+        reg, model = e.prepare(topology, graph, policy)
+        models = [single_objective(reg, model, kind) for kind in KINDS]
+        slopes = self.slopes(models, monkeypatch)
+        for slope, ref in slopes:
+            assert slope == ref
+        if structure == "mixed":
+            # not vacuous: the worst latency's best pick overruns a budget
+            slope, _ = slopes[KINDS.index("lat_max")]
+            assert min(slope) < 0.0
+
+
 def two_device_model(tasks, arcs, seed=0):
     """Tasks on devices a and b, every device pair on each arc, and
     objective terms drawn from ``seed``; no budget rows."""
@@ -278,8 +363,7 @@ class TestWaveSchedule:
         model = two_device_model(tasks, arcs)
         search, seen = relaxations_tried(model)
         assert search.lay.waves == []
-        assert [getattr(seen[0], name) for name in FIELDS] == \
-            [getattr(reference_relax(search, seen[0].lam), name) for name in FIELDS]
+        assert fields(seen[0]) == reference_relax(search, seen[0].lam)
         sol = solve_builtin(model)
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.objective == enumerated_optimum(model)
@@ -291,9 +375,9 @@ class TestWaveSchedule:
         model = two_device_model(["t0", "t1", "t2"], [("t0", "t1"), ("t1", "t2")], seed)
         search, seen = relaxations_tried(model)
         assert len(search.lay.waves) == 2 * DIFFUSION_SWEEPS + 1
-        ref = reference_relax(search, seen[0].lam)
+        ref, got = reference_relax(search, seen[0].lam), fields(seen[0])
         for name in FIELDS:
-            assert getattr(seen[0], name) == getattr(ref, name), name
+            assert got[name] == ref[name], name
         sol = solve_builtin(model)
         assert sol.objective == pytest.approx(enumerated_optimum(model), abs=1e-12)
 

@@ -9,8 +9,13 @@ import pytest
 
 import ehcalloc as e
 import ehcalloc.synthgen as sg
-from ehcalloc import oracle, solver
-from ehcalloc.bilp import ObjectiveWeights, TimeLimitError, normalization_bounds
+from ehcalloc import oracle, pipeline, solver
+from ehcalloc.bilp import (
+    ObjectiveWeights,
+    TimeLimitError,
+    normalization_bounds,
+    weighted_objective,
+)
 from ehcalloc.oracle import monte_carlo_reliability, raw_objectives
 from ehcalloc.pipeline import (
     assignment_from_picks,
@@ -274,6 +279,82 @@ class TestPinnedArtifacts:
     def test_sweep_csv_is_pinned(self, topology, workflow, policy):
         text = sweep(topology, workflow, policy, steps=20).to_csv()
         assert hashlib.sha256(text.encode()).hexdigest() == ARTIFACT_PINS["sweep"]
+
+
+def rows_through_plans(reg, model, bounds, grid, deadline=None):
+    """Sweep rows built from each solution's full plan, as the sweep built
+    them before it read rows off the picks; the objective values are
+    summed here from the plan's task and arc entries, in the plan's
+    order: one product of reliabilities, then one log, and latency over
+    tasks, then arcs."""
+    rows = []
+    weights = [ObjectiveWeights(w, 1.0 - w) for w in grid]
+    models = [weighted_objective(reg, model, ws, bounds) for ws in weights]
+    for ws, sol in zip(weights, solver.solve_all(models, solver.time_left(deadline))):
+        plan = pipeline.extract_plan(reg, model, ws, bounds, sol)
+        row = {"w_rel": ws.w_rel, "w_lat": ws.w_lat, "status": plan.status}
+        values = dict.fromkeys(("g", "f_rel", "f_lat_s", "f_rel_norm", "f_lat_norm",
+                                "reliability"))
+        if plan.tasks:
+            r_total, f_lat = 1.0, 0.0
+            for task in plan.tasks:
+                r_total *= task["reliability"]
+                f_lat += task["latency_s"]
+            for arc in plan.arcs:
+                f_lat += arc["latency_s"]
+            f_rel = math.log(r_total)
+            rel, lat = bounds.normalize_rel(f_rel), bounds.normalize_lat(f_lat)
+            values = {"g": ws.w_rel * rel - ws.w_lat * lat, "f_rel": f_rel, "f_lat_s": f_lat,
+                      "f_rel_norm": rel, "f_lat_norm": lat, "reliability": math.exp(f_rel)}
+        row.update(values)
+        slots = {d: 0 for d in reg.topology.device_ids}
+        for task in plan.tasks:
+            for dev in [task["primary"]] + task["replicas"]:
+                slots[dev] += 1
+        for d in reg.topology.device_ids:
+            if plan.tasks:
+                row[f"pct_{d}"] = round(100.0 * slots[d] / sum(slots.values()), 10)
+        for p in reg.topology.device_ids:
+            for r in reg.topology.device_ids:
+                if plan.tasks:
+                    row[f"rep_{p}_{r}"] = sum(task["primary"] == p and task["replicas"].count(r)
+                                             for task in plan.tasks)
+        rows.append(row)
+    return rows
+
+
+class TestSweepRows:
+    """A sweep row read off the picks is the row the full plan gives."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("instance", ["fixture", "serial-15", "mixed-40", "parallel-30"])
+    def test_rows_match_the_plans(self, topology, workflow, instance, level):
+        if instance == "fixture":
+            graph = workflow
+        else:
+            structure, n = instance.split("-")
+            graph = sg.generate(sg.GenSpec(task_count=int(n), structure=structure, seed=1),
+                                tuple(topology.devices))
+        reg, model = prepare(topology, graph, e.default_policy(level))
+        bounds = normalization_bounds(reg, model, None)
+        grid = [i / 10 for i in range(11)]
+        rows = pipeline._sweep_points(reg, model, None, bounds, grid)
+        ref = rows_through_plans(reg, model, bounds, grid)
+        assert [row["status"] for row in rows] == ["optimal"] * len(grid)
+        ids = reg.topology.device_ids
+        assert pipeline.SweepResult(ids, rows).to_csv() == pipeline.SweepResult(ids, ref).to_csv()
+        # the JSON form lists each row's keys in order
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref]
+
+    def test_rows_without_picks(self, topology, workflow, policy):
+        # past its deadline every solve ends without a pick
+        reg, model = prepare(topology, workflow, policy)
+        bounds = normalization_bounds(reg, model, None)
+        past = time.perf_counter() - 1.0
+        rows = pipeline._sweep_points(reg, model, past, bounds, [0.0, 0.5, 1.0])
+        assert [row["status"] for row in rows] == ["time_limit"] * 3
+        ref = rows_through_plans(reg, model, bounds, [0.0, 0.5, 1.0], past)
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref]
 
 
 class TestNormalizationTimeLimit:
