@@ -34,7 +34,7 @@ from .model import (
     validate_workflow,
 )
 from .oracle import OracleResult, brute_force, monte_carlo_reliability, oracle_bounds, raw_objectives
-from .params import ExecMode, comm_latency, comp_energy, exec_mode
+from .params import ExecMode, comp_energy, exec_mode
 from .pipeline import (
     AllocationPlan,
     PipelineContext,
@@ -106,7 +106,6 @@ __all__ = [
     "build_eg",
     "build_model",
     "build_reg",
-    "comm_latency",
     "comp_energy",
     "default_policy",
     "dump_system",

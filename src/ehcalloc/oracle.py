@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .bilp import InfeasibleError, NormalizationBounds, ObjectiveWeights
-from .params import rx_energy, tx_energy
 from .solver import _tol
 from .transform import CandidateGraph
 
@@ -45,24 +44,27 @@ def space_size(reg: CandidateGraph) -> int:
 
 
 def _arc_tables(reg: CandidateGraph):
-    """Per task-graph arc: device pair -> (latency, per-device joules)."""
+    """Per task-graph arc: device pair -> (latency, per-device joules),
+    the joules priced from the topology's legs, not read off the arcs."""
     topo = reg.topology
     finite = [d.id for d in topo.devices if not d.energy_unbounded]
+    by_pair: dict[tuple[str, str], list] = {}
+    for a in reg.arcs:
+        by_pair.setdefault((a.src_task, a.dst_task), []).append(a)
     tables = []
     for (src, dst) in reg.graph.arcs:
         bits = reg.graph.task(src).output_size
         table: dict[tuple[str, str], tuple[float, dict[str, float]]] = {}
-        for a in reg.arcs:
-            if a.src_task != src or a.dst_task != dst:
-                continue
+        for a in by_pair.get((src, dst), ()):
             shares: dict[str, float] = {}
             if a.src_dev != a.dst_dev:
+                legs = topo.legs[(a.src_dev, a.dst_dev)]
                 for dev in finite:
                     joules = 0.0
                     if a.src_dev == dev:
-                        joules += tx_energy(topo, a.src_dev, a.dst_dev, bits)
+                        joules += bits * legs[0].tx_energy
                     if a.dst_dev == dev:
-                        joules += rx_energy(topo, a.src_dev, a.dst_dev, bits)
+                        joules += bits * legs[-1].rx_energy
                     via = topo.relays.get((a.src_dev, a.dst_dev))
                     if via == dev:
                         first = topo.channels[(a.src_dev, via)]

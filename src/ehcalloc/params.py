@@ -1,16 +1,17 @@
-"""Derived per-placement quantities: communication cost and modes.
+"""Derived per-placement quantities: transfer pricing, energy and modes.
 
 A transfer from one device to another runs over the legs that
 :attr:`Topology.legs` resolves once per device pair: none on one device,
 one direct channel, or two channels through a relay.  The time adds up
 over every leg.  The sender pays to transmit on the first leg, the
 receiver to receive on the last, and a relay pays both to take the data
-in and to pass it on.
+in and to pass it on.  :class:`Link` holds that rule, once per pair.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 from .model import CriticalityPolicy, TaskSpec, Topology
 
@@ -23,39 +24,38 @@ class ExecMode(enum.Enum):
     TE = 3
 
 
-def comm_latency(topology: Topology, src: str, dst: str, bits: float) -> float:
-    """Transfer time in seconds for ``bits`` from src to dst: each leg's
-    bits / bandwidth, back to back (0 on one device)."""
-    seconds = 0.0
-    for leg in topology.legs[(src, dst)]:
-        seconds += bits / leg.bandwidth
-    return seconds
+class Link(NamedTuple):
+    """What a transfer from one device to another reads of its legs
+    (:attr:`Topology.legs`): their bandwidths, the per-bit energy the
+    sender pays on the first leg and the receiver on the last, 0.0 on one
+    device, and the relay with its per-bit energy, reception plus
+    retransmission, or None and 0.0 without one."""
+
+    bandwidths: tuple[float, ...]
+    tx: float
+    rx: float
+    relay: str | None
+    relay_energy: float
+
+    def seconds(self, bits: float) -> float:
+        """Transfer time of ``bits``: each leg's bits / bandwidth, back to
+        back (0 on one device)."""
+        seconds = 0.0
+        for bandwidth in self.bandwidths:
+            seconds += bits / bandwidth
+        return seconds
 
 
-def tx_energy(topology: Topology, src: str, dst: str, bits: float) -> float:
-    """Energy the *sender* pays to push ``bits`` toward dst (its own leg only)."""
-    legs = topology.legs[(src, dst)]
-    return bits * legs[0].tx_energy if legs else 0.0
-
-
-def rx_energy(topology: Topology, src: str, dst: str, bits: float) -> float:
-    """Energy the *receiver* pays to take in ``bits`` sent from src."""
-    legs = topology.legs[(src, dst)]
-    return bits * legs[-1].rx_energy if legs else 0.0
-
-
-def transfer_energy(topology: Topology, src: str, dst: str,
-                    bits: float) -> tuple[tuple[str, float], ...]:
-    """Every nonzero ``(device, joules)`` share of one transfer: the
-    sender's, the relay's (reception plus retransmission) and the
-    receiver's."""
-    legs = topology.legs[(src, dst)]
-    shares = [(src, tx_energy(topology, src, dst, bits))]
-    if len(legs) == 2:
-        first, second = legs
-        shares.append((first.dst, bits * (first.rx_energy + second.tx_energy)))
-    shares.append((dst, rx_energy(topology, src, dst, bits)))
-    return tuple((dev, joules) for dev, joules in shares if joules)
+def links(topology: Topology) -> dict[tuple[str, str], Link]:
+    """Every ordered device pair's :class:`Link`, read off its legs once."""
+    out = {}
+    for pair, legs in topology.legs.items():
+        relay = (legs[0].dst, legs[0].rx_energy + legs[1].tx_energy) if len(legs) == 2 \
+            else (None, 0.0)
+        out[pair] = Link(tuple(leg.bandwidth for leg in legs),
+                         legs[0].tx_energy if legs else 0.0,
+                         legs[-1].rx_energy if legs else 0.0, *relay)
+    return out
 
 
 def comp_energy(task: TaskSpec, device_id: str) -> float:

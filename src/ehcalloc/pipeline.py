@@ -301,6 +301,8 @@ def sweep(
     time limit in ``options`` bounds the whole sweep: a point reached
     after it ran out reports ``time_limit``.
     """
+    if not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     deadline = deadline_of(options)
     reg, model = prepare(topology, graph, policy)
     bounds = normalization_bounds(reg, model, time_left(deadline))
@@ -385,12 +387,12 @@ def baselines(
     for d in topology.devices:
         try:
             restricted = restrict_to_device(graph, d.id)
-            plan, _ = solve_allocation(topology, restricted, policy, weights,
-                                       time_left(deadline), bounds)
-        except ValueError:
-            plan = AllocationPlan(status="infeasible",
-                                  criticality_level=policy.level,
-                                  w_rel=weights.w_rel, w_lat=weights.w_lat,
-                                  bounds=bounds.to_json_dict())
-        per_device[d.id] = plan
+        except ValueError:          # some task cannot run on d
+            per_device[d.id] = AllocationPlan(status="infeasible",
+                                              criticality_level=policy.level,
+                                              w_rel=weights.w_rel, w_lat=weights.w_lat,
+                                              bounds=bounds.to_json_dict())
+            continue
+        per_device[d.id], _ = solve_allocation(topology, restricted, policy, weights,
+                                               time_left(deadline), bounds)
     return {"unrestricted": unrestricted, "baselines": per_device}

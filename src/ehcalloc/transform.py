@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import CriticalityPolicy, Topology, TaskSpec, WorkflowGraph, validate_workflow
-from .params import ExecMode, comp_energy, exec_mode
+from .params import ExecMode, Link, comp_energy, exec_mode, links
 
 
 # the expansion's records are named tuples: a prepared model builds them
@@ -31,41 +31,6 @@ class EgArc(NamedTuple):
     dst_dev: str
     latency: float                # seconds, 0 when devices coincide
     per_device_energy: tuple[tuple[str, float], ...]   # nonzero (device, joules)
-
-
-class Link(NamedTuple):
-    """What a transfer from one device to another reads of its legs
-    (:attr:`Topology.legs`): their bandwidths, the per-bit energy the
-    sender pays on the first leg and the receiver on the last, 0.0 on one
-    device, and the relay with its per-bit energy, reception plus
-    retransmission, or None and 0.0 without one.  The functions of
-    :mod:`ehcalloc.params` compute each quantity from these operands in
-    the same order."""
-
-    bandwidths: tuple[float, ...]
-    tx: float
-    rx: float
-    relay: str | None
-    relay_energy: float
-
-    def seconds(self, bits: float) -> float:
-        """As ``params.comm_latency``: each leg's time, back to back."""
-        seconds = 0.0
-        for bandwidth in self.bandwidths:
-            seconds += bits / bandwidth
-        return seconds
-
-
-def links(topology: Topology) -> dict[tuple[str, str], Link]:
-    """Every ordered device pair's :class:`Link`, read off its legs once."""
-    out = {}
-    for pair, legs in topology.legs.items():
-        relay = (legs[0].dst, legs[0].rx_energy + legs[1].tx_energy) if len(legs) == 2 \
-            else (None, 0.0)
-        out[pair] = Link(tuple(leg.bandwidth for leg in legs),
-                         legs[0].tx_energy if legs else 0.0,
-                         legs[-1].rx_energy if legs else 0.0, *relay)
-    return out
 
 
 class ExpandedGraph:
@@ -85,8 +50,8 @@ class ExpandedGraph:
             self.devices_of[task.id] = devs
             self.nodes.extend((task.id, d) for d in devs)
 
-        # each arc's energy shares as ``params.transfer_energy`` gives them:
-        # the sender's, the relay's and the receiver's, the nonzero ones
+        # each arc's energy shares: the sender's, the relay's and the
+        # receiver's, the nonzero ones
         self.arcs: list[EgArc] = []
         for src, dst in graph.arcs:
             bits = graph.task(src).output_size
@@ -155,7 +120,7 @@ def placement_costs(
     primary: str,
     replica_sets: list[tuple[str, ...]],
     in_bits: float,
-    pair_links: dict[tuple[str, str], Link] | None = None,
+    pair_links: dict[tuple[str, str], Link],
 ) -> list[tuple[float, tuple[tuple[int, str, float], ...]]]:
     """Completion time (seconds) and per-slot energy (joules) of each
     candidate of ``task`` on ``primary``, one per replica set.
@@ -174,12 +139,11 @@ def placement_costs(
     The terms the replica sets share, per foreign device, are computed
     once; every float still has the operands, and the order of additions,
     that one candidate alone would give it.  ``pair_links`` is the
-    topology's :func:`links`, if the caller has it already.
+    topology's :func:`~ehcalloc.params.links`.
     """
     k = primary
     out_bits = task.output_size
     dev = topology.device(k)
-    pair_links = pair_links or links(topology)
     run, joules_k = task.exec_time[k], comp_energy(task, k)
     # per foreign device n: the input's trip there, one run there plus the
     # result's trip back, what k pays to send the input and to receive the
@@ -218,29 +182,6 @@ def placement_costs(
             slots.append((z, n, joules_k if n == k else remote[n]))
         out.append((span, tuple(slots)))
     return out
-
-
-def candidate_latency(
-    topology: Topology,
-    task: TaskSpec,
-    primary: str,
-    replicas: tuple[str, ...],
-    in_bits: float,
-) -> float:
-    """Completion time of one candidate, seconds; see :func:`placement_costs`."""
-    return placement_costs(topology, task, primary, [replicas], in_bits)[0][0]
-
-
-def candidate_replica_energy(
-    topology: Topology,
-    task: TaskSpec,
-    primary: str,
-    replicas: tuple[str, ...],
-    in_bits: float,
-) -> tuple[tuple[int, str, float], ...]:
-    """Energy each replica slot of one candidate charges to its device,
-    joules; see :func:`placement_costs`."""
-    return placement_costs(topology, task, primary, [replicas], in_bits)[0][1]
 
 
 def candidate_vulnerability(task: TaskSpec, primary: str, replicas: tuple[str, ...]) -> float:

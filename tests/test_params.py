@@ -4,15 +4,7 @@ import pytest
 
 from ehcalloc import build_eg, reference_topology
 from ehcalloc.model import CriticalityPolicy, TaskSpec, WorkflowGraph
-from ehcalloc.params import (
-    ExecMode,
-    comm_latency,
-    comp_energy,
-    exec_mode,
-    rx_energy,
-    transfer_energy,
-    tx_energy,
-)
+from ehcalloc.params import ExecMode, comp_energy, exec_mode, links
 
 MBIT = 1e6
 
@@ -22,9 +14,14 @@ def topo():
     return reference_topology()
 
 
-def arc_energy_total(topo, src: str, dst: str, bits: float) -> float:
+@pytest.fixture(scope="module")
+def link(topo):
+    return links(topo)
+
+
+def arc_energy_total(topo, src: str, dst: str, bits: float, shares) -> float:
     """Joules an active src->dst arc carrying ``bits`` charges the model,
-    summed over every device."""
+    summed over every device; its per-device shares must be ``shares``."""
     def task(tid):
         return TaskSpec(id=tid, memory=1e6, storage=1e6, output_size=bits,
                         allowed_devices=("e", "h", "c"),
@@ -32,7 +29,7 @@ def arc_energy_total(topo, src: str, dst: str, bits: float) -> float:
                         vulnerability={d: 0.01 for d in "ehc"})
     graph = WorkflowGraph([task("t1"), task("t2")], [("t1", "t2")])
     arc = next(a for a in build_eg(graph, topo).arcs if (a.src_dev, a.dst_dev) == (src, dst))
-    assert arc.per_device_energy == transfer_energy(topo, src, dst, bits)
+    assert arc.per_device_energy == shares
     return sum(joules for _dev, joules in arc.per_device_energy)
 
 
@@ -49,41 +46,46 @@ class TestRoute:
 
 
 class TestCommLatency:
-    def test_same_device_is_free(self, topo):
-        assert comm_latency(topo, "c", "c", 5 * MBIT) == 0.0
+    def test_same_device_is_free(self, link):
+        assert link["c", "c"].seconds(5 * MBIT) == 0.0
 
-    def test_direct_is_bits_over_bandwidth(self, topo):
+    def test_direct_is_bits_over_bandwidth(self, link):
         # h->c runs at 12.5 Mbit/s
-        assert comm_latency(topo, "h", "c", 25 * MBIT) == 25 * MBIT / 12.5e6
+        assert link["h", "c"].seconds(25 * MBIT) == 25 * MBIT / 12.5e6
 
-    def test_relayed_sums_both_legs(self, topo):
+    def test_relayed_sums_both_legs(self, link):
         # e->c via h: 12.5 Mbit over 11 Mbit/s then over 12.5 Mbit/s
         expected = 12.5e6 / 11e6 + 12.5e6 / 12.5e6
-        assert comm_latency(topo, "e", "c", 12.5 * MBIT) == pytest.approx(
+        assert link["e", "c"].seconds(12.5 * MBIT) == pytest.approx(
             expected, rel=1e-15)
         assert expected == pytest.approx(2.13636363636, rel=1e-11)
 
 
 class TestCommEnergy:
-    def test_direct_sums_tx_and_rx(self, topo):
+    def test_direct_sums_tx_and_rx(self, topo, link):
         # h->c at 2.50 / 1.25 uJ per bit
-        assert arc_energy_total(topo, "h", "c", MBIT) == pytest.approx(3.75, rel=1e-12)
-        assert tx_energy(topo, "h", "c", MBIT) == pytest.approx(2.50, rel=1e-12)
-        assert rx_energy(topo, "h", "c", MBIT) == pytest.approx(1.25, rel=1e-12)
+        shares = (("h", pytest.approx(2.50, rel=1e-12)), ("c", pytest.approx(1.25, rel=1e-12)))
+        assert arc_energy_total(topo, "h", "c", MBIT, shares) == pytest.approx(3.75, rel=1e-12)
+        assert MBIT * link["h", "c"].tx == pytest.approx(2.50, rel=1e-12)
+        assert MBIT * link["h", "c"].rx == pytest.approx(1.25, rel=1e-12)
+        assert link["h", "c"].relay is None and link["h", "c"].relay_energy == 0.0
 
-    def test_relayed_charges_all_three_devices(self, topo):
+    def test_relayed_charges_all_three_devices(self, topo, link):
         # e->c via h for 1 Mbit: e tx 1.00 J, h rx 0.70 J + tx 2.50 J, c rx 1.25 J
-        assert arc_energy_total(topo, "e", "c", MBIT) == pytest.approx(5.45, rel=1e-12)
+        shares = (("e", pytest.approx(1.00, rel=1e-12)), ("h", pytest.approx(3.20, rel=1e-12)),
+                  ("c", pytest.approx(1.25, rel=1e-12)))
+        assert arc_energy_total(topo, "e", "c", MBIT, shares) == pytest.approx(5.45, rel=1e-12)
+        assert link["e", "c"].relay == "h"
+        assert MBIT * link["e", "c"].relay_energy == pytest.approx(3.20, rel=1e-12)
 
-    def test_endpoint_shares_cover_adjacent_leg_only(self, topo):
+    def test_endpoint_shares_cover_adjacent_leg_only(self, link):
         # sender pays its own uplink; receiver its own downlink
-        assert tx_energy(topo, "e", "c", MBIT) == pytest.approx(1.00, rel=1e-12)
-        assert rx_energy(topo, "e", "c", MBIT) == pytest.approx(1.25, rel=1e-12)
+        assert MBIT * link["e", "c"].tx == pytest.approx(1.00, rel=1e-12)
+        assert MBIT * link["e", "c"].rx == pytest.approx(1.25, rel=1e-12)
 
-    def test_same_device_costs_nothing(self, topo):
-        assert arc_energy_total(topo, "e", "e", MBIT) == 0.0
-        assert tx_energy(topo, "e", "e", MBIT) == 0.0
-        assert rx_energy(topo, "e", "e", MBIT) == 0.0
+    def test_same_device_costs_nothing(self, topo, link):
+        assert arc_energy_total(topo, "e", "e", MBIT, ()) == 0.0
+        assert link["e", "e"] == ((), 0.0, 0.0, None, 0.0)
 
 
 class TestCompEnergy:

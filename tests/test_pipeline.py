@@ -181,6 +181,16 @@ class TestSweep:
         pooled = sweep(topology, workflow, policy, steps=2, workers=2)
         assert pooled.rows == serial.rows
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_must_be_a_positive_integer(self, topology, workflow, policy,
+                                              steps, monkeypatch):
+        # refused before any model is prepared or solved
+        def no_prepare(*args):
+            raise AssertionError("prepare ran")
+        monkeypatch.setattr(pipeline, "prepare", no_prepare)
+        with pytest.raises(ValueError, match="positive integer"):
+            sweep(topology, workflow, policy, steps=steps)
+
     def test_time_limit_bounds_the_whole_sweep(self, topology, policy):
         # each of these 105 solves takes well under the limit, and all of
         # them together well over it; statuses do not matter here
@@ -237,6 +247,14 @@ class TestBaselines:
         status = {d: plan.status for d, plan in result["baselines"].items()}
         assert status == {"e": "optimal", "h": "optimal", "c": "infeasible"}
         assert result["baselines"]["c"].bounds == result["unrestricted"].bounds
+
+    def test_a_solver_fault_is_not_reported_as_infeasible(self, topology, workflow,
+                                                          policy, monkeypatch):
+        def faulty(*args):
+            raise ValueError("solution violates model rows")
+        monkeypatch.setattr(pipeline, "solve_allocation", faulty)
+        with pytest.raises(ValueError, match="violates model rows"):
+            baselines(topology, workflow, policy, HALF)
 
     def test_restriction_keeps_existing_pins(self, topology):
         import ehcalloc.synthgen as sg

@@ -15,17 +15,16 @@ import ehcalloc.synthgen as sg
 from ehcalloc import build_eg, build_reg, default_policy, inspection_workflow, reference_topology
 from ehcalloc.model import CriticalityPolicy, TaskSpec, WorkflowGraph
 from ehcalloc.bilp import build_model
-from ehcalloc.params import ExecMode, exec_mode
-from ehcalloc.transform import (
-    candidate_latency,
-    candidate_replica_energy,
-    candidate_vulnerability,
-    eg_summary,
-    reg_summary,
-)
+from ehcalloc.params import ExecMode, exec_mode, links
+from ehcalloc.transform import candidate_vulnerability, eg_summary, placement_costs, reg_summary
 
 IN_BITS = 12.5e6     # parent output shipped to every foreign replica
 OUT_BITS = 20e6      # result shipped back per replica
+
+
+def one_candidate(topo, task, primary, replicas):
+    """Completion time (seconds) and per-slot joules of one candidate."""
+    return placement_costs(topo, task, primary, [replicas], IN_BITS, links(topo))[0]
 
 
 def placement_modes(reg):
@@ -57,34 +56,34 @@ class TestCandidateLatency:
     """All seven shapes of the completion-time formula."""
 
     def test_single_execution(self, topo, task):
-        assert candidate_latency(topo, task, "h", (), IN_BITS) == 1.0
+        assert one_candidate(topo, task, "h", ())[0] == 1.0
 
     def test_dual_same_device_serializes(self, topo, task):
         # 2 * L + compare overhead
-        got = candidate_latency(topo, task, "h", ("h",), IN_BITS)
+        got = one_candidate(topo, task, "h", ("h",))[0]
         assert got == pytest.approx(2 * 1.0 + 0.02e-6, rel=1e-15)
 
     def test_dual_cross_device_round_trip(self, topo, task):
         # replica on c overlaps the primary: input down, run, result back
         rt = IN_BITS / 12.5e6 + 0.4 + OUT_BITS / 20e6
-        got = candidate_latency(topo, task, "h", ("c",), IN_BITS)
+        got = one_candidate(topo, task, "h", ("c",))[0]
         assert got == pytest.approx(max(1.0, rt) + 0.02e-6, rel=1e-15)
         assert got == pytest.approx(2.40000002, abs=1e-12)
 
     def test_triple_all_on_primary(self, topo, task):
-        got = candidate_latency(topo, task, "h", ("h", "h"), IN_BITS)
+        got = one_candidate(topo, task, "h", ("h", "h"))[0]
         assert got == pytest.approx(3 * 1.0 + 0.03e-6, rel=1e-15)
 
     def test_triple_one_local_one_remote(self, topo, task):
         # two serial runs on h race the single remote round trip
         rt = IN_BITS / 12.5e6 + 0.4 + OUT_BITS / 20e6
-        got = candidate_latency(topo, task, "h", ("h", "c"), IN_BITS)
+        got = one_candidate(topo, task, "h", ("h", "c"))[0]
         assert got == pytest.approx(max(2 * 1.0, rt) + 0.03e-6, rel=1e-15)
 
     def test_triple_two_remote_same_device(self, topo, task):
         # one input transfer, two serial runs there, two results back
         rt2 = IN_BITS / 12.5e6 + 2 * (0.4 + OUT_BITS / 20e6)
-        got = candidate_latency(topo, task, "h", ("c", "c"), IN_BITS)
+        got = one_candidate(topo, task, "h", ("c", "c"))[0]
         assert got == pytest.approx(max(1.0, rt2) + 0.03e-6, rel=1e-15)
         assert got == pytest.approx(3.80000003, abs=1e-12)
 
@@ -92,24 +91,24 @@ class TestCandidateLatency:
         # h->e is direct both ways; each remote has its own round trip
         rt_e = IN_BITS / 8.5e6 + 2.0 + OUT_BITS / 11e6
         rt_c = IN_BITS / 12.5e6 + 0.4 + OUT_BITS / 20e6
-        got = candidate_latency(topo, task, "h", ("e", "c"), IN_BITS)
+        got = one_candidate(topo, task, "h", ("e", "c"))[0]
         assert got == pytest.approx(max(1.0, rt_e, rt_c) + 0.03e-6, rel=1e-15)
 
     def test_relayed_round_trip_sums_leg_latencies(self, topo, task):
         # e->c rides through h in both directions
         rt = (IN_BITS / 11e6 + IN_BITS / 12.5e6 + 0.4
               + OUT_BITS / 20e6 + OUT_BITS / 8.5e6)
-        got = candidate_latency(topo, task, "e", ("c",), IN_BITS)
+        got = one_candidate(topo, task, "e", ("c",))[0]
         assert got == pytest.approx(max(2.0, rt) + 1.0e-6, rel=1e-15)
 
 
 class TestCandidateEnergy:
     def test_single_execution_charges_computation_only(self, topo, task):
-        slots = candidate_replica_energy(topo, task, "h", (), IN_BITS)
+        slots = one_candidate(topo, task, "h", ())[1]
         assert slots == ((1, "h", pytest.approx(1.0 * 8.5, rel=1e-15)),)
 
     def test_dual_cross_device_slot_split(self, topo, task):
-        slots = candidate_replica_energy(topo, task, "h", ("c",), IN_BITS)
+        slots = one_candidate(topo, task, "h", ("c",))[1]
         (s1, d1, j1), (s2, d2, j2) = slots
         assert (s1, d1, s2, d2) == (1, "h", 2, "c")
         # primary: run + compare + ship input down + receive result
@@ -123,14 +122,14 @@ class TestCandidateEnergy:
 
     def test_triple_two_remotes_single_input_broadcast(self, topo, task):
         # same remote device twice: input transmitted once, results received twice
-        slots = candidate_replica_energy(topo, task, "h", ("c", "c"), IN_BITS)
+        slots = one_candidate(topo, task, "h", ("c", "c"))[1]
         vote = 0.03e-6 * 8.03
         assert slots[0][2] == pytest.approx(8.5 + vote + IN_BITS * 2.5e-6
                                             + 2 * OUT_BITS * 1.25e-6, rel=1e-12)
         assert slots[1][2] == slots[2][2]
 
     def test_triple_distinct_remotes_one_transmission_each(self, topo, task):
-        slots = candidate_replica_energy(topo, task, "h", ("e", "c"), IN_BITS)
+        slots = one_candidate(topo, task, "h", ("e", "c"))[1]
         vote = 0.03e-6 * 8.03
         # h->e uplink costs 1.00 uJ/bit, h->c 2.50; results at 0.70 and 1.25
         assert slots[0][2] == pytest.approx(
@@ -138,13 +137,13 @@ class TestCandidateEnergy:
             + OUT_BITS * (0.70e-6 + 1.25e-6), rel=1e-12)
 
     def test_on_primary_reexecution_costs_computation_only(self, topo, task):
-        slots = candidate_replica_energy(topo, task, "h", ("h", "c"), IN_BITS)
+        slots = one_candidate(topo, task, "h", ("h", "c"))[1]
         assert slots[1] == (2, "h", pytest.approx(8.5, rel=1e-15))
 
     def test_relayed_replica_charges_adjacent_legs_only(self, topo, task):
         # e primary, c replica: e pays its uplink to h and downlink from h;
         # c pays its own legs; h's pass-through is not on either endpoint
-        slots = candidate_replica_energy(topo, task, "e", ("c",), IN_BITS)
+        slots = one_candidate(topo, task, "e", ("c",))[1]
         compare = 1.0e-6 * 1.20
         assert slots[0][2] == pytest.approx(
             2.0 * 2.5 + compare + IN_BITS * 1.0e-6 + OUT_BITS * 0.70e-6, rel=1e-12)
