@@ -177,15 +177,27 @@ class VariableCatalog:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VariableCatalog":
-        return cls(
-            task_order=list(data["task_order"]),
-            candidates=[CandidateVar(d["var"], d["task"], d["primary"],
-                                     tuple(d["replicas"]), d["key"])
-                        for d in data["candidates"]],
-            arcs=[ArcVar(d["var"], d["src_task"], d["src_dev"],
-                         d["dst_task"], d["dst_dev"])
-                  for d in data["arcs"]],
-        )
+        """Inverse of :meth:`to_json_dict`, which it holds to: a missing key
+        raises KeyError; a task named twice in ``task_order``, a ``var``
+        that is not the entry's position (candidates, then arcs) or a task
+        not in ``task_order`` raises ValueError."""
+        candidates = [CandidateVar(d["var"], d["task"], d["primary"],
+                                   tuple(d["replicas"]), d["key"])
+                      for d in data["candidates"]]
+        arcs = [ArcVar(d["var"], d["src_task"], d["src_dev"], d["dst_task"], d["dst_dev"])
+                for d in data["arcs"]]
+        order = list(data["task_order"])
+        tasks = set(order)
+        if len(tasks) != len(order):
+            raise ValueError("task_order names a task twice")
+        for pos, v in enumerate([*candidates, *arcs]):
+            if type(v.var) is not int or v.var != pos:
+                raise ValueError(f"variable {pos} has var {v.var!r}")
+            for t in (v.task,) if isinstance(v, CandidateVar) else (v.src_task, v.dst_task):
+                if t not in tasks:
+                    raise ValueError(f"variable {pos} names task {t!r}, "
+                                     f"which is not in task_order")
+        return cls(order, candidates, arcs)
 
 
 @dataclass

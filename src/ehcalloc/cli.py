@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: generate, solve, sweep, baseline, validate, export-mps.
-Exit codes: 0 success/optimal, 1 invalid input or failed validation,
-2 infeasible, 3 time limit hit.
+Exit codes: 0 success/optimal, 1 usage error, invalid input or failed
+validation, 2 infeasible, 3 time limit hit.
 """
 
 from __future__ import annotations
@@ -122,13 +122,10 @@ def cmd_sweep(args) -> int:
     # written so that NaN fails the check
     if not 0 < args.step <= 1:
         raise io.ConfigError("--step must lie in (0, 1]")
-    if args.workers < 1:
-        raise io.ConfigError(f"--workers must be at least 1, got {args.workers}")
     steps = round(1.0 / args.step)
     if abs(steps * args.step - 1.0) > 1e-9:
         raise io.ConfigError("--step must divide 1 evenly")
-    result = pipeline.sweep(topology, graph, scenario.policy, steps,
-                            scenario.solver, workers=args.workers)
+    result = pipeline.sweep(topology, graph, scenario.policy, steps, scenario.solver)
     out = Path(args.out)
     out.write_text(result.to_csv())
     json_out = out.with_suffix(".json")
@@ -307,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="solve across the weight grid")
     common(p)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--time-limit", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -343,8 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and the error; its status 2 for
+        # a usage error would read as proven infeasible here
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except io.ConfigError as exc:

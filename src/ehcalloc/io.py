@@ -233,16 +233,3 @@ def dump_workflow(graph: WorkflowGraph, path: str | Path) -> None:
     }
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
-
-def dump_scenario(scenario: Scenario, path: str | Path) -> None:
-    data = {
-        "criticality": {
-            "level": scenario.policy.level,
-            "max_level": scenario.policy.max_level,
-            "kappa": scenario.policy.kappa,
-            "lambda": scenario.policy.lambda_coef,
-        },
-        "weights": {"w_rel": scenario.weights.w_rel, "w_lat": scenario.weights.w_lat},
-        "solver": {"time_limit_s": scenario.solver.time_limit},
-    }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")

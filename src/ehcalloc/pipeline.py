@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 from .bilp import (
     BilpModel,
@@ -300,37 +299,24 @@ def sweep(
     the normalized objectives of all rows live on the same scale.  The
     time limit in ``options`` bounds the whole sweep: a point reached
     after it ran out reports ``time_limit``.
+
+    ``workers`` accepts only ``1``; any other value is refused before
+    anything is prepared.  The points are solved in this process, batch
+    by batch: a process pool measured slower at every size, since the
+    normalization solves run here anyway and a pooled point loses the
+    batched root relaxation.  The keyword stays only because the bench
+    harness (``perfbench/``) passes ``workers=1``.
     """
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     deadline = deadline_of(options)
     reg, model = prepare(topology, graph, policy)
     bounds = normalization_bounds(reg, model, time_left(deadline))
     grid = [i / steps for i in range(steps + 1)]
-    points = partial(_sweep_points, reg, model, deadline, bounds)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # each worker receives the prepared model once, not once per point,
-        # and takes the next point whenever it is free
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_points,
-                                 initargs=(points,)) as pool:
-            rows = list(pool.map(_worker_point, grid))
-    else:
-        rows = points(grid)
-    return SweepResult([d.id for d in topology.devices], rows)
-
-
-#: a sweep worker process's grid function, set by its pool initializer
-_worker_points_fn = None
-
-
-def _set_worker_points(points) -> None:
-    global _worker_points_fn
-    _worker_points_fn = points
-
-
-def _worker_point(w: float) -> dict:
-    return _worker_points_fn([w])[0]
+    return SweepResult([d.id for d in topology.devices],
+                       _sweep_points(reg, model, deadline, bounds, grid))
 
 
 def _sweep_points(reg: CandidateGraph, model: BilpModel, deadline: float | None,

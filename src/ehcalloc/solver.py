@@ -1127,14 +1127,23 @@ def read_mps(path: str | Path) -> BilpModel:
     than ``BV``, a column the sidecar does not name, an entry on an
     undeclared row, a second entry of a column on one row, a second
     right-hand side of a row, a line whose names and values do not pair
-    up, and a value that is not a finite number.
+    up, and a value that is not a finite number.  A sidecar that
+    ``export_mps`` would not write is refused with its own path: one
+    missing a catalog key, whose ``task_order`` names a task twice, whose
+    ``var`` is not the entry's position (candidates ``0..n_c-1``, then the
+    arcs), or that names a task or arc end not in ``task_order``.
     """
     path = Path(path)
     sidecar_path = _sidecar_path(path)
     if not sidecar_path.exists():
         raise FileNotFoundError(f"missing sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    catalog = VariableCatalog.from_json_dict(sidecar["catalog"])
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        catalog = VariableCatalog.from_json_dict(sidecar["catalog"])
+    except KeyError as exc:
+        raise ValueError(f"{sidecar_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from exc
     var_of = {name: i for i, name in enumerate(catalog.names)}
 
     section = None

@@ -250,15 +250,33 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (["--workers", "0"], "error: --workers must be at least 1"),
-        (["--workers", "-1"], "error: --workers must be at least 1"),
         (["--step", "nan"], "error: --step must lie in (0, 1]"),
-    ], ids=["workers-0", "workers-minus-1", "step-nan"])
+        (["--workers", "2"], "usage: ehcalloc"),
+    ], ids=["step-nan", "workers-2"])
     def test_rejects_bad_flags_without_writing(self, flags, message, workdir, capsys):
         out = workdir / "flagged_sweep.csv"
         assert run("sweep", *flags, "--out", str(out)) == EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+class TestUsage:
+    # argparse's own status for these is 2, which here means infeasible
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+        (["generate", "--tasks", "x", "--out", "unused.json"],
+         "argument --tasks: invalid int value: 'x'"),
+        (["sweep"], "the following arguments are required: --out"),
+    ], ids=["unknown-flag", "not-an-int", "missing-required"])
+    def test_usage_errors_exit_one_with_the_usage(self, argv, message, capsys):
+        assert run(*argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ehcalloc ") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        assert run("sweep", "--help") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "--step" in out and "--workers" not in out
 
 
 class TestGenerate:

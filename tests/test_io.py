@@ -9,7 +9,6 @@ import ehcalloc as e
 from ehcalloc.io import (
     ConfigError,
     Scenario,
-    dump_scenario,
     dump_system,
     dump_workflow,
     load_scenario,
@@ -128,8 +127,11 @@ class TestRoundTrips:
             weights=e.ObjectiveWeights(0.3, 0.7),
             solver=SolverOptions(time_limit=12.5),
         )
-        p = tmp_path / "scenario.json"
-        dump_scenario(scenario, p)
+        p = write(tmp_path, "scenario.json", {
+            "criticality": {"level": 2, "max_level": 3, "kappa": 0.06, "lambda": 3.0},
+            "weights": {"w_rel": 0.3, "w_lat": 0.7},
+            "solver": {"time_limit_s": 12.5},
+        })
         clone = load_scenario(p)
         assert clone == scenario
 

@@ -479,3 +479,58 @@ class TestReadSolutionErrors:
         p.write_text(line.replace("C0", name) + "\n")
         with pytest.raises(ValueError, match=msg):
             read_solution(p, weighted)
+
+
+def sidecar_edited(round_trip, tmp_path, edit):
+    """A copy of the round trip's MPS file whose sidecar ``edit`` changed
+    in place; each of these used to end in a bare KeyError or IndexError."""
+    path, _ = round_trip
+    sidecar = json.loads(path.with_name(path.stem + ".columns.json").read_text())
+    edit(sidecar)
+    out = tmp_path / "edited.mps"
+    out.write_text(path.read_text())
+    out.with_name("edited.columns.json").write_text(json.dumps(sidecar))
+    return out
+
+
+class TestSidecarErrors:
+    @pytest.mark.parametrize("drop,missing", [
+        (lambda s: s.pop("catalog"), "'catalog'"),
+        (lambda s: s["catalog"].pop("task_order"), "'task_order'"),
+        (lambda s: s["catalog"]["candidates"][3].pop("primary"), "'primary'"),
+        (lambda s: s["catalog"]["arcs"][0].pop("dst_dev"), "'dst_dev'"),
+    ], ids=["catalog", "task_order", "candidate-primary", "arc-dst_dev"])
+    def test_a_missing_key_is_named(self, round_trip, tmp_path, drop, missing):
+        bad = sidecar_edited(round_trip, tmp_path, drop)
+        with pytest.raises(ValueError, match=r"edited\.columns\.json: missing key " + missing):
+            read_mps(bad)
+
+    @pytest.mark.parametrize("entry,var", [
+        (("candidates", 3), 999), (("candidates", 3), 4), (("candidates", 3), "3"),
+        (("arcs", 0), 0),
+    ], ids=["candidate-999", "candidate-next", "candidate-string", "arc-0"])
+    def test_a_var_off_its_position_is_refused(self, round_trip, tmp_path, entry, var):
+        family, k = entry
+        bad = sidecar_edited(round_trip, tmp_path,
+                             lambda s: s["catalog"][family][k].update(var=var))
+        with pytest.raises(ValueError, match=r"edited\.columns\.json: variable \d+ has var "):
+            read_mps(bad)
+
+    @pytest.mark.parametrize("family,key", [
+        ("candidates", "task"), ("arcs", "src_task"), ("arcs", "dst_task"),
+    ])
+    def test_a_task_outside_task_order_is_refused(self, round_trip, tmp_path, family, key):
+        bad = sidecar_edited(round_trip, tmp_path,
+                             lambda s: s["catalog"][family][2].update({key: "nope"}))
+        with pytest.raises(ValueError, match=r"edited\.columns\.json: variable \d+ "
+                                             r"names task 'nope', which is not in task_order"):
+            read_mps(bad)
+
+    def test_a_task_named_twice_in_task_order_is_refused(self, round_trip, tmp_path):
+        # read back, it left the first t1 without candidates, which only
+        # the first solve reported
+        bad = sidecar_edited(round_trip, tmp_path,
+                             lambda s: s["catalog"]["task_order"].append("t1"))
+        with pytest.raises(ValueError, match=r"edited\.columns\.json: task_order "
+                                             r"names a task twice"):
+            read_mps(bad)

@@ -140,6 +140,10 @@ def swept(topology, workflow, policy):
     return sweep(topology, workflow, policy, steps=4)
 
 
+def no_prepare(*args):
+    raise AssertionError("prepare ran")
+
+
 class TestSweep:
     def test_grid_and_weights(self, swept):
         assert [row["w_rel"] for row in swept.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -176,20 +180,21 @@ class TestSweep:
         # floats print with repr so a reader recovers them exactly
         assert repr(swept.rows[1]["g"]) in lines[2]
 
-    def test_worker_processes_return_the_same_rows(self, topology, workflow, policy):
-        serial = sweep(topology, workflow, policy, steps=2, workers=1)
-        pooled = sweep(topology, workflow, policy, steps=2, workers=2)
-        assert pooled.rows == serial.rows
-
-    @pytest.mark.parametrize("steps", [0, -1])
+    @pytest.mark.parametrize("steps", [0, -1, True])
     def test_steps_must_be_a_positive_integer(self, topology, workflow, policy,
                                               steps, monkeypatch):
-        # refused before any model is prepared or solved
-        def no_prepare(*args):
-            raise AssertionError("prepare ran")
+        # refused before any model is prepared or solved; True used to
+        # run a 2-point sweep
         monkeypatch.setattr(pipeline, "prepare", no_prepare)
         with pytest.raises(ValueError, match="positive integer"):
             sweep(topology, workflow, policy, steps=steps)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_must_be_one(self, topology, workflow, policy, workers, monkeypatch):
+        # the points are always solved in this process
+        monkeypatch.setattr(pipeline, "prepare", no_prepare)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            sweep(topology, workflow, policy, steps=2, workers=workers)
 
     def test_time_limit_bounds_the_whole_sweep(self, topology, policy):
         # each of these 105 solves takes well under the limit, and all of
