@@ -58,9 +58,8 @@ class TimeLimitError(Exception):
         self.bound = bound
 
 
-# named tuples, like the expansion's records they index, for their cost
+# the fields a catalog reads of the expansion's records, as read_mps rebuilds them
 class CandidateVar(NamedTuple):
-    var: int
     task: str
     primary: str
     replicas: tuple[str, ...]
@@ -68,7 +67,6 @@ class CandidateVar(NamedTuple):
 
 
 class ArcVar(NamedTuple):
-    var: int
     src_task: str
     src_dev: str
     dst_task: str
@@ -76,14 +74,15 @@ class ArcVar(NamedTuple):
 
 
 class VariableCatalog:
-    """Index of every binary variable and what it stands for."""
+    """Index of every binary variable and what it stands for.
 
-    def __init__(
-        self,
-        task_order: list[str],
-        candidates: list[CandidateVar],
-        arcs: list[ArcVar],
-    ) -> None:
+    A variable is its position: the candidates, task by task in
+    ``task_order``, then the arcs, each workflow arc's device pairs
+    together by source device, as :attr:`ends` lists them.  A catalog in
+    any other order raises ValueError.
+    """
+
+    def __init__(self, task_order: list[str], candidates: list, arcs: list) -> None:
         self.task_order = list(task_order)
         self.candidates = list(candidates)
         self.arcs = list(arcs)
@@ -102,26 +101,30 @@ class VariableCatalog:
         #: side's device -> {the other side's device: arc variable}
         self.ends: list[tuple[dict[str, dict[str, int]], dict[str, dict[str, int]]]] = []
         arc_of: dict[tuple[str, str], int] = {}
-        for a in self.arcs:
+        for v, a in enumerate(self.arcs, start=len(self.candidates)):
             p = arc_of.get((a.src_task, a.dst_task))
             if p is None:
                 p = arc_of[(a.src_task, a.dst_task)] = len(self.pairs)
                 self.pairs.append((task_pos[a.src_task], task_pos[a.dst_task]))
                 self.ends.append(({}, {}))
             src, dst = self.ends[p]
-            src.setdefault(a.src_dev, {})[a.dst_dev] = a.var
-            dst.setdefault(a.dst_dev, {})[a.src_dev] = a.var
+            src.setdefault(a.src_dev, {})[a.dst_dev] = v
+            dst.setdefault(a.dst_dev, {})[a.src_dev] = v
+        # a pair listed twice drops a variable from ends, so it fails here too
+        order = [i for options in self.options for i in options]
+        order += [v for src, _ in self.ends for row in src.values() for v in row.values()]
+        if order != list(range(self.n_vars)):
+            v = next(v for v, at in enumerate(order + [None]) if v != at)
+            raise ValueError(f"variable {v} is out of order: candidates come task by task "
+                             f"in task_order, then each workflow arc's device pairs together "
+                             f"by source device, each pair once")
 
     @cached_property
     def names(self) -> list[str]:
         """Per variable, its short opaque name, ``C<var>`` for a candidate
         and ``A<var>`` for an arc; built when first read, as a solve reads none."""
-        names = [""] * self.n_vars
-        for c in self.candidates:
-            names[c.var] = f"C{c.var}"
-        for a in self.arcs:
-            names[a.var] = f"A{a.var}"
-        return names
+        n_c = len(self.candidates)
+        return [f"C{v}" for v in range(n_c)] + [f"A{v}" for v in range(n_c, self.n_vars)]
 
     def vector(self, picks) -> list[int]:
         """The 0/1 vector of one candidate position per task, in any order."""
@@ -132,7 +135,7 @@ class VariableCatalog:
             if c.task in primary:
                 raise ValueError(f"two candidates picked for task {c.task}")
             primary[c.task] = c.primary
-            x[c.var] = 1
+            x[i] = 1
         missing = [t for t in self.task_order if t not in primary]
         if missing:
             raise ValueError(f"no candidate picked for tasks {missing}")
@@ -144,7 +147,7 @@ class VariableCatalog:
         """The candidate position each task picks in a 0/1 vector, in task order."""
         out: list[int] = []
         for t, options in zip(self.task_order, self.options):
-            hit = [i for i in options if x[self.candidates[i].var] == 1]
+            hit = [i for i in options if x[i] == 1]
             if len(hit) != 1:
                 raise ValueError(f"assignment picks {len(hit)} candidates for task {t}")
             out.append(hit[0])
@@ -161,39 +164,39 @@ class VariableCatalog:
         }
 
     def to_json_dict(self) -> dict:
+        """The catalog as JSON data; each entry's ``var`` is its position."""
         return {
             "task_order": self.task_order,
             "candidates": [
-                {"var": c.var, "task": c.task, "primary": c.primary,
+                {"var": v, "task": c.task, "primary": c.primary,
                  "replicas": list(c.replicas), "key": c.key}
-                for c in self.candidates
+                for v, c in enumerate(self.candidates)
             ],
             "arcs": [
-                {"var": a.var, "src_task": a.src_task, "src_dev": a.src_dev,
+                {"var": v, "src_task": a.src_task, "src_dev": a.src_dev,
                  "dst_task": a.dst_task, "dst_dev": a.dst_dev}
-                for a in self.arcs
+                for v, a in enumerate(self.arcs, start=len(self.candidates))
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VariableCatalog":
         """Inverse of :meth:`to_json_dict`, which it holds to: a missing key
-        raises KeyError; a task named twice in ``task_order``, a ``var``
-        that is not the entry's position (candidates, then arcs) or a task
-        not in ``task_order`` raises ValueError."""
-        candidates = [CandidateVar(d["var"], d["task"], d["primary"],
-                                   tuple(d["replicas"]), d["key"])
+        raises KeyError; a task named twice in ``task_order``, a ``var`` off
+        the entry's position, a task not in ``task_order`` or an order the
+        catalog refuses raises ValueError."""
+        candidates = [CandidateVar(d["task"], d["primary"], tuple(d["replicas"]), d["key"])
                       for d in data["candidates"]]
-        arcs = [ArcVar(d["var"], d["src_task"], d["src_dev"], d["dst_task"], d["dst_dev"])
+        arcs = [ArcVar(d["src_task"], d["src_dev"], d["dst_task"], d["dst_dev"])
                 for d in data["arcs"]]
         order = list(data["task_order"])
         tasks = set(order)
         if len(tasks) != len(order):
             raise ValueError("task_order names a task twice")
-        for pos, v in enumerate([*candidates, *arcs]):
-            if type(v.var) is not int or v.var != pos:
-                raise ValueError(f"variable {pos} has var {v.var!r}")
-            for t in (v.task,) if isinstance(v, CandidateVar) else (v.src_task, v.dst_task):
+        for pos, d in enumerate(chain(data["candidates"], data["arcs"])):
+            if type(d["var"]) is not int or d["var"] != pos:
+                raise ValueError(f"variable {pos} has var {d['var']!r}")
+            for t in (d["task"],) if pos < len(candidates) else (d["src_task"], d["dst_task"]):
                 if t not in tasks:
                     raise ValueError(f"variable {pos} names task {t!r}, "
                                      f"which is not in task_order")
@@ -265,13 +268,9 @@ class BilpModel:
 
 
 def build_catalog(reg: CandidateGraph) -> VariableCatalog:
-    """Lay out all variables in the canonical order: candidates, then arcs."""
-    n_c = reg.candidate_count
-    candidates = [CandidateVar(i, c.task, c.primary, c.replicas, c.key)
-                  for i, c in enumerate(reg.candidates)]
-    arcs = [ArcVar(n_c + i, a.src_task, a.src_dev, a.dst_task, a.dst_dev)
-            for i, a in enumerate(reg.arcs)]
-    return VariableCatalog(reg.graph.task_ids, candidates, arcs)
+    """Lay out all variables in the canonical order: candidates, then
+    arcs, each the expansion's own record, in the expansion's order."""
+    return VariableCatalog(reg.graph.task_ids, reg.candidates, reg.arcs)
 
 
 def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[LinearConstraint]:
@@ -280,16 +279,15 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
     topo = reg.topology
 
     # exactly one candidate per task
-    cands = catalog.candidates
     for task_id, options in zip(catalog.task_order, catalog.options):
-        coeffs = {cands[i].var: 1.0 for i in options}
+        coeffs = dict.fromkeys(options, 1.0)
         rows.append(LinearConstraint(coeffs, "=", 1.0, f"choose_one[{task_id}]"))
 
     # marginal rows of each workflow arc u->v: the arcs leaving u@k sum to
     # u's candidates with primary k, the arcs entering v@l to v's on l
     on_device: dict[tuple[str, str], list[int]] = {}
-    for c in cands:
-        on_device.setdefault((c.task, c.primary), []).append(c.var)
+    for v, c in enumerate(catalog.candidates):
+        on_device.setdefault((c.task, c.primary), []).append(v)
     devices_of = reg.eg.devices_of
     for (i, j), ends in zip(catalog.pairs, catalog.ends):
         src, dst = catalog.task_order[i], catalog.task_order[j]
@@ -308,16 +306,15 @@ def assemble_constraints(reg: CandidateGraph, catalog: VariableCatalog) -> list[
     mem: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     sto: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
     en: dict[str, dict[int, float]] = {d.id: {} for d in topo.devices}
-    for cvar, cand in zip(catalog.candidates, reg.candidates):
+    for v, cand in enumerate(reg.candidates):
         task = reg.graph.task(cand.task)
-        v = cvar.var
         for _slot, dev, joules in cand.per_replica_energy:
             mem[dev][v] = mem[dev].get(v, 0.0) + task.memory
             sto[dev][v] = sto[dev].get(v, 0.0) + task.storage
             en[dev][v] = en[dev].get(v, 0.0) + joules
-    for avar, arc in zip(catalog.arcs, reg.arcs):
+    for v, arc in enumerate(reg.arcs, start=reg.candidate_count):
         for dev, joules in arc.per_device_energy:
-            en[dev][avar.var] = joules
+            en[dev][v] = joules
     for device in topo.devices:
         rows.append(LinearConstraint(mem[device.id], "<=", device.memory_budget,
                                      f"memory[{device.id}]"))
@@ -338,21 +335,15 @@ def build_model(reg: CandidateGraph) -> BilpModel:
 
 def objective_reliability(reg: CandidateGraph, catalog: VariableCatalog) -> dict[int, float]:
     """Sum of log candidate reliabilities (log turns the product linear)."""
-    return {
-        cvar.var: math.log(cand.reliability)
-        for cvar, cand in zip(catalog.candidates, reg.candidates)
-    }
+    return {v: math.log(cand.reliability) for v, cand in enumerate(reg.candidates)}
 
 
 def objective_latency(reg: CandidateGraph, catalog: VariableCatalog) -> dict[int, float]:
     """Sum of candidate completion times plus active transfer times."""
-    coeffs = {
-        cvar.var: cand.latency
-        for cvar, cand in zip(catalog.candidates, reg.candidates)
-    }
-    for avar, arc in zip(catalog.arcs, reg.arcs):
+    coeffs = {v: cand.latency for v, cand in enumerate(reg.candidates)}
+    for v, arc in enumerate(reg.arcs, start=reg.candidate_count):
         if arc.latency:
-            coeffs[avar.var] = arc.latency
+            coeffs[v] = arc.latency
     return coeffs
 
 
@@ -420,36 +411,30 @@ class NormalizationBounds:
 
 
 class _RawObjectives:
-    """The two raw objectives of one prepared model as vectors.
+    """The two raw objectives of one prepared model as vectors over its
+    variables, ``rel`` and ``lat``, 0.0 where a variable has no term, and
+    the variables with a term as index vectors, ``rel_keys`` and
+    ``lat_keys``, in each objective's own order."""
 
-    ``rel_keys`` and ``rel`` hold the reliability terms' variables and
-    values, ``lat_keys`` and ``lat`` the latency terms'.  ``keys`` lists
-    every variable of either, the reliability terms' first, then the
-    latency terms' others; ``rel_at`` and ``lat_at`` give each
-    objective's terms' positions in it, in that objective's own order.
-    """
-
-    def __init__(self, rel: dict[int, float], lat: dict[int, float]) -> None:
+    def __init__(self, rel: dict[int, float], lat: dict[int, float], n_vars: int) -> None:
         # numpy is imported on first use, not with this module: loaded
         # before the solver module is compiled, it raises the peak memory
         # of importing ehcalloc by about 2.5 MiB
         import numpy as np
 
-        self.keys = list(dict.fromkeys(chain(rel, lat)))
-        pos = {v: i for i, v in enumerate(self.keys)}
-        self.rel_keys, self.lat_keys = list(rel), list(lat)
-        self.rel_at = np.array([pos[v] for v in rel], dtype=np.intp)
-        self.lat_at = np.array([pos[v] for v in lat], dtype=np.intp)
-        self.rel = np.array(list(rel.values()), dtype=float)
-        self.lat = np.array(list(lat.values()), dtype=float)
-        self.zeros = np.zeros(len(self.keys))
+        self.rel_keys = np.fromiter(rel, dtype=np.intp, count=len(rel))
+        self.lat_keys = np.fromiter(lat, dtype=np.intp, count=len(lat))
+        self.rel, self.lat = np.zeros(n_vars), np.zeros(n_vars)
+        self.rel[self.rel_keys] = list(rel.values())
+        self.lat[self.lat_keys] = list(lat.values())
 
 
 def _raw_objectives(reg: CandidateGraph, model: BilpModel) -> _RawObjectives:
     """The raw objectives of ``model``, built once per prepared model from
     ``reg``, the candidate graph the model was built from."""
     return model.shared("raw objectives", lambda: _RawObjectives(
-        objective_reliability(reg, model.catalog), objective_latency(reg, model.catalog)))
+        objective_reliability(reg, model.catalog), objective_latency(reg, model.catalog),
+        model.n_vars))
 
 
 def single_objective(reg: CandidateGraph, model: BilpModel, kind: str) -> BilpModel:
@@ -463,7 +448,7 @@ def single_objective(reg: CandidateGraph, model: BilpModel, kind: str) -> BilpMo
     raw = _raw_objectives(reg, model)
     keys, terms = (raw.rel_keys, raw.rel) if kind.startswith("rel") else (raw.lat_keys, raw.lat)
     sign = 1.0 if kind.endswith("max") else -1.0
-    return model.with_objective(dict(zip(keys, (sign * terms).tolist())),
+    return model.with_objective(dict(zip(keys.tolist(), (sign * terms[keys]).tolist())),
                                 objective_kind=kind, sign=sign)
 
 
@@ -507,26 +492,29 @@ def weighted_objective(
 
     A degenerate normalization span zeroes that term entirely.  Each
     coefficient is ``0.0 + scale_rel * rel`` and then ``- scale_lat *
-    lat``, the terms a variable has, in that order, for all variables in
-    one vector operation each; the keys keep the reliability terms'
-    order, then the latency terms' others.
+    lat``, for all variables in one vector operation each.  Every
+    candidate has a latency term, so the latency terms' keys list the
+    reliability terms' first.
     """
+    import numpy as np
+
     raw = _raw_objectives(reg, model)
-    coeffs = raw.zeros.copy()
-    keys, at = [], slice(0)
+    # from +0.0, so that a product that is -0.0 adds up to 0.0
+    coeffs = np.zeros(model.n_vars)
+    keys = raw.rel_keys[:0]                 # an empty index vector
     offset = 0.0
     if not bounds.rel_degenerate:
         scale = weights.w_rel / bounds.rel_span
-        coeffs[raw.rel_at] = 0.0 + scale * raw.rel
+        coeffs += scale * raw.rel
         offset -= scale * bounds.rel_min
-        keys, at = raw.rel_keys, raw.rel_at
+        keys = raw.rel_keys
     if not bounds.lat_degenerate:
         scale = weights.w_lat / bounds.lat_span
-        coeffs[raw.lat_at] -= scale * raw.lat
+        coeffs -= scale * raw.lat
         offset += scale * bounds.lat_min
-        keys, at = (raw.lat_keys, raw.lat_at) if bounds.rel_degenerate else (raw.keys, slice(None))
+        keys = raw.lat_keys
     return model.with_objective(
-        dict(zip(keys, coeffs[at].tolist())), offset,
+        dict(zip(keys.tolist(), coeffs[keys].tolist())), offset,
         objective_kind="weighted",
         weights=(weights.w_rel, weights.w_lat),
         bounds=bounds.to_json_dict(),

@@ -226,7 +226,7 @@ def cmd_validate(args) -> int:
     space = oracle.space_size(reg)
     if space <= args.brute_limit:
         # enumerated once, so that a wrong normalization solve shows
-        points = list(oracle.feasible_points(reg))
+        points = list(oracle.feasible_points(reg, guard=args.brute_limit))
         bounds = oracle.oracle_bounds(reg, points=points)
         fresh, stored = bounds.to_json_dict(), plan.get("bounds")
         report(isinstance(stored, dict)

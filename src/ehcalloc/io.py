@@ -36,6 +36,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
+def _number(value, what: str, whole: bool = False) -> float:
+    """A JSON number as a float, or with ``whole`` a whole one (``3`` or
+    ``3.0``) as an int; anything else raises ConfigError naming ``what``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if whole and not float(value).is_integer():
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def _take(obj: dict, base: str, units: dict[str, float], where: str,
           unbounded_ok: bool = False) -> float:
     hits = [k for k in obj if k == base or
@@ -48,10 +58,8 @@ def _take(obj: dict, base: str, units: dict[str, float], where: str,
     value = obj[key]
     if unbounded_ok and _is_unbounded_token(value):
         return UNBOUNDED
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
     factor = 1.0 if key == base else units[key[len(base) + 1:]]
-    return float(value) * factor
+    return _number(value, f"{where}: {key}") * factor
 
 
 def _map_take(obj: dict, base: str, units: dict[str, float] | None, where: str) -> dict[str, float]:
@@ -156,14 +164,14 @@ def load_scenario(path: str | Path) -> Scenario:
     with _reading(path):
         crit = data.get("criticality", {})
         policy = CriticalityPolicy(
-            level=int(crit.get("level", 3)),
-            max_level=int(crit.get("max_level", 3)),
-            kappa=float(crit.get("kappa", 0.06)),
-            lambda_coef=float(crit.get("lambda", 3.0)),
+            level=_number(crit.get("level", 3), "criticality.level", whole=True),
+            max_level=_number(crit.get("max_level", 3), "criticality.max_level", whole=True),
+            kappa=_number(crit.get("kappa", 0.06), "criticality.kappa"),
+            lambda_coef=_number(crit.get("lambda", 3.0), "criticality.lambda"),
         )
         w = data.get("weights", {})
-        w_rel = float(w.get("w_rel", 0.5))
-        weights = ObjectiveWeights(w_rel=w_rel, w_lat=float(w.get("w_lat", 1.0 - w_rel)))
+        w_rel = _number(w.get("w_rel", 0.5), "weights.w_rel")
+        weights = ObjectiveWeights(w_rel, _number(w.get("w_lat", 1.0 - w_rel), "weights.w_lat"))
         s = data.get("solver", {})
         mode = s.get("mode", "builtin")
         if mode != "builtin":
@@ -173,7 +181,7 @@ def load_scenario(path: str | Path) -> Scenario:
         if gap != 0:
             raise ConfigError(f"absolute_gap must be 0, got {gap!r}")
         limit = s.get("time_limit_s")
-        options = SolverOptions(time_limit=None if limit is None else float(limit))
+        options = SolverOptions(None if limit is None else _number(limit, "solver.time_limit_s"))
         return Scenario(policy, weights, options)
 
 

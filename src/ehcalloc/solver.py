@@ -230,11 +230,12 @@ class _Layout:
     ``with_objective`` copies and by every bound evaluation.  A model
     that is only exported never builds it.
 
-    Candidates are numbered flat, task by task, and arc variables in
-    ``cat.ends`` order (arc positions).  Devices get codes in first-seen
-    order, and side s of arc p has the slot ``(2p + s) * n_devices +
-    code`` per device code; a relaxation's ``arc_max`` lists each slot's
-    best pair (``-inf`` where the side has no pair through that device).
+    The candidates are the first ``n_c`` variables, flat task by task,
+    and arc position ``a`` is variable ``n_c + a``, in ``cat.ends`` order.
+    Devices get codes in first-seen order, and side s of arc p has the
+    slot ``(2p + s) * n_devices + code`` per device code; a relaxation's
+    ``arc_max`` lists each slot's best pair (``-inf`` where the side has
+    no pair through that device).
     Messages live in one float array with an entry per slot, then a pad
     slot that stays 0.0 and a junk slot that padded writes go to.  Ragged
     lists become padded arrays with the terms first, so that a sum or
@@ -244,6 +245,7 @@ class _Layout:
 
     def __init__(self, model: BilpModel) -> None:
         cat = model.catalog
+        self.n_c = n_c = len(cat.candidates)           # the variables after are arcs
         idx = _row_index(model)
         row_of = idx.row
         # the budgets are the monotone <= rows; only these are read, so
@@ -268,7 +270,7 @@ class _Layout:
             self.incident[i].append((p, 0, j))
             self.incident[j].append((p, 1, i))
         #: the budget rows some arc variable has a coefficient in
-        self.arc_rows = {r for a in cat.arcs for r, _ in self.budget[a.var]}
+        self.arc_rows = {r for pairs in self.budget[n_c:] for r, _ in pairs}
         self.rhs = idx.rhs[budget_rows].tolist()
         self.row_cap = idx.cap[budget_rows].tolist()
         #: the rows the bound dualizes: a finite positive rhs and a coefficient
@@ -294,10 +296,8 @@ class _Layout:
         code = {dev: d for d, dev in enumerate(self.devices)}
         self.n_devices = n_dev = len(self.devices)
         self.n_slots = pad = 2 * len(cat.pairs) * n_dev
-        #: arc variables in cat.ends order, with their source and destination slots
-        self.arc_vars = [var for src, _ in cat.ends for row in src.values() for var in row.values()]
-        arc_pos = {var: i for i, var in enumerate(self.arc_vars)}
-        n_arcs = len(self.arc_vars)
+        #: per arc position, its source and destination slots
+        n_arcs = len(cat.arcs)
         self.arc_src = np.array([2 * p * n_dev + code[k] for p, (src, _) in enumerate(cat.ends)
                                  for k, row in src.items() for _ in row], dtype=np.intp)
         self.arc_dst = np.array([(2 * p + 1) * n_dev + code[l] for p, (src, _) in enumerate(cat.ends)
@@ -307,15 +307,16 @@ class _Layout:
         #: per arc position, its budget pairs; per slot, the arc position at
         #: each other side's slot; per source slot and destination code, the
         #: arc variable, else the zero column
-        self.arc_budget = [self.budget[var] for var in self.arc_vars]
+        self.arc_budget = self.budget[n_c:]
         self.pair_at: list[dict[int, int]] = [{} for _ in range(pad)]
         for a, (i, j) in enumerate(zip(self.arc_src.tolist(), self.arc_dst.tolist())):
             self.pair_at[i][j] = self.pair_at[j][i] = a
         self.pair_var = np.full(pad * n_dev, cat.n_vars, dtype=np.intp)
-        self.pair_var[self.arc_src * n_dev + self.arc_dst % max(n_dev, 1)] = self.arc_vars
+        self.pair_var[self.arc_src * n_dev + self.arc_dst % max(n_dev, 1)] = \
+            np.arange(n_c, cat.n_vars)
         self.pair_ends = np.array(cat.pairs, dtype=np.intp).reshape(-1, 2).T
         #: per slot, its arc variables' positions; position n_arcs reads -inf
-        by_slot = [[arc_pos[var] for var in end.get(dev, {}).values()]
+        by_slot = [[var - n_c for var in end.get(dev, {}).values()]
                    for ends in cat.ends for end in ends for dev in self.devices] + [[]]
         self.slot_arcs = _columns(by_slot, n_arcs)
 
@@ -326,18 +327,13 @@ class _Layout:
                 raise ValueError(f"task {t} has no candidates")
             self.first.append(self.first[-1] + len(positions))
         self.starts = np.array(self.first[:-1], dtype=np.intp)
-        picks = [cat.candidates[i] for positions in cat.options for i in positions]
-        #: per flat candidate: its variable, task, position in the task,
-        #: primary device's code and budget pairs
-        self.cand_at = np.array([c.var for c in picks], dtype=np.intp)
+        #: per candidate: its task, position in the task, primary device's
+        #: code and budget pairs
         self.cand_task = np.repeat(np.arange(len(cat.options)), np.diff(self.first))
-        self.cand_k = np.arange(len(picks)) - self.starts[self.cand_task]
-        self.cand_dev = np.array([code[c.primary] for c in picks], dtype=np.intp)
-        self.cand_rows = np.fromiter((self.budget[c.var] for c in picks), dtype=object,
-                                     count=len(picks))
-        self.arc_at = np.array(self.arc_vars, dtype=np.intp)
-        self.dual_cands = self.dual[:, self.cand_at]
-        self.dual_arcs = self.dual[:, self.arc_at]
+        self.cand_k = np.arange(n_c) - self.starts[self.cand_task]
+        self.cand_dev = np.array([code[c.primary] for c in cat.candidates], dtype=np.intp)
+        self.cand_rows = np.fromiter(self.budget[:n_c], dtype=object, count=n_c)
+        self.dual_cands, self.dual_arcs = self.dual[:, :n_c], self.dual[:, n_c:-1]
         # per task and primary device: the slots its candidates' gains sum,
         # one per incident arc side in incident order, pad where the device
         # has no pair there.  With a slot on every arc side, it is a
@@ -431,8 +427,8 @@ class _Layout:
         """Dualize the budget rows with multipliers ``lam``, then run
         max-sum diffusion, for a block of objectives over this layout.
 
-        ``cvals`` holds the candidates' objective terms, flat task by
-        task, and ``avals`` the arc variables' in :attr:`arc_vars` order:
+        ``cvals`` holds the candidates' objective terms and ``avals`` the
+        arc variables', each in variable order:
         one objective as plain vectors, or several as one column each.
         Every operation acts column by column, so each column's
         relaxation is the one its objective gets alone, float for float;
@@ -529,7 +525,7 @@ class _Layout:
         arcs = self.pair_var[(2 * np.arange(len(src))[:, None] * n_dev + dev[src]) * n_dev
                              + dev[dst]]
         # per row and column, the charges in order: [rows, columns, charges]
-        charges = self.dual[:, np.concatenate([self.cand_at[pick], arcs]).T]
+        charges = self.dual[:, np.concatenate([pick, arcs]).T]
         bins = np.arange(n_rows * crobj.shape[1]).reshape(-1, n_rows).T
         usage = np.bincount(np.broadcast_to(bins[:, :, None], charges.shape).ravel(),
                             weights=charges.ravel(), minlength=bins.size)
@@ -576,8 +572,8 @@ def _layout(model: BilpModel) -> _Layout:
 
 def _objective_terms(models: list[BilpModel],
                      lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """The objectives' terms on the candidates, flat task by task, and on
-    the arc variables in the layout's order, one contiguous column each."""
+    """The objectives' terms on the candidates and on the arc variables,
+    one contiguous column each."""
     objs = [model.objective for model in models]
     sizes = [len(obj) for obj in objs]
     dense = np.zeros((len(objs), models[0].n_vars))
@@ -585,7 +581,7 @@ def _objective_terms(models: list[BilpModel],
           np.fromiter(chain.from_iterable(objs), dtype=np.intp, count=sum(sizes))] = \
         np.fromiter(chain.from_iterable(obj.values() for obj in objs), dtype=float,
                     count=sum(sizes))
-    return dense[:, lay.cand_at].T, dense[:, lay.arc_at].T
+    return dense[:, :lay.n_c].T, dense[:, lay.n_c:].T
 
 
 class _Relaxation:

@@ -37,3 +37,19 @@ def test_tiny_workload_passes_its_checks(name, tmp_path):
     assert ops
     for op in ops:
         op.check(op.run())
+
+
+def test_make_refs_reproduces_the_fixture_solve(monkeypatch):
+    # make_refs builds its HiGHS models through the objectives the solver
+    # reads, so its stored answers must still come out of it unchanged
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(sys, "path", list(sys.path))       # make_refs adds src/ to it
+    monkeypatch.setitem(sys.modules, "workloads", load("workloads"))
+    make_refs = load("make_refs")
+    fixtures = importlib.import_module("ehcalloc.fixtures")
+    ref = make_refs.solved_ref(fixtures.reference_topology(), fixtures.inspection_workflow(),
+                               fixtures.default_policy(make_refs.W.POLICY_LEVEL), None)
+    want = json.loads((PERFBENCH / "refs.json").read_text())["fixture"]["solve"]
+    assert ref["g"] == want["g"]
+    assert ref["bounds"] == want["bounds"]
+    assert ref["picks"] == want["picks"]

@@ -6,8 +6,12 @@ import pytest
 
 import ehcalloc as e
 from ehcalloc.bilp import (
+    ArcVar,
+    CandidateVar,
     NormalizationBounds,
     ObjectiveWeights,
+    VariableCatalog,
+    build_catalog,
     build_model,
     model_stats,
     normalization_bounds,
@@ -41,11 +45,14 @@ def reg_model():
 
 class TestCatalog:
     def test_variable_layout_candidates_then_arcs(self, reg_model):
+        # the catalog holds the expansion's own records, in its order
         reg, model = reg_model
         cat = model.catalog
         n_c, n_a = len(cat.candidates), len(cat.arcs)
-        assert [c.var for c in cat.candidates] == list(range(n_c))
-        assert [a.var for a in cat.arcs] == list(range(n_c, n_c + n_a))
+        assert n_c == len(reg.candidates) and n_a == len(reg.arcs)
+        fresh = build_catalog(reg)
+        assert all(fresh.candidates[i] is reg.candidates[i] for i in range(n_c))
+        assert all(fresh.arcs[i] is reg.arcs[i] for i in range(n_a))
         assert cat.n_vars == n_c + n_a
         assert cat.category_counts == {"candidate": n_c, "arc": n_a, "replica": 0,
                                        "total": n_c + n_a}
@@ -54,8 +61,8 @@ class TestCatalog:
     def test_names_encode_category(self, reg_model):
         _, model = reg_model
         cat = model.catalog
-        assert cat.names[cat.candidates[0].var].startswith("C")
-        assert cat.names[cat.arcs[0].var].startswith("A")
+        assert cat.names[0].startswith("C")
+        assert cat.names[len(cat.candidates)].startswith("A")
         assert len(set(cat.names)) == cat.n_vars
         assert all(len(n) <= 8 for n in cat.names)
 
@@ -64,19 +71,19 @@ class TestCatalog:
         # slots on a device, in every budget row of that device
         reg, model = reg_model
         rows = {r.tag: r for r in model.constraints}
-        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
+        for v, cand in enumerate(reg.candidates):
             task = reg.graph.task(cand.task)
             for d in "ehc":
                 slots = [j for _, dev, j in cand.per_replica_energy if dev == d]
-                mem = rows[f"memory[{d}]"].coeffs.get(cvar.var)
-                sto = rows[f"storage[{d}]"].coeffs.get(cvar.var)
+                mem = rows[f"memory[{d}]"].coeffs.get(v)
+                sto = rows[f"storage[{d}]"].coeffs.get(v)
                 if not slots:
                     assert mem is None and sto is None
                     continue
                 assert mem == sum([task.memory] * len(slots), 0.0)
                 assert sto == sum([task.storage] * len(slots), 0.0)
                 if f"energy[{d}]" in rows:
-                    assert rows[f"energy[{d}]"].coeffs[cvar.var] == sum(slots, 0.0)
+                    assert rows[f"energy[{d}]"].coeffs[v] == sum(slots, 0.0)
 
     def test_round_trips_through_json(self, reg_model):
         _, model = reg_model
@@ -84,8 +91,45 @@ class TestCatalog:
         clone = type(cat).from_json_dict(cat.to_json_dict())
         assert clone.names == cat.names
         assert clone.task_order == cat.task_order
-        assert [(c.var, c.task, c.primary, c.replicas) for c in clone.candidates] \
-            == [(c.var, c.task, c.primary, c.replicas) for c in cat.candidates]
+        assert [(c.task, c.primary, c.replicas) for c in clone.candidates] \
+            == [(c.task, c.primary, c.replicas) for c in cat.candidates]
+        assert clone.to_json_dict() == cat.to_json_dict()
+
+
+def hand_catalog(cands, arcs) -> VariableCatalog:
+    """A catalog over tasks t1, t2, t3 from (task, device) candidates and
+    (source task, device, destination task, device) arcs, in list order."""
+    return VariableCatalog(["t1", "t2", "t3"],
+                           [CandidateVar(t, d, (), f"{t}@{d}") for t, d in cands],
+                           [ArcVar(*arc) for arc in arcs])
+
+
+CANDS = [("t1", "a"), ("t1", "b"), ("t2", "a"), ("t2", "b"), ("t3", "a")]
+ARCS_12 = [("t1", k, "t2", l) for k in "ab" for l in "ab"]
+ARCS_23 = [("t2", k, "t3", "a") for k in "ab"]
+
+
+class TestCatalogOrder:
+    def test_a_variable_is_its_position(self):
+        cat = hand_catalog(CANDS, ARCS_12 + ARCS_23)
+        assert cat.options == [[0, 1], [2, 3], [4]]
+        assert [v for src, _ in cat.ends for row in src.values() for v in row.values()] \
+            == list(range(len(CANDS), cat.n_vars))
+
+    @pytest.mark.parametrize("cands,arcs,match", [
+        ([CANDS[0], CANDS[2], CANDS[1], *CANDS[3:]], ARCS_12 + ARCS_23,
+         r"variable 1 is out of order"),
+        (CANDS, [("t1", k, "t2", l) for l in "ab" for k in "ab"] + ARCS_23,
+         r"variable 6 is out of order"),
+        (CANDS, ARCS_12[:2] + ARCS_23 + ARCS_12[2:],
+         r"variable 7 is out of order"),
+        (CANDS, ARCS_12 + ARCS_12[-1:] + ARCS_23,
+         r"variable 8 is out of order"),
+    ], ids=["candidates-split-by-another-task", "arcs-by-destination-device",
+            "arc-pairs-split-by-another-arc", "arc-pair-twice"])
+    def test_any_other_order_is_refused(self, cands, arcs, match):
+        with pytest.raises(ValueError, match=match):
+            hand_catalog(cands, arcs)
 
 
 def rows_by_kind(model, kind):
@@ -99,8 +143,7 @@ class TestConstraints:
         assert len(rows) == 2
         for row in rows:
             task = row.tag[row.tag.index("[") + 1:-1]
-            assert set(row.coeffs) == {model.catalog.candidates[i].var
-                                       for i in reg.candidates_for_task(task)}
+            assert set(row.coeffs) == set(reg.candidates_for_task(task))
             assert all(c == 1.0 for c in row.coeffs.values())
             assert row.sense == "=" and row.rhs == 1.0
 
@@ -117,9 +160,9 @@ class TestConstraints:
         for row, (task, dev) in zip(rows, [("t1", "e"), ("t1", "h"),
                                            ("t2", "h"), ("t2", "c")]):
             assert row.sense == "=" and row.rhs == 0.0
-            want = {a.var: 1.0 for a in cat.arcs
+            want = {v: 1.0 for v, a in enumerate(cat.arcs, start=len(cat.candidates))
                     if (task, dev) in ((a.src_task, a.src_dev), (a.dst_task, a.dst_dev))}
-            cands = [c.var for c in cat.candidates if (c.task, c.primary) == (task, dev)]
+            cands = [v for v, c in enumerate(cat.candidates) if (c.task, c.primary) == (task, dev)]
             assert cands
             want.update(dict.fromkeys(cands, -1.0))
             assert row.coeffs == want
@@ -129,15 +172,16 @@ class TestConstraints:
         cat = model.catalog
         x = cat.vector([cat.options[0][0], cat.options[1][-1]])
         assert verify(model, x) == []
-        on = next(a for a in model.catalog.arcs if x[a.var] == 1)
-        other = next(a for a in model.catalog.arcs
-                     if (a.src_dev, a.dst_dev) != (on.src_dev, on.dst_dev))
+        n_c = len(cat.candidates)
+        devs = {v: (a.src_dev, a.dst_dev) for v, a in enumerate(cat.arcs, start=n_c)}
+        on = next(v for v in devs if x[v] == 1)
+        other = next(v for v in devs if devs[v] != devs[on])
         moved = list(x)
-        moved[on.var], moved[other.var] = 0, 1
+        moved[on], moved[other] = 0, 1
         cleared = list(x)
-        cleared[on.var] = 0
+        cleared[on] = 0
         doubled = list(x)
-        doubled[other.var] = 1
+        doubled[other] = 1
         for bad in (moved, cleared, doubled):
             issues = verify(model, bad)
             assert issues and all(i.startswith(("arc_src[", "arc_dst[")) for i in issues)
@@ -155,10 +199,10 @@ class TestConstraints:
         reg, model = reg_model
         row = next(r for r in model.constraints if r.tag == "memory[h]")
         want = {}
-        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
+        for v, cand in enumerate(reg.candidates):
             n_h = sum(1 for _, dev, _ in cand.per_replica_energy if dev == "h")
             if n_h:
-                want[cvar.var] = 1e6 * n_h
+                want[v] = 1e6 * n_h
         assert row.coeffs == want
         assert any(c == 2e6 for c in want.values())
         assert row.rhs == reg.topology.device("h").memory_budget
@@ -196,16 +240,16 @@ class TestObjectives:
     def test_reliability_coefficients_are_log_reliabilities(self, reg_model):
         reg, model = reg_model
         coeffs = objective_reliability(reg, model.catalog)
-        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
-            assert coeffs[cvar.var] == pytest.approx(math.log(cand.reliability))
+        for v, cand in enumerate(reg.candidates):
+            assert coeffs[v] == pytest.approx(math.log(cand.reliability))
 
     def test_latency_covers_candidates_and_arcs(self, reg_model):
         reg, model = reg_model
         coeffs = objective_latency(reg, model.catalog)
-        for cvar, cand in zip(model.catalog.candidates, reg.candidates):
-            assert coeffs[cvar.var] == cand.latency
-        for avar, arc in zip(model.catalog.arcs, reg.arcs):
-            assert coeffs.get(avar.var, 0.0) == arc.latency
+        for v, cand in enumerate(reg.candidates):
+            assert coeffs[v] == cand.latency
+        for v, arc in enumerate(reg.arcs, start=len(reg.candidates)):
+            assert coeffs.get(v, 0.0) == arc.latency
 
     def test_weights_must_be_convex(self):
         ObjectiveWeights(0.3, 0.7)

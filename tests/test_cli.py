@@ -201,6 +201,23 @@ class TestValidateExhaustively:
         assert len(passes) == 1
         assert "ok   exhaustive optimum" in capsys.readouterr().out
 
+    def test_the_brute_limit_is_the_enumeration_guard(self, serial_plan, monkeypatch, capsys):
+        # a limit above the oracle's default guard must not be cut to it
+        wf, plan = serial_plan
+        guards = []
+        enumerate_all = oracle.feasible_points
+
+        def recorded(reg, guard=oracle.ENUMERATION_GUARD):
+            guards.append(guard)
+            return enumerate_all(reg, guard)
+
+        monkeypatch.setattr(oracle, "feasible_points", recorded)
+        limit = 10 * oracle.ENUMERATION_GUARD
+        assert run("validate", "--workflow", str(wf), "--plan", str(plan),
+                   "--samples", "20000", "--brute-limit", str(limit)) == EXIT_OK
+        assert guards == [limit]
+        assert "ok   exhaustive optimum" in capsys.readouterr().out
+
     @pytest.mark.parametrize("edit", ["g", "bound"])
     def test_a_wrong_optimum_or_bound_fails(self, serial_plan, edit, workdir, capsys):
         wf, plan = serial_plan
@@ -406,6 +423,7 @@ MALFORMED = {
     "null-weight": ("--scenario", lambda system, workflow: {"weights": {"w_rel": None}}),
     "list-time-limit": ("--scenario", lambda system, workflow: {"solver": {"time_limit_s": [1]}}),
     "infinite-level": ("--scenario", lambda system, workflow: {"criticality": {"level": math.inf}}),
+    "fractional-level": ("--scenario", lambda system, workflow: {"criticality": {"level": 2.7}}),
 }
 
 

@@ -48,7 +48,7 @@ def fields(relax) -> dict:
 def candidates(search: _TaskChoiceSearch) -> list[list[tuple]]:
     """Per task, per candidate: its primary device and budget pairs."""
     cat, lay = search.cat, search.lay
-    return [[(cat.candidates[i].primary, lay.budget[cat.candidates[i].var]) for i in positions]
+    return [[(cat.candidates[i].primary, lay.budget[i]) for i in positions]
             for positions in cat.options]
 
 
@@ -68,8 +68,9 @@ def reference_relax(search: _TaskChoiceSearch, lam: list[float]) -> dict:
     cval = [[value - sum(weight[r] * coeff for r, coeff in rows)
              for value, (_, rows) in zip(values, recs)]
             for values, recs in zip(search.cobj, cands)]
-    aval = {a.var: obj.get(a.var, 0.0) - sum(weight[r] * coeff for r, coeff in lay.budget[a.var])
-            for a in cat.arcs}
+    arcs = range(len(cat.candidates), cat.n_vars)
+    aval = {v: obj.get(v, 0.0) - sum(weight[r] * coeff for r, coeff in lay.budget[v])
+            for v in arcs}
 
     # per task, its candidates' primary devices in first-seen order, and the
     # diffusion groups: a task, one of its devices, its candidates there, and
@@ -115,7 +116,7 @@ def reference_relax(search: _TaskChoiceSearch, lam: list[float]) -> dict:
     task_max = [max(terms) for terms in crobj]
     arc_bound = [max(by_src.values(), default=-math.inf) for by_src, _ in arc_max]
     return {"crobj": [term for terms in crobj for term in terms],
-            "arobj": [arobj[var] for var in lay.arc_vars],
+            "arobj": [arobj[var] for var in arcs],
             "arc_max": [side.get(dev, -math.inf) for sides in arc_max for side in sides
                         for dev in lay.devices],
             "task_max": task_max, "arc_bound": arc_bound,
@@ -342,10 +343,9 @@ def two_device_model(tasks, arcs, seed=0):
     """Tasks on devices a and b, every device pair on each arc, and
     objective terms drawn from ``seed``; no budget rows."""
     rng = random.Random(seed)
-    cands = [CandidateVar(v, t, d, (), f"{t}@{d}")
-             for v, (t, d) in enumerate(itertools.product(tasks, "ab"))]
-    arc_vars = [ArcVar(len(cands) + v, src, k, dst, l)
-                for v, ((src, dst), k, l) in enumerate(itertools.product(arcs, "ab", "ab"))]
+    cands = [CandidateVar(t, d, (), f"{t}@{d}") for t, d in itertools.product(tasks, "ab")]
+    arc_vars = [ArcVar(src, k, dst, l)
+                for (src, dst), k, l in itertools.product(arcs, "ab", "ab")]
     objective = {v: round(rng.uniform(-1.0, 1.0), 3) for v in range(len(cands) + len(arc_vars))}
     return BilpModel(VariableCatalog(list(tasks), cands, arc_vars), [], objective)
 

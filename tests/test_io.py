@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -178,6 +179,22 @@ class TestErrors:
         payload = {"devices": [device_payload(memory_gib=True)]}
         with pytest.raises(ConfigError, match="must be a number"):
             load_system(write(tmp_path, "sys.json", payload))
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("criticality", "level", 2.7, "criticality.level must be a whole number, got 2.7"),
+        ("criticality", "level", True, "criticality.level must be a number, got True"),
+        ("criticality", "max_level", 3.5, "criticality.max_level must be a whole number"),
+        ("criticality", "kappa", "0.06", "criticality.kappa must be a number, got '0.06'"),
+        ("criticality", "lambda", "3", "criticality.lambda must be a number, got '3'"),
+        ("weights", "w_rel", True, "weights.w_rel must be a number, got True"),
+        ("weights", "w_lat", "0.5", "weights.w_lat must be a number, got '0.5'"),
+        ("solver", "time_limit_s", True, "solver.time_limit_s must be a number, got True"),
+    ], ids=["level-fraction", "level-bool", "max_level-fraction", "kappa-string",
+            "lambda-string", "w_rel-bool", "w_lat-string", "time_limit-bool"])
+    def test_a_scenario_number_is_not_coerced(self, tmp_path, section, key, value, message):
+        # each of these used to load: 2.7 as level 2, True as 1, "0.06" as 0.06
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario(write(tmp_path, "s.json", {section: {key: value}}))
 
     def test_unbounded_token_only_valid_for_energy(self, tmp_path):
         payload = {"devices": [device_payload(memory_gib=None)]}

@@ -526,6 +526,20 @@ class TestSidecarErrors:
                                              r"names task 'nope', which is not in task_order"):
             read_mps(bad)
 
+    @pytest.mark.parametrize("family", ["candidates", "arcs"])
+    def test_entries_out_of_order_are_refused(self, round_trip, tmp_path, family):
+        # the first and the last entry swap places, each keeping its position's var
+        def swap(sidecar):
+            entries = sidecar["catalog"][family]
+            first, last = entries[0], entries[-1]
+            first["var"], last["var"] = last["var"], first["var"]
+            entries[0], entries[-1] = last, first
+
+        bad = sidecar_edited(round_trip, tmp_path, swap)
+        with pytest.raises(ValueError, match=r"edited\.columns\.json: variable \d+ is "
+                                             r"out of order: candidates come task by task"):
+            read_mps(bad)
+
     def test_a_task_named_twice_in_task_order_is_refused(self, round_trip, tmp_path):
         # read back, it left the first t1 without candidates, which only
         # the first solve reported

@@ -154,7 +154,8 @@ class TestOptimality:
         # the bound's diffusion moves arc terms into the candidates while
         # the same-device pairs still tie exactly
         reg, weighted = build_weighted(twin_graph([("t1", "t2")]), topology, policy)
-        assert any(weighted.objective.get(a.var) for a in weighted.catalog.arcs)
+        n_c = len(weighted.catalog.candidates)
+        assert any(weighted.objective.get(v) for v in range(n_c, weighted.n_vars))
         scores = twin_scores(reg, weighted)
         assert sum(g == max(scores.values()) for g in scores.values()) >= 2
         sol = solve_builtin(weighted)
@@ -167,10 +168,9 @@ class TestOptimality:
         # tie it exactly, and that lexicographically smaller vector must win
         cat = VariableCatalog(
             ["t1", "t2"],
-            [CandidateVar(v, t, d, (), f"{t}@{d}")
-             for v, (t, d) in enumerate(itertools.product(("t1", "t2"), "ab"))],
-            [ArcVar(4 + v, "t1", k, "t2", l)
-             for v, (k, l) in enumerate(itertools.product("ab", "ab"))])
+            [CandidateVar(t, d, (), f"{t}@{d}")
+             for t, d in itertools.product(("t1", "t2"), "ab")],
+            [ArcVar("t1", k, "t2", l) for k, l in itertools.product("ab", "ab")])
         model = BilpModel(cat, [], {3: 1.0, 4: 1.0})
         scores = {picks: model.objective_value(cat.vector(picks))
                   for picks in itertools.product(*cat.options)}
@@ -187,8 +187,8 @@ class TestOptimality:
         cands = [("t1", "a"), ("t1", "b"), ("t1", "c"), ("t2", "a"), ("t2", "b")]
         cat = VariableCatalog(
             ["t1", "t2"],
-            [CandidateVar(v, t, d, (), f"{t}@{d}") for v, (t, d) in enumerate(cands)],
-            [ArcVar(5 + v, "t1", k, "t2", l) for v, (k, l) in enumerate(["aa", "ab", "ba"])])
+            [CandidateVar(t, d, (), f"{t}@{d}") for t, d in cands],
+            [ArcVar("t1", k, "t2", l) for k, l in ["aa", "ab", "ba"]])
         rows = [LinearConstraint({v: 1.0 for v in options}, "=", 1.0, f"choose_one[{t}]")
                 for t, options in zip(cat.task_order, cat.options)]
         for side, (task, devices) in enumerate([("t1", "abc"), ("t2", "ab")]):
@@ -219,7 +219,7 @@ class TestOptimality:
         sol = solve_builtin(weighted)
         assert verify(weighted, sol.assignment) == []
         bad = list(sol.assignment)
-        flip = weighted.catalog.candidates[0].var
+        flip = 0                        # the first candidate
         on = bad[flip] == 1
         bad[flip] = 0 if on else 1
         issues = verify(weighted, bad)
@@ -281,14 +281,14 @@ def knapsack_model(items, rhs, arcs=(), arc_size=0.0):
     for t, options in zip(tasks, items):
         for dev, value, size in options:
             v = len(cands)
-            cands.append(CandidateVar(v, t, dev, (), f"{t}@{dev}"))
+            cands.append(CandidateVar(t, dev, (), f"{t}@{dev}"))
             objective[v], row[v] = value, size
     arc_vars = []
     for i, j in arcs:
         devices = [sorted({dev for dev, _, _ in items[x]}) for x in (i, j)]
         for k, l in itertools.product(*devices):
             v = len(cands) + len(arc_vars)
-            arc_vars.append(ArcVar(v, tasks[i], k, tasks[j], l))
+            arc_vars.append(ArcVar(tasks[i], k, tasks[j], l))
             if k == l == "b":
                 row[v] = arc_size
     cat = VariableCatalog(tasks, cands, arc_vars)
